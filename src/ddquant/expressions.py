@@ -178,10 +178,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest accepted nesting of join/meet/conv/imp.  Parsing, evaluation and
+# printing each recurse once per level, so the budget keeps them well inside
+# Python's default recursion limit of 1000 frames.
+_MAX_DEPTH = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -271,14 +278,18 @@ class _Parser:
         raise ParseError(f"unknown operation {name!r}", tok.pos)
 
     def args(self) -> list[Node]:
-        self.expect("(")
+        opening = self.expect("(")
         if self.peek().text == ")":
             self.take()
             return []
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", opening.pos)
+        self.depth += 1
         out = [self.expr()]
         while True:
             tok = self.take()
             if tok.text == ")":
+                self.depth -= 1
                 return out
             if tok.text != ",":
                 raise ParseError(f"expected ',' or ')', got {tok.text!r}", tok.pos)

@@ -301,24 +301,19 @@ def validate_probparmet(m: ProbParMetInstance) -> Report:
         for j in range(n):
             entry = m.entry(i, j)
             for end in (i, j):
-                if residual(t, entry, m.entry(end, end)) != entry:
+                fixed = residual(t, entry, m.entry(end, end))
+                if fixed != entry:
                     violations.append(
                         Violation(
-                            "ProbPM1",
-                            (m.points[i], m.points[j]),
-                            str(residual(t, entry, m.entry(end, end))),
-                            str(entry),
+                            "ProbPM1", (m.points[i], m.points[j]), str(fixed), str(entry)
                         )
                     )
                     break
     for i in range(n):
         for j in range(n):
+            discounted = implication(t, m.entry(j, j), m.entry(i, j))
             for k in range(n):
-                composed = convolve(
-                    t,
-                    m.entry(j, k),
-                    implication(t, m.entry(j, j), m.entry(i, j)),
-                )
+                composed = convolve(t, m.entry(j, k), discounted)
                 if not composed.leq(m.entry(i, k)):
                     violations.append(
                         Violation(
@@ -452,13 +447,30 @@ def instance_to_dict(m: ParMetInstance | ProbParMetInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> ParMetInstance | ProbParMetInstance:
-    """Decode an instance; the presence of a t-norm selects the staircase track."""
+    """Decode an instance; the presence of a t-norm selects the staircase track.
+
+    The shape is checked first: an object whose `points` is a list of
+    strings, whose `dist` is a list of rows of strings, and whose optional
+    `tnorm` is a string.  Any other shape raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("instance must be a JSON object")
     try:
-        points = tuple(data["points"])
+        points = data["points"]
         rows = data["dist"]
     except KeyError as exc:
         raise ValueError(f"missing field in instance: {exc}") from exc
+    if not (isinstance(points, list) and all(isinstance(p, str) for p in points)):
+        raise ValueError("instance field 'points' must be a list of strings")
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and all(isinstance(v, str) for v in row) for row in rows)
+    ):
+        raise ValueError("instance field 'dist' must be a list of rows of strings")
+    points = tuple(points)
     if "tnorm" in data:
+        if not isinstance(data["tnorm"], str):
+            raise ValueError("instance field 'tnorm' must be a string")
         t = parse_tnorm(data["tnorm"])
         dist = tuple(tuple(parse_staircase(v) for v in row) for row in rows)
         return ProbParMetInstance(points, dist, t)

@@ -23,29 +23,93 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from .axis import ONE, ZERO, Time, ensure_time, is_infinite
 from .errors import DomainError
 from .staircase import BOTTOM, MonotoneStep, Staircase, envelope, meet_all
-from .tnorms import LUK, MIN, PROD, TNorm
+from .tnorms import LUK, MIN, PROD, PRODUCT_KIND, TNorm
 
-_FAST_CUTOFF = 4096
+_FAST_CUTOFF = 48
 _INT64_LIMIT = 2**62
 
 
+class _Scaled(NamedTuple):
+    """Both factors and the t-norm's pieces as integers over common denominators.
+
+    A jump p is j/jd and a level a is l/ld.  `pieces` holds (L, H, kind,
+    scale) with lo = L/ld and hi = H/ld; M is the lcm of the product-piece
+    widths H - L (1 when there are none), scale = M // (H - L) for product
+    pieces, and every t-norm value is an integer over ld * M.
+    """
+
+    jd: int
+    ld: int
+    m: int
+    pieces: tuple[tuple[int, int, str, int], ...]
+    j1: list[int]
+    l1: list[int]
+    j2: list[int]
+    l2: list[int]
+
+
+def _scale(t: TNorm, phi: Staircase, psi: Staircase) -> _Scaled:
+    jd = lcm(*(p.denominator for p in phi.jumps), *(q.denominator for q in psi.jumps))
+    ld = lcm(
+        *(a.denominator for a in phi.levels),
+        *(b.denominator for b in psi.levels),
+        *(e.denominator for piece in t.pieces for e in (piece.lo, piece.hi)),
+    )
+    bounds = [(int(pc.lo * ld), int(pc.hi * ld), pc.kind) for pc in t.pieces]
+    m = lcm(*(hi - lo for lo, hi, kind in bounds if kind == PRODUCT_KIND))
+    return _Scaled(
+        jd,
+        ld,
+        m,
+        tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds),
+        [p.numerator * (jd // p.denominator) for p in phi.jumps],
+        [a.numerator * (ld // a.denominator) for a in phi.levels],
+        [q.numerator * (jd // q.denominator) for q in psi.jumps],
+        [b.numerator * (ld // b.denominator) for b in psi.levels],
+    )
+
+
 def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
+    """Sup-convolution of two staircases, exactly.
+
+    Both kernels work on the integer images of `_scale` and agree with the
+    reference `_convolve_plain`.  The dispatch rule:
+
+    - an empty factor gives bottom;
+    - the numpy kernel `_convolve_fast` runs when the t-norm is min, prod
+      or luk, there are at least `_FAST_CUTOFF` candidate pairs, and every
+      jump sum and t-norm value it forms is below `_INT64_LIMIT`;
+    - every other input (fewer pairs, an ordinal sum, or quantities that
+      could overflow int64) runs on the Python-int kernel `_convolve_int`,
+      which cannot overflow.
+
+    The cutoff is the measured crossover of the two kernels (min, prod and
+    luk on 4-32-step factors, Python 3.11, numpy 2.4, one core): numpy's
+    fixed cost of about 25 us a call loses to Python ints, at 0.7-1.1 us a
+    pair, on fewer pairs, and numpy is faster on all three from 48 pairs.
+    """
     if not phi.steps or not psi.steps:
         return BOTTOM
-    if len(phi.steps) * len(psi.steps) >= _FAST_CUTOFF:
-        fast = _convolve_fast(t, phi, psi)
-        if fast is not None:
-            return fast
-    return _convolve_plain(t, phi, psi)
+    s = _scale(t, phi, psi)
+    tag = _tnorm_tag(t)
+    if (
+        tag is not None
+        and len(s.j1) * len(s.j2) >= _FAST_CUTOFF
+        and 2 * max(s.j1[-1], s.j2[-1], s.ld * s.m) < _INT64_LIMIT
+    ):
+        return _convolve_fast(tag, s)
+    return _convolve_int(s)
 
 
 def _convolve_plain(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
+    """Reference kernel on Fractions; the tests compare the others with it."""
     apply = t.apply
     pts = [
         (p + q, apply(a, b))
@@ -65,41 +129,52 @@ def _tnorm_tag(t: TNorm) -> str | None:
     return None
 
 
-def _convolve_fast(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase | None:
-    """Integer-scaled envelope for the three basic t-norms.
+def _int_apply(s: _Scaled):
+    """The t-norm on scaled levels, valued in units of 1 / (ld * M)."""
+    if not s.pieces:
+        return min
+    m, pieces = s.m, s.pieces
 
-    Jumps and levels are rescaled to common denominators so candidate
-    generation, sorting, and the running maximum all run on int64 numpy
-    arrays.  Returns None (caller falls back to exact Fractions) whenever a
-    scaled quantity might not fit in int64.
+    def apply(a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        for lo, hi, kind, scale in pieces:
+            if lo <= a and b <= hi:
+                if kind == PRODUCT_KIND:
+                    return lo * m + (a - lo) * (b - lo) * scale
+                return max(lo, a + b - hi) * m
+        return a * m
+
+    return apply
+
+
+def _convolve_int(s: _Scaled) -> Staircase:
+    """Envelope of the candidate steps, on Python ints."""
+    apply = _int_apply(s)
+    right = list(zip(s.j2, s.l2))
+    cands = [(p + q, apply(a, b)) for p, a in zip(s.j1, s.l1) for q, b in right]
+    cands.sort()
+    return _from_candidates(cands, s)
+
+
+def _convolve_fast(tag: str, s: _Scaled) -> Staircase:
+    """Envelope of the candidate steps, on int64 numpy arrays.
+
+    The caller guarantees that every jump sum and value fits in int64.
+    Only candidates above the running maximum of their predecessors leave
+    numpy; `_from_candidates` settles ties between equal jump sums.
     """
-    tag = _tnorm_tag(t)
-    if tag is None:
-        return None
-    jd = lcm(*(p.denominator for p in phi.jumps), *(q.denominator for q in psi.jumps))
-    ld = lcm(*(a.denominator for a in phi.levels), *(b.denominator for b in psi.levels))
-    max_jump = max(phi.jumps[-1], psi.jumps[-1])
-    if jd * max_jump * 2 >= _INT64_LIMIT:
-        return None
-    if tag == "prod":
-        if ld * ld >= _INT64_LIMIT:
-            return None
-        value_den = ld * ld
-    else:
-        if ld * 2 >= _INT64_LIMIT:
-            return None
-        value_den = ld
-    j1 = np.array([p.numerator * (jd // p.denominator) for p in phi.jumps], dtype=np.int64)
-    j2 = np.array([q.numerator * (jd // q.denominator) for q in psi.jumps], dtype=np.int64)
-    l1 = np.array([a.numerator * (ld // a.denominator) for a in phi.levels], dtype=np.int64)
-    l2 = np.array([b.numerator * (ld // b.denominator) for b in psi.levels], dtype=np.int64)
+    j1 = np.array(s.j1, dtype=np.int64)
+    j2 = np.array(s.j2, dtype=np.int64)
+    l1 = np.array(s.l1, dtype=np.int64)
+    l2 = np.array(s.l2, dtype=np.int64)
     sums = np.add.outer(j1, j2).ravel()
     if tag == "min":
         vals = np.minimum.outer(l1, l2).ravel()
     elif tag == "prod":
         vals = np.multiply.outer(l1, l2).ravel()
     else:
-        vals = np.add.outer(l1, l2).ravel() - ld
+        vals = np.add.outer(l1, l2).ravel() - s.ld
         np.maximum(vals, 0, out=vals)
     order = np.argsort(sums, kind="stable")
     sums = sums[order]
@@ -109,11 +184,25 @@ def _convolve_fast(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase | None
     shifted[0] = -1
     shifted[1:] = running[:-1]
     keep = vals > shifted
-    pts = [
-        (Fraction(int(s), jd), Fraction(int(v), value_den))
-        for s, v in zip(sums[keep], vals[keep])
-    ]
-    return envelope(pts)
+    return _from_candidates(zip(sums[keep].tolist(), vals[keep].tolist()), s)
+
+
+def _from_candidates(cands, s: _Scaled) -> Staircase:
+    """Canonical staircase of integer (jump sum, value) candidates sorted by
+    jump sum: one sweep keeps each candidate above the running maximum, the
+    highest one at an equal jump sum."""
+    out: list[list[int]] = []
+    top = 0
+    for p, v in cands:
+        if v <= top:
+            continue
+        top = v
+        if out and out[-1][0] == p:
+            out[-1][1] = v
+        else:
+            out.append([p, v])
+    jd, vd = s.jd, s.ld * s.m
+    return Staircase(tuple((Fraction(p, jd), Fraction(v, vd)) for p, v in out))
 
 
 def convolve_monotone(t: TNorm, m1: MonotoneStep, m2: MonotoneStep) -> MonotoneStep:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ddquant import bracket, parse_linear
 from ddquant.cli import main
 
@@ -330,3 +332,31 @@ def test_module_entry_point_propagates_failure_code():
     )
     assert proc.returncode == 1
     assert proc.stdout == golden("diag_min.txt")
+
+
+# Valid JSON of the wrong shape, and an expression nested past the parser's
+# budget: each must end in exit 2 with one error line, never a traceback.
+_MALFORMED = {
+    "integer-distances": '{"points": ["x", "y"], "tnorm": "min", "dist": [[0, 1], [1, 0]]}',
+    "scalar-dist": '{"points": ["x"], "dist": 5}',
+    "top-level-list": '[{"points": ["x"], "dist": [["0"]]}]',
+    "null-entries": '{"points": ["x", "y"], "dist": [[null, "1"], ["1", null]]}',
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED, "deep-nesting"])
+def test_malformed_input_exits_two_with_one_line(case, tmp_path):
+    if case == "deep-nesting":
+        argv = ["eval", "conv(" * 3000 + "step(1,1)" + ",step(0,1))" * 3000]
+    else:
+        path = tmp_path / "instance.json"
+        path.write_text(_MALFORMED[case])
+        argv = ["validate", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddquant", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:")

@@ -21,6 +21,7 @@ from ddquant.expressions import (
     LinearNode,
     StaircaseNode,
     StepNode,
+    _MAX_DEPTH,
 )
 
 from util import LUK, MIN, PROD
@@ -146,3 +147,17 @@ def test_malformed_literals_are_syntax_errors():
         parse_expression("linear[(0,1),(1,0)]")
     with pytest.raises(ParseError, match="unknown operation"):
         parse_expression("stepz(1,1)")
+
+
+def _nested_conv(depth: int) -> str:
+    return "conv(" * depth + "step(1,1/2)" + ",step(0,1))" * depth
+
+
+def test_nesting_depth_budget():
+    node = parse_expression(_nested_conv(_MAX_DEPTH))
+    assert evaluate(node, MIN) == one_step(Fraction(1), Fraction(1, 2))
+    assert parse_expression(to_text(node)) == node
+    with pytest.raises(ParseError, match=f"nested deeper than {_MAX_DEPTH}") as err:
+        parse_expression(_nested_conv(_MAX_DEPTH + 1))
+    # the opening parenthesis of the first conv past the budget
+    assert err.value.position == 5 * _MAX_DEPTH + 4

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -15,16 +16,19 @@ from ddquant import (
     Staircase,
     convolve,
     convolve_monotone,
+    format_tnorm,
     implication,
     join_all,
     one_step,
+    parse_tnorm,
     residual,
     step_implication,
     vertical_distance,
     vertical_distance_grid,
     vertical_distance_sup_below,
 )
-from ddquant.quantale import _convolve_plain
+from ddquant import quantale
+from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, _convolve_plain
 from util import (
     TNORMS,
     conv_point_oracle,
@@ -88,12 +92,34 @@ def test_fast_path_agrees_with_plain():
     levels2 = sorted(rng.sample([F(k, 360) for k in range(1, 361)], 70))
     big2 = Staircase(tuple(zip(jumps2, levels2)))
     for name, t in TNORMS:
-        if name == "ordinal":
-            continue  # fast path only covers the three plain kinds
         assert convolve(t, big1, big2) == _convolve_plain(t, big1, big2)
 
 
-def test_fast_path_overflow_falls_back():
+# A nilpotent piece at 0: luk values there can drop to the piece's floor 0.
+NILPOTENT = parse_tnorm("ordinal[(0,1/3,luk),(1/2,3/4,prod),(3/4,1,luk)]")
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_convolve_differential_around_cutoff(name, t):
+    rng = random.Random(27)
+    above_cutoff = set()
+    for _ in range(80):
+        a = rand_staircase(rng, max_steps=12, allow_empty=False)
+        b = rand_staircase(rng, max_steps=12, allow_empty=False)
+        above_cutoff.add(len(a.steps) * len(b.steps) >= _FAST_CUTOFF)
+        assert convolve(t, a, b) == _convolve_plain(t, a, b)
+    assert above_cutoff == {False, True}
+
+
+def test_fast_path_overflow_falls_back(monkeypatch):
+    numpy_tags = []
+    real = quantale._convolve_fast
+
+    def spy(tag, s):
+        numpy_tags.append(tag)
+        return real(tag, s)
+
+    monkeypatch.setattr(quantale, "_convolve_fast", spy)
     # level denominator so large the squared scaling would overflow int64
     big_den = 2**34
     jumps = [F(k) for k in range(1, 80)]
@@ -101,6 +127,23 @@ def test_fast_path_overflow_falls_back():
     sc = Staircase(tuple(zip(jumps, levels)))
     out = convolve(PROD, sc, sc)
     assert out == _convolve_plain(PROD, sc, sc)
+    assert numpy_tags == []
+    # The numpy kernel forms jump sums up to 2 * top jump and prod values up
+    # to ld**2; it runs only when twice the larger is below _INT64_LIMIT.
+    # _INT64_LIMIT // 2 is not a square, so 2 * root**2 < _INT64_LIMIT.
+    root = isqrt(_INT64_LIMIT // 2)
+    for t, top_jump, level_den, numpy_runs in [
+        (MIN, _INT64_LIMIT // 2 - 1, 64, True),
+        (MIN, _INT64_LIMIT // 2, 64, False),
+        (PROD, 64, root, True),
+        (PROD, 64, root + 1, False),
+    ]:
+        numpy_tags.clear()
+        steps = [(F(k), F(k, level_den)) for k in range(1, 64)] + [(F(top_jump), F(1))]
+        sc = Staircase(tuple(steps))
+        assert len(sc.steps) ** 2 >= _FAST_CUTOFF
+        assert convolve(t, sc, sc) == _convolve_plain(t, sc, sc)
+        assert numpy_tags == ([format_tnorm(t)] if numpy_runs else [])
 
 
 @pytest.mark.parametrize("name,t", TNORMS)
