@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axis import format_scalar
@@ -41,44 +40,27 @@ from .staircase import Staircase
 from .tnorms import parse_tnorm
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    tnorm: str = "min"
-    inputs: tuple[str, ...] = ()
-    resolution: int = 16
-    output: str | None = None
-    seed: int = 0
-    kind: str | None = None
-    xi: str | None = None
-    phi: str | None = None
-
-    def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be at least 1")
-
-
-def _out_stream(cfg: RunConfig):
-    if cfg.output is None:
+def _out_stream(ns: argparse.Namespace):
+    if ns.output is None:
         return sys.stdout, False
-    return open(cfg.output, "w"), True
+    return open(ns.output, "w"), True
 
 
 def _eval_staircase(text: str, tnorm) -> Staircase:
     return evaluate(parse_expression(text), tnorm)
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    t = parse_tnorm(cfg.tnorm)
-    result = _eval_staircase(cfg.inputs[0], t)
+def cmd_eval(ns: argparse.Namespace) -> int:
+    t = parse_tnorm(ns.tnorm)
+    result = _eval_staircase(ns.expr, t)
     print(result)
     return 0
 
 
-def cmd_diag(cfg: RunConfig) -> int:
-    t = parse_tnorm(cfg.tnorm)
-    xi = _eval_staircase(cfg.xi, t)
-    phi = _eval_staircase(cfg.phi, t)
+def cmd_diag(ns: argparse.Namespace) -> int:
+    t = parse_tnorm(ns.tnorm)
+    xi = _eval_staircase(ns.xi, t)
+    phi = _eval_staircase(ns.phi, t)
     fixed = residual(t, xi, phi)
     verdict = fixed == xi  # the definition of diagonals.is_divisible_by
     print("divisible" if verdict else "not divisible")
@@ -94,9 +76,9 @@ _VALIDATORS = {
 }
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    m = load_instance(cfg.inputs[0])
-    kind = cfg.kind
+def cmd_validate(ns: argparse.Namespace) -> int:
+    m = load_instance(ns.path)
+    kind = ns.kind
     if kind is None:
         kind = "parmet" if isinstance(m, ParMetInstance) else "probparmet"
     validator = _VALIDATORS[kind]
@@ -110,13 +92,13 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    t = parse_tnorm(cfg.tnorm)
-    phi_node = parse_expression(cfg.phi)
+def cmd_certify(ns: argparse.Namespace) -> int:
+    t = parse_tnorm(ns.tnorm)
+    phi_node = parse_expression(ns.phi)
     if not isinstance(phi_node, LinearNode):
         raise ValueError("certify expects --phi to be a linear[...] map")
-    xi = _eval_staircase(cfg.xi, t)
-    cert = certify_not_divisible(t, phi_node.value, xi, cfg.resolution)
+    xi = _eval_staircase(ns.xi, t)
+    cert = certify_not_divisible(t, phi_node.value, xi, ns.resolution)
     if cert is None:
         print("inconclusive")
         return 2
@@ -126,8 +108,8 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_quantale_check(cfg: RunConfig) -> int:
-    q = load_quantale(cfg.inputs[0])
+def cmd_quantale_check(ns: argparse.Namespace) -> int:
+    q = load_quantale(ns.path)
     base = validate_quantale(q)
     if not base.ok:
         print(json.dumps({"valid": False, "problems": list(base.problems)},
@@ -148,14 +130,14 @@ def cmd_quantale_check(cfg: RunConfig) -> int:
     return 0 if laws.ok else 1
 
 
-def cmd_export_samples(cfg: RunConfig) -> int:
-    t = parse_tnorm(cfg.tnorm)
-    sc = _eval_staircase(cfg.inputs[0], t)
+def cmd_export_samples(ns: argparse.Namespace) -> int:
+    t = parse_tnorm(ns.tnorm)
+    sc = _eval_staircase(ns.expr, t)
     jumps = list(sc.jumps)
     hi = jumps[-1] if jumps else Fraction(1)
     if hi == 0:
         hi = Fraction(1)
-    grid = {Fraction(k) * hi / cfg.resolution for k in range(cfg.resolution + 1)}
+    grid = {Fraction(k) * hi / ns.resolution for k in range(ns.resolution + 1)}
     grid.update(jumps)
     # midpoints expose the open cell between consecutive jumps
     grid.update(
@@ -163,7 +145,7 @@ def cmd_export_samples(cfg: RunConfig) -> int:
     )
     if jumps:
         grid.add(jumps[-1] + 1)
-    stream, owned = _out_stream(cfg)
+    stream, owned = _out_stream(ns)
     try:
         stream.write("t,value\n")
         for t_ in sorted(grid):
@@ -182,24 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tnorm=True):
-        if tnorm:
-            p.add_argument("--tnorm", default="min",
-                           help="min, prod, luk, or ordinal[(lo,hi,kind),...]")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sub-runs (reserved)")
+    def add_tnorm(p):
+        p.add_argument("--tnorm", default="min",
+                       help="min, prod, luk, or ordinal[(lo,hi,kind),...]")
 
     p = sub.add_parser("eval", help="print the canonical form of an expression")
-    add_common(p)
+    add_tnorm(p)
     p.add_argument("expr")
 
     p = sub.add_parser("diag", help="decide whether xi is divisible by phi")
-    add_common(p)
+    add_tnorm(p)
     p.add_argument("--xi", required=True, help="expression for the candidate diagonal")
     p.add_argument("--phi", required=True, help="expression for the divisor")
 
     p = sub.add_parser("validate", help="validate an instance file")
-    add_common(p, tnorm=False)
     p.add_argument("--kind", choices=sorted(_VALIDATORS),
                    help="force a validator; default picks parmet or probparmet "
                         "from the file contents")
@@ -207,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify",
                        help="certify non-divisibility through an enclosure")
-    add_common(p)
+    add_tnorm(p)
     p.add_argument("--xi", required=True)
     p.add_argument("--phi", required=True, help="linear[...] map to bracket")
     p.add_argument("--resolution", type=int, default=128,
@@ -215,11 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantale-check",
                        help="exhaustively check a finite quantale table")
-    add_common(p, tnorm=False)
     p.add_argument("path")
 
     p = sub.add_parser("export-samples", help="sample an expression to CSV")
-    add_common(p)
+    add_tnorm(p)
     p.add_argument("--grid", type=int, default=16, dest="resolution",
                    help="uniform grid resolution on top of the breakpoints")
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")
@@ -238,31 +215,13 @@ _DISPATCH = {
 }
 
 
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    inputs = []
-    for attr in ("expr", "path"):
-        value = getattr(ns, attr, None)
-        if value is not None:
-            inputs.append(value)
-    return RunConfig(
-        command=ns.command,
-        tnorm=getattr(ns, "tnorm", "min"),
-        inputs=tuple(inputs),
-        resolution=getattr(ns, "resolution", 16),
-        output=getattr(ns, "output", None),
-        seed=getattr(ns, "seed", 0),
-        kind=getattr(ns, "kind", None),
-        xi=getattr(ns, "xi", None),
-        phi=getattr(ns, "phi", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _to_config(ns)
-        return _DISPATCH[ns.command](cfg)
+        if getattr(ns, "resolution", 1) < 1:
+            raise ValueError("resolution must be at least 1")
+        return _DISPATCH[ns.command](ns)
     except (DdqError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

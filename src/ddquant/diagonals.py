@@ -9,7 +9,9 @@ d a diagonal into `mid` and e a diagonal out of `mid`,
     compose(e, d) = convolve(implication(mid, e), d)
                   = convolve(e, implication(mid, d)).
 
-Both expressions are computed and must agree.
+Both expressions are computed and must agree.  Divisibility and the two
+formulas are `values.ValueQuantale.divides` and `composites`, shared with
+the finite quantale tables.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from random import Random
 
 from .axis import INF, ONE, ZERO, Time, is_infinite, time_add
 from .errors import PreconditionError, SearchExhausted
-from .quantale import implication, convolve, residual
 from .staircase import BOTTOM, Staircase, envelope
 from .tnorms import TNorm
+from .values import Staircases
 
 
 def is_divisible_by(t: TNorm, xi: Staircase, phi: Staircase) -> bool:
     """Decide whether xi = phi (*) psi has a solution psi."""
-    return residual(t, xi, phi) == xi
+    return Staircases(t).divides(phi, xi)
 
 
 def is_diagonal_between(t: TNorm, xi: Staircase, phi: Staircase, psi: Staircase) -> bool:
@@ -39,8 +41,7 @@ def diagonal_compose(t: TNorm, e: Staircase, d: Staircase, mid: Staircase) -> St
         raise PreconditionError("d is not divisible by mid (not a diagonal into mid)")
     if not is_divisible_by(t, e, mid):
         raise PreconditionError("e is not divisible by mid (not a diagonal out of mid)")
-    left = convolve(t, implication(t, mid, e), d)
-    right = convolve(t, e, implication(t, mid, d))
+    left, right = Staircases(t).composites(mid, e, d)
     assert left == right, f"composition formulas disagree: {left} vs {right}"
     return left
 

@@ -1,4 +1,8 @@
-"""Shared exception types for the package."""
+"""Shared exception types for the package, and the JSON file reader that
+maps every decoding failure onto ValueError."""
+
+import json
+from pathlib import Path
 
 
 class DdqError(Exception):
@@ -29,3 +33,13 @@ class SearchExhausted(DdqError, RuntimeError):
     This is deliberately distinct from "no witness exists": callers must not
     treat exhaustion as a proof.
     """
+
+
+def read_json(path: str | Path):
+    """Decode a JSON file.  Malformed JSON raises json.JSONDecodeError and
+    nesting too deep for the decoder a ValueError, never RecursionError."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None

@@ -3,25 +3,32 @@
 Everything here is exhaustive: lattice structure, quantale axioms,
 residuation, diagonal hom-sets, and the category laws for composing
 diagonals are all checked by direct enumeration over the (small) carrier.
-This gives an oracle that is independent of the staircase machinery.
+A table is a `values.ValueQuantale`, so divisibility and the composite
+formulas are the ones the staircase track uses; its arithmetic is table
+lookup, which makes it an oracle independent of the staircase machinery.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
+from .axis import format_scalar
+from .errors import read_json
+from .values import ValueQuantale
+
 
 @dataclass(frozen=True)
-class FiniteQuantale:
+class FiniteQuantale(ValueQuantale):
     """Carrier with an order table, a multiplication table, and a unit.
 
     `leq[i][j]` says element i is below element j; `mult[i][j]` is the label
     of the product.  Structural well-formedness (shapes, labels) is enforced
     at construction; the mathematical axioms are checked by
-    `validate_quantale`, which reports rather than raises.
+    `validate_quantale`, which reports rather than raises.  As a value
+    quantale it works on labels; `implies` residuates each pair once.
     """
 
     elements: tuple[str, ...]
@@ -60,8 +67,28 @@ class FiniteQuantale:
         ix = self.index
         return tuple(tuple(ix[v] for v in row) for row in self.mult)
 
-    def below(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
+    def compose(self, a: str, b: str) -> str:
+        return self.mult[self.index[a]][self.index[b]]
+
+    def implies(self, a: str, b: str) -> str:
+        memo = self._implied
+        if (a, b) not in memo:
+            memo[a, b] = residuate(self, a, b)
+        return memo[a, b]
+
+    @cached_property
+    def _implied(self) -> dict[tuple[str, str], str]:
+        return {}
+
+    def below(self, a: str, b: str) -> bool:
+        return self.leq[self.index[a]][self.index[b]]
+
+    def text(self, a: str) -> str:
+        return a
+
+    def finite(self, a: str) -> bool:
+        """Whether a is not the bottom element."""
+        return self.index[a] != self.bottom_idx
 
     def times(self, a: int, b: int) -> int:
         return self.mult_idx[a][b]
@@ -182,24 +209,8 @@ class DiagonalHomset:
 
 def diag_homset(q: FiniteQuantale, p: str, r: str) -> DiagonalHomset:
     """All d divisible by both endpoints: (p -> d) * p = d = (r -> d) * r."""
-    members = frozenset(
-        q.elements[d]
-        for d in range(len(q.elements))
-        if _divides(q, q.index[p], d) and _divides(q, q.index[r], d)
-    )
+    members = frozenset(d for d in q.elements if q.divides(p, d) and q.divides(r, d))
     return DiagonalHomset(p, r, members)
-
-
-def _divides(q: FiniteQuantale, p: int, d: int) -> bool:
-    arrow = q.index[residuate(q, q.elements[p], q.elements[d])]
-    return q.times(arrow, p) == d
-
-
-def _compose(q: FiniteQuantale, mid: str, e: str, d: str) -> tuple[str, str]:
-    """Both composition formulas (mid -> e) * d and e * (mid -> d)."""
-    left = q.mult[q.index[residuate(q, mid, e)]][q.index[d]]
-    right = q.mult[q.index[e]][q.index[residuate(q, mid, d)]]
-    return left, right
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,7 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
             for d in homs[(p, r)]:
                 for s in els:
                     for ee in homs[(r, s)]:
-                        left, right = _compose(q, r, ee, d)
+                        left, right = q.composites(r, ee, d)
                         if left != right:
                             violations.append(
                                 f"composition formulas disagree for d={d}:{p}->{r}, "
@@ -249,10 +260,10 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
     for p in els:
         for r in els:
             for d in homs[(p, r)]:
-                left, _ = _compose(q, p, d, p)
+                left, _ = q.composites(p, d, p)
                 if left != d:
                     violations.append(f"identity {p} not neutral below {d}:{p}->{r}")
-                left, _ = _compose(q, r, r, d)
+                left, _ = q.composites(r, r, d)
                 if left != d:
                     violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
     # associativity over composable triples
@@ -263,10 +274,10 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
                     for d in homs[(p, r)]:
                         for ee in homs[(r, s)]:
                             for g in homs[(s, t_)]:
-                                ed, _ = _compose(q, r, ee, d)
-                                a1, _ = _compose(q, s, g, ed)
-                                ge, _ = _compose(q, s, g, ee)
-                                a2, _ = _compose(q, r, ge, d)
+                                ed, _ = q.composites(r, ee, d)
+                                a1, _ = q.composites(s, g, ed)
+                                ge, _ = q.composites(s, g, ee)
+                                a2, _ = q.composites(r, ge, d)
                                 if a1 != a2:
                                     violations.append(
                                         f"composition not associative at "
@@ -280,7 +291,7 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
                 violations.append(f"bottom missing from hom({p},{r})")
             for s in els:
                 for ee in homs[(r, s)]:
-                    left, _ = _compose(q, r, ee, bot)
+                    left, _ = q.composites(r, ee, bot)
                     if left != bot:
                         violations.append(f"composition with bottom not bottom for e={ee}")
             hom = sorted(homs[(p, r)], key=q.index.__getitem__)
@@ -297,9 +308,9 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
                         continue
                     for s in els:
                         for ee in homs[(r, s)]:
-                            cj, _ = _compose(q, r, ee, jl)
-                            c1, _ = _compose(q, r, ee, d1)
-                            c2, _ = _compose(q, r, ee, d2)
+                            cj, _ = q.composites(r, ee, jl)
+                            c1, _ = q.composites(r, ee, d1)
+                            c2, _ = q.composites(r, ee, d2)
                             if cj != q.elements[q.join_idx(q.index[c1], q.index[c2])]:
                                 violations.append(
                                     f"composition does not preserve join of "
@@ -324,13 +335,7 @@ def check_downset_equality(q: FiniteQuantale) -> DownsetReport:
     In a divisible quantale the two agree for every pair; divisibility is
     checked exhaustively (b <= a implies a * (a -> b) = b).
     """
-    n = len(q.elements)
-    divisible = all(
-        q.times(a, q.index[residuate(q, q.elements[a], q.elements[b])]) == b
-        for a in range(n)
-        for b in range(n)
-        if q.leq[b][a]
-    )
+    divisible = all(q.divides(a, b) for a in q.elements for b in q.elements if q.below(b, a))
     mismatches = []
     for p in q.elements:
         for r in q.elements:
@@ -356,10 +361,6 @@ def lukasiewicz_chain(n: int) -> FiniteQuantale:
     """n-element chain with i * j = max(0, i + j - (n - 1))."""
     if n < 2:
         raise ValueError("need at least two elements")
-    from fractions import Fraction
-
-    from .axis import format_scalar
-
     labels = tuple(format_scalar(Fraction(i, n - 1)) for i in range(n))
     leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
     mult = tuple(
@@ -394,21 +395,41 @@ def quantale_to_dict(q: FiniteQuantale) -> dict:
     }
 
 
+def _rows_of(value, ok) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(ok(v) for v in row) for row in value
+    )
+
+
 def quantale_from_dict(data: dict) -> FiniteQuantale:
+    """Decode a table.  The shape is checked first: an object whose
+    `elements` is a list of strings, whose `leq` is a list of rows of 0/1,
+    whose `mult` is a list of rows of strings and whose `unit` is a string.
+    Any other shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("quantale table must be a JSON object")
     try:
-        return FiniteQuantale(
-            tuple(data["elements"]),
-            tuple(tuple(bool(v) for v in row) for row in data["leq"]),
-            tuple(tuple(row) for row in data["mult"]),
-            data["unit"],
-        )
+        elements, leq, mult, unit = (data[k] for k in ("elements", "leq", "mult", "unit"))
     except KeyError as exc:
         raise ValueError(f"missing field in quantale table: {exc}") from exc
+    if not (isinstance(elements, list) and all(isinstance(e, str) for e in elements)):
+        raise ValueError("quantale field 'elements' must be a list of strings")
+    if not _rows_of(leq, lambda v: isinstance(v, int) and v in (0, 1)):
+        raise ValueError("quantale field 'leq' must be a list of rows of 0/1")
+    if not _rows_of(mult, lambda v: isinstance(v, str)):
+        raise ValueError("quantale field 'mult' must be a list of rows of strings")
+    if not isinstance(unit, str):
+        raise ValueError("quantale field 'unit' must be a string")
+    return FiniteQuantale(
+        tuple(elements),
+        tuple(tuple(bool(v) for v in row) for row in leq),
+        tuple(tuple(row) for row in mult),
+        unit,
+    )
 
 
 def load_quantale(path: str | Path, max_elements: int = 8) -> FiniteQuantale:
-    data = json.loads(Path(path).read_text())
-    q = quantale_from_dict(data)
+    q = quantale_from_dict(read_json(path))
     if len(q.elements) > max_elements:
         raise ValueError(
             f"carrier has {len(q.elements)} elements; the exhaustive checks "

@@ -1,53 +1,55 @@
 """Validators and constructions for metric-like structures on finite sets.
 
-Two value tracks share one vocabulary:
+A (partial) metric on a finite point set is a matrix of distances valued
+in a quantale (`values.ValueQuantale`), and every axiom is written once
+against it.  Two tracks are instances:
 
-  numeric        entries in [0, inf], composition is addition
-  probabilistic  entries are staircases, composition is convolution
+  numeric     entries in [0, inf], composition is addition (0 on top)
+  staircase   entries are staircases, composition is convolution
 
-Each track has a plain flavour (self-distances are the unit: 0, resp. the
-top staircase) and a partial flavour (self-distances arbitrary, with the
-usual compatibility axioms).  Validators are exhaustive over the finite
-point set and report violations with point labels and both sides of the
-failed axiom in canonical text.
+A metric (`met`, `probmet`) asks
 
-Axioms in the numeric track are stated with the ordinary numeric <= of
-[0, inf].  The underlying composition order is the reverse (0 on top), so
-residuation is `plus_implies`; every comparison below is the numeric one.
+  M1  every self-distance is the unit (0, resp. the top staircase);
+  M2  compose(d(j,k), d(i,j)) lies below d(i,k).
+
+A partial metric (`parmet`, `probparmet`) asks
+
+  PM1 each entry is a diagonal between the self-distances of its ends:
+      d(i,j) = compose(p, p -> d(i,j)) for p = d(i,i) and p = d(j,j);
+  PM2 compose(d(j,k), d(j,j) -> d(i,j)) lies below d(i,k).
+
+In the staircase track these are ProbM1, ProbM2, ProbPM1 and ProbPM2.
+On [0, inf] PM1 says the self-distances are at most the entry, because
+[0, inf] is divisible; for staircases it is stronger than lying below
+both self-distances.  Validators are exhaustive over the point set and
+report violations with point labels and canonical text.  The numeric
+track prints its comparisons in the ordinary numeric order of [0, inf],
+the reverse of its quantale order; its residuation is `plus_implies`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .axis import (
-    ONE,
-    ZERO,
-    Time,
-    ensure_time,
-    format_scalar,
-    is_infinite,
-    parse_scalar,
-    plus_implies,
-    time_add,
-)
-from .errors import PreconditionError
-from .quantale import convolve, implication, residual
-from .staircase import TOP, Staircase, parse_staircase
+from .axis import Time, ensure_time, format_scalar, parse_scalar, plus_implies, time_add
+from .errors import PreconditionError, read_json
+from .staircase import Staircase, parse_staircase
 from .tnorms import TNorm, format_tnorm, parse_tnorm
+from .values import NUMERIC, Staircases
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed axiom instance.
+    """One failed axiom instance, both sides in canonical text.
 
-    `left` and `right` are canonical text for the two sides of the failed
-    comparison, oriented so the axiom demands left <= right (numeric order
-    in the numeric track, pointwise order for staircases).  For ProbPM1 the
-    axiom is an equation: left is the computed residual, right the entry it
-    should equal.
+    M1 and PM1 are equations.  For M1, `left` is the self-distance and
+    `right` the unit.  For PM1, `left` is the residual compose(p, p -> d)
+    of the entry d by the first endpoint self-distance p that changes it,
+    and `right` is the entry.  M2 and PM2 demand left <= right in the
+    printed order: numeric order in the numeric track (left the entry,
+    right the composite), pointwise order for staircases (left the
+    composite, right the entry).
     """
 
     axiom: str
@@ -87,11 +89,15 @@ class Report:
 
 
 @dataclass(frozen=True)
-class ParMetInstance:
-    """Finite point set with a numeric distance matrix."""
+class _Instance:
+    """Finite point set with a square distance matrix.
+
+    A track sets `track` (the prefix of its kinds and axioms), `values`
+    (its value quantale) and `_entry` (the check of one entry).
+    """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[Time, ...], ...]
+    dist: tuple[tuple, ...]
 
     def __post_init__(self):
         points = tuple(str(p) for p in self.points)
@@ -100,45 +106,50 @@ class ParMetInstance:
         n = len(points)
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix must be square over the points")
-        dist = tuple(tuple(ensure_time(v) for v in row) for row in self.dist)
+        dist = tuple(tuple(self._entry(v) for v in row) for row in self.dist)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dist", dist)
 
-    def entry(self, i: int, j: int) -> Time:
+    def entry(self, i: int, j: int):
         return self.dist[i][j]
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+    def _header(self) -> dict:
+        """Fields of the instance file besides `points` and `dist`."""
+        return {}
 
 
 @dataclass(frozen=True)
-class ProbParMetInstance:
+class ParMetInstance(_Instance):
+    """Finite point set with a numeric distance matrix."""
+
+    track = ""
+    values = NUMERIC
+    _entry = staticmethod(ensure_time)
+
+
+@dataclass(frozen=True)
+class ProbParMetInstance(_Instance):
     """Finite point set with a staircase distance matrix and a t-norm."""
 
-    points: tuple[str, ...]
-    dist: tuple[tuple[Staircase, ...], ...]
     tnorm: TNorm
-
-    def __post_init__(self):
-        points = tuple(str(p) for p in self.points)
-        if len(set(points)) != len(points):
-            raise ValueError("duplicate point labels")
-        n = len(points)
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise ValueError("distance matrix must be square over the points")
-        if any(not isinstance(v, Staircase) for row in self.dist for v in row):
-            raise ValueError("entries must be staircases")
-        dist = tuple(tuple(row) for row in self.dist)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "dist", dist)
-
-    def entry(self, i: int, j: int) -> Staircase:
-        return self.dist[i][j]
+    track = "Prob"
 
     @property
-    def size(self) -> int:
-        return len(self.points)
+    def values(self) -> Staircases:
+        return Staircases(self.tnorm)
+
+    @staticmethod
+    def _entry(v) -> Staircase:
+        if not isinstance(v, Staircase):
+            raise ValueError("entries must be staircases")
+        return v
+
+    def _header(self) -> dict:
+        return {"tnorm": format_tnorm(self.tnorm)}
 
 
 @dataclass(frozen=True)
@@ -160,170 +171,86 @@ class SlicedMetInstance:
 
 
 # ---------------------------------------------------------------------------
-# validators, numeric track
+# validators
 
-def _numeric_flags(m: ParMetInstance) -> tuple[tuple[str, bool], ...]:
-    n = m.size
-    symmetric = all(m.entry(i, j) == m.entry(j, i) for i in range(n) for j in range(n))
-    finitary = all(not is_infinite(m.entry(i, j)) for i in range(n) for j in range(n))
-    separated = True
+def _flags(m: _Instance, vanishing: bool) -> tuple[tuple[str, bool], ...]:
+    """`separated` fails on distinct i, j with d(i,j) = d(j,i) equal to
+    both self-distances or, when `vanishing`, to the unit."""
+    q, d = m.values, m.dist
+    pairs = [(i, j) for i in range(m.size) for j in range(m.size)]
+
+    def alike(i, j):
+        a, b = (q.unit, q.unit) if vanishing else (d[i][i], d[j][j])
+        return d[i][j] == d[j][i] == a == b
+
+    return (
+        ("finitary", all(q.finite(v) for row in d for v in row)),
+        ("separated", not any(i != j and alike(i, j) for i, j in pairs)),
+        ("symmetric", all(d[i][j] == d[j][i] for i, j in pairs)),
+    )
+
+
+def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
+    """The metric (M1, M2) or partial metric (PM1, PM2) axioms of m."""
+    q, d, pts, n = m.values, m.dist, m.points, m.size
+    axiom = m.track + ("PM" if partial else "M")
+    violations: list[Violation] = []
+    if not partial:
+        violations += [
+            Violation(axiom + "1", (pts[i],), q.text(d[i][i]), q.text(q.unit))
+            for i in range(n)
+            if d[i][i] != q.unit
+        ]
+    else:
+        for i in range(n):
+            for j in range(n):
+                for end in (i, j):
+                    fixed = q.residual(d[i][j], d[end][end])
+                    if fixed != d[i][j]:
+                        violations.append(
+                            Violation(
+                                axiom + "1", (pts[i], pts[j]), q.text(fixed), q.text(d[i][j])
+                            )
+                        )
+                        break
     for i in range(n):
         for j in range(n):
-            if i != j and (
-                m.entry(i, j) == m.entry(j, i) == m.entry(i, i) == m.entry(j, j)
-            ):
-                separated = False
-    return (("finitary", finitary), ("separated", separated), ("symmetric", symmetric))
+            # the discount d(j,j) -> d(i,j) is shared by every k
+            via = q.implies(d[j][j], d[i][j]) if partial else d[i][j]
+            for k in range(n):
+                composite = q.compose(d[j][k], via)
+                if not q.below(composite, d[i][k]):
+                    sides = (d[i][k], composite) if q.descending else (composite, d[i][k])
+                    violations.append(
+                        Violation(axiom + "2", (pts[i], pts[j], pts[k]), *map(q.text, sides))
+                    )
+    kind = m.track.lower() + ("parmet" if partial else "met")
+    return Report(kind, not violations, tuple(violations), _flags(m, vanishing))
 
 
 def validate_met(m: ParMetInstance) -> Report:
-    """Self-distances must vanish; distances compose along intermediate points."""
-    violations: list[Violation] = []
-    n = m.size
-    for i in range(n):
-        if m.entry(i, i) != ZERO:
-            violations.append(
-                Violation("M1", (m.points[i],), format_scalar(m.entry(i, i)), "0")
-            )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bound = time_add(m.entry(j, k), m.entry(i, j))
-                if not m.entry(i, k) <= bound:
-                    violations.append(
-                        Violation(
-                            "M2",
-                            (m.points[i], m.points[j], m.points[k]),
-                            format_scalar(m.entry(i, k)),
-                            format_scalar(bound),
-                        )
-                    )
-    flags = _numeric_flags(m)
-    # metric separatedness is about vanishing distance, not equal self-distances
-    separated = all(
-        not (m.entry(i, j) == m.entry(j, i) == ZERO)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    )
-    flags = tuple(
-        (k, separated if k == "separated" else v) for k, v in flags
-    )
-    return Report("met", not violations, tuple(violations), flags)
+    """Self-distances must vanish; distances compose along intermediate
+    points.  Here `separated` is about vanishing distance, not equal
+    self-distances."""
+    return _validate(m, partial=False, vanishing=True)
 
 
 def validate_parmet(m: ParMetInstance) -> Report:
-    """Self-distances sit below cross distances; composition discounts the
-    self-distance of the intermediate point."""
-    violations: list[Violation] = []
-    n = m.size
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            self_max = max(m.entry(i, i), m.entry(j, j))
-            if not self_max <= m.entry(i, j):
-                violations.append(
-                    Violation(
-                        "PM1",
-                        (m.points[i], m.points[j]),
-                        format_scalar(self_max),
-                        format_scalar(m.entry(i, j)),
-                    )
-                )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # numeric reading of ((j,j) -> (j,k)) + (i,j)
-                bound = time_add(
-                    plus_implies(m.entry(j, j), m.entry(j, k)), m.entry(i, j)
-                )
-                if not m.entry(i, k) <= bound:
-                    violations.append(
-                        Violation(
-                            "PM2",
-                            (m.points[i], m.points[j], m.points[k]),
-                            format_scalar(m.entry(i, k)),
-                            format_scalar(bound),
-                        )
-                    )
-    return Report("parmet", not violations, tuple(violations), _numeric_flags(m))
-
-
-# ---------------------------------------------------------------------------
-# validators, probabilistic track
-
-def _prob_flags(m: ProbParMetInstance) -> tuple[tuple[str, bool], ...]:
-    n = m.size
-    symmetric = all(m.entry(i, j) == m.entry(j, i) for i in range(n) for j in range(n))
-    finitary = all(m.entry(i, j).last_level == ONE for i in range(n) for j in range(n))
-    separated = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and (
-                m.entry(i, j) == m.entry(j, i) == m.entry(i, i) == m.entry(j, j)
-            ):
-                separated = False
-    return (("finitary", finitary), ("separated", separated), ("symmetric", symmetric))
+    """Entries are diagonals between their endpoint self-distances;
+    composition discounts the self-distance of the intermediate point."""
+    return _validate(m, partial=True)
 
 
 def validate_probmet(m: ProbParMetInstance) -> Report:
-    violations: list[Violation] = []
-    n = m.size
-    for i in range(n):
-        if m.entry(i, i) != TOP:
-            violations.append(
-                Violation("ProbM1", (m.points[i],), str(m.entry(i, i)), str(TOP))
-            )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                composed = convolve(m.tnorm, m.entry(j, k), m.entry(i, j))
-                if not composed.leq(m.entry(i, k)):
-                    violations.append(
-                        Violation(
-                            "ProbM2",
-                            (m.points[i], m.points[j], m.points[k]),
-                            str(composed),
-                            str(m.entry(i, k)),
-                        )
-                    )
-    return Report("probmet", not violations, tuple(violations), _prob_flags(m))
+    """Self-distances must be the top staircase; convolutions of distances
+    along intermediate points stay below the direct distance."""
+    return _validate(m, partial=False)
 
 
 def validate_probparmet(m: ProbParMetInstance) -> Report:
-    """Each entry must be a diagonal between its endpoint self-distances, and
-    composition must discount the intermediate self-distance."""
-    violations: list[Violation] = []
-    n = m.size
-    t = m.tnorm
-    for i in range(n):
-        for j in range(n):
-            entry = m.entry(i, j)
-            for end in (i, j):
-                fixed = residual(t, entry, m.entry(end, end))
-                if fixed != entry:
-                    violations.append(
-                        Violation(
-                            "ProbPM1", (m.points[i], m.points[j]), str(fixed), str(entry)
-                        )
-                    )
-                    break
-    for i in range(n):
-        for j in range(n):
-            discounted = implication(t, m.entry(j, j), m.entry(i, j))
-            for k in range(n):
-                composed = convolve(t, m.entry(j, k), discounted)
-                if not composed.leq(m.entry(i, k)):
-                    violations.append(
-                        Violation(
-                            "ProbPM2",
-                            (m.points[i], m.points[j], m.points[k]),
-                            str(composed),
-                            str(m.entry(i, k)),
-                        )
-                    )
-    return Report("probparmet", not violations, tuple(violations), _prob_flags(m))
+    """Entries are divisible by both endpoint self-distances; convolution
+    discounts the self-distance of the intermediate point."""
+    return _validate(m, partial=True)
 
 
 def validate_slice(s: SlicedMetInstance) -> Report:
@@ -357,66 +284,39 @@ def _require_valid(report: Report) -> None:
         )
 
 
-def globalize_forward(m: ParMetInstance | ProbParMetInstance):
-    """Discount every distance by the self-distance of its source point."""
-    if isinstance(m, ParMetInstance):
-        _require_valid(validate_parmet(m))
-        n = m.size
-        dist = tuple(
-            tuple(plus_implies(m.entry(i, i), m.entry(i, j)) for j in range(n))
-            for i in range(n)
-        )
-        return ParMetInstance(m.points, dist)
-    _require_valid(validate_probparmet(m))
-    n = m.size
+def _discount(m: _Instance, by_source: bool) -> _Instance:
+    """Residuate every d(i,j) by the self-distance of i, or else of j."""
+    _require_valid(_validate(m, partial=True))
+    q, d, n = m.values, m.dist, m.size
     dist = tuple(
-        tuple(implication(m.tnorm, m.entry(i, i), m.entry(i, j)) for j in range(n))
+        tuple(q.implies(d[i][i] if by_source else d[j][j], d[i][j]) for j in range(n))
         for i in range(n)
     )
-    return ProbParMetInstance(m.points, dist, m.tnorm)
+    return replace(m, dist=dist)
+
+
+def globalize_forward(m: ParMetInstance | ProbParMetInstance):
+    """Discount every distance by the self-distance of its source point."""
+    return _discount(m, by_source=True)
 
 
 def globalize_backward(m: ParMetInstance | ProbParMetInstance):
     """Discount every distance by the self-distance of its target point."""
-    if isinstance(m, ParMetInstance):
-        _require_valid(validate_parmet(m))
-        n = m.size
-        dist = tuple(
-            tuple(plus_implies(m.entry(j, j), m.entry(i, j)) for j in range(n))
-            for i in range(n)
-        )
-        return ParMetInstance(m.points, dist)
-    _require_valid(validate_probparmet(m))
-    n = m.size
-    dist = tuple(
-        tuple(implication(m.tnorm, m.entry(j, j), m.entry(i, j)) for j in range(n))
-        for i in range(n)
-    )
-    return ProbParMetInstance(m.points, dist, m.tnorm)
+    return _discount(m, by_source=False)
 
 
 def coreflect(m: ParMetInstance | ProbParMetInstance):
     """Restrict to the points whose self-distance is the unit."""
-    if isinstance(m, ParMetInstance):
-        keep = [i for i in range(m.size) if m.entry(i, i) == ZERO]
-    else:
-        keep = [i for i in range(m.size) if m.entry(i, i) == TOP]
+    unit = m.values.unit
+    keep = [i for i in range(m.size) if m.entry(i, i) == unit]
     points = tuple(m.points[i] for i in keep)
-    dist = tuple(tuple(m.entry(i, j) for j in keep) for i in keep)
-    if isinstance(m, ParMetInstance):
-        return ParMetInstance(points, dist)
-    return ProbParMetInstance(points, dist, m.tnorm)
+    return replace(m, points=points, dist=tuple(tuple(m.dist[i][j] for j in keep) for i in keep))
 
 
 def parmet_to_slice(m: ParMetInstance) -> SlicedMetInstance:
     """Split a valid instance into its self-distances and the discounted rest."""
-    _require_valid(validate_parmet(m))
     anchor = tuple(m.entry(i, i) for i in range(m.size))
-    base = tuple(
-        tuple(plus_implies(m.entry(i, i), m.entry(i, j)) for j in range(m.size))
-        for i in range(m.size)
-    )
-    return SlicedMetInstance(ParMetInstance(m.points, base), anchor)
+    return SlicedMetInstance(globalize_forward(m), anchor)
 
 
 def slice_to_parmet(s: SlicedMetInstance) -> ParMetInstance:
@@ -434,15 +334,11 @@ def slice_to_parmet(s: SlicedMetInstance) -> ParMetInstance:
 # serialisation
 
 def instance_to_dict(m: ParMetInstance | ProbParMetInstance) -> dict:
-    if isinstance(m, ParMetInstance):
-        return {
-            "points": list(m.points),
-            "dist": [[format_scalar(v) for v in row] for row in m.dist],
-        }
+    q = m.values
     return {
         "points": list(m.points),
-        "tnorm": format_tnorm(m.tnorm),
-        "dist": [[str(v) for v in row] for row in m.dist],
+        **m._header(),
+        "dist": [[q.text(v) for v in row] for row in m.dist],
     }
 
 
@@ -479,4 +375,4 @@ def instance_from_dict(data: dict) -> ParMetInstance | ProbParMetInstance:
 
 
 def load_instance(path: str | Path) -> ParMetInstance | ProbParMetInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(read_json(path))

@@ -91,10 +91,6 @@ class Staircase:
             return INF
         return self.jumps[idx]
 
-    def decompose(self) -> list[Step]:
-        """One-step components whose join is this staircase."""
-        return list(self.steps)
-
     def __str__(self) -> str:
         return format_staircase(self)
 

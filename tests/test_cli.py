@@ -334,13 +334,20 @@ def test_module_entry_point_propagates_failure_code():
     assert proc.stdout == golden("diag_min.txt")
 
 
-# Valid JSON of the wrong shape, and an expression nested past the parser's
-# budget: each must end in exit 2 with one error line, never a traceback.
+# Valid JSON of the wrong shape, JSON nested past the decoder's recursion
+# limit, and an expression nested past the parser's budget: each must end in
+# exit 2 with one error line, never a traceback.  Each file goes to the
+# command named with it.
+_DEEP_JSON = "[" * 100_000
 _MALFORMED = {
-    "integer-distances": '{"points": ["x", "y"], "tnorm": "min", "dist": [[0, 1], [1, 0]]}',
-    "scalar-dist": '{"points": ["x"], "dist": 5}',
-    "top-level-list": '[{"points": ["x"], "dist": [["0"]]}]',
-    "null-entries": '{"points": ["x", "y"], "dist": [[null, "1"], ["1", null]]}',
+    "integer-distances": ("validate", '{"points": ["x", "y"], "tnorm": "min", "dist": [[0, 1], [1, 0]]}'),
+    "scalar-dist": ("validate", '{"points": ["x"], "dist": 5}'),
+    "top-level-list": ("validate", '[{"points": ["x"], "dist": [["0"]]}]'),
+    "null-entries": ("validate", '{"points": ["x", "y"], "dist": [[null, "1"], ["1", null]]}'),
+    "quantale-top-level-list": ("quantale-check", '[{"elements": ["a"], "leq": [[1]], "mult": [["a"]], "unit": "a"}]'),
+    "quantale-scalar-elements": ("quantale-check", '{"elements": 5, "leq": [[1]], "mult": [["a"]], "unit": "a"}'),
+    "deep-json-validate": ("validate", _DEEP_JSON),
+    "deep-json-quantale-check": ("quantale-check", _DEEP_JSON),
 }
 
 
@@ -349,9 +356,10 @@ def test_malformed_input_exits_two_with_one_line(case, tmp_path):
     if case == "deep-nesting":
         argv = ["eval", "conv(" * 3000 + "step(1,1)" + ",step(0,1))" * 3000]
     else:
-        path = tmp_path / "instance.json"
-        path.write_text(_MALFORMED[case])
-        argv = ["validate", str(path)]
+        command, text = _MALFORMED[case]
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [command, str(path)]
     proc = subprocess.run(
         [sys.executable, "-m", "ddquant", *argv], capture_output=True, text=True
     )

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -127,3 +128,25 @@ def test_load_rejects_oversized_carrier(tmp_path):
 def test_missing_fields_rejected():
     with pytest.raises(ValueError, match="missing"):
         quantale_from_dict({"elements": ["a"]})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: lukasiewicz_chain(4), drastic_chain, lambda: chain_with_min(("0", "x", "y", "1"))],
+    ids=["luk4", "drastic", "min4"],
+)
+def test_quantaloid_laws_residuate_each_pair_once(build, monkeypatch):
+    import ddquant.finiteq as finiteq
+
+    calls = Counter()
+    original = finiteq.residuate
+
+    def spy(q, a, b):
+        calls[a, b] += 1
+        return original(q, a, b)
+
+    monkeypatch.setattr(finiteq, "residuate", spy)
+    q = build()
+    assert verify_quantaloid_laws(q).ok
+    check_downset_equality(q)
+    assert calls and max(calls.values()) == 1

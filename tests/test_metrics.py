@@ -38,7 +38,7 @@ from ddquant import (
 )
 from ddquant.axis import ZERO, time_add
 
-from util import MIN, TNORMS, rand_staircase
+from util import MIN, TNORMS, metric_axiom_oracle, rand_staircase
 
 X, Y, Z = "x", "y", "z"
 
@@ -368,6 +368,69 @@ def test_composition_formulas_agree_on_valid_instances():
                             t, m.entry(j, k), implication(t, mid, m.entry(i, j))
                         )
                         assert left == right, name
+
+
+# ---------------------------------------------------------------------------
+# both tracks against the axioms transcribed directly
+
+def _rand_matrix(rng, n, entry):
+    return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+
+
+def _assert_matches_oracle(m, validate, partial):
+    report = validate(m)
+    want = metric_axiom_oracle(m, partial)
+    assert [(v.axiom, v.points) for v in report.violations] == want
+    assert report.ok == (not want)
+
+
+def test_numeric_validators_match_axiom_oracle():
+    rng = random.Random(21)
+    for it in range(300):
+        n = rng.randrange(1, 5)
+        if it % 3 == 0:
+            dist = rand_parmet(rng, n).dist
+        elif it % 3 == 1:
+            dist = rand_closed_base(rng, n)
+        else:
+            dist = _rand_matrix(rng, n, lambda: _rand_entry(rng, True))
+        m = ParMetInstance(tuple(f"p{i}" for i in range(n)), tuple(map(tuple, dist)))
+        _assert_matches_oracle(m, validate_met, partial=False)
+        _assert_matches_oracle(m, validate_parmet, partial=True)
+
+
+@pytest.mark.parametrize("name,t", TNORMS)
+def test_staircase_validators_match_axiom_oracle(name, t):
+    rng = random.Random(22)
+    for it in range(12):
+        n = rng.randrange(1, 4)
+        if it % 3 == 0:
+            m = rand_probparmet(rng, t, max(n, 2))
+        elif it % 3 == 1:
+            m = rand_probmet(rng, t, n)
+        else:
+            dist = _rand_matrix(rng, n, lambda: rand_staircase(rng, max_steps=3))
+            m = prob(tuple(f"p{i}" for i in range(n)), dist, t)
+        _assert_matches_oracle(m, validate_probmet, partial=False)
+        _assert_matches_oracle(m, validate_probparmet, partial=True)
+
+
+def test_parmet_pm1_failure_report_is_pinned():
+    # PM1 reports the residual by the first self-distance that moves the
+    # entry, and PM2 uses the discount of d(i,j) by the middle point
+    m = num((X, Y, Z), ((2, 1, 4), (1, 3, 2), (4, 2, 0)))
+    report = validate_parmet(m)
+    assert not report.ok
+    assert [v.to_dict() for v in report.violations] == [
+        {"axiom": "PM1", "points": [X, Y], "left": "2", "right": "1"},
+        {"axiom": "PM1", "points": [Y, X], "left": "3", "right": "1"},
+        {"axiom": "PM1", "points": [Y, Z], "left": "3", "right": "2"},
+        {"axiom": "PM1", "points": [Z, Y], "left": "3", "right": "2"},
+        {"axiom": "PM2", "points": [X, Y, X], "left": "2", "right": "1"},
+        {"axiom": "PM2", "points": [X, Y, Z], "left": "4", "right": "2"},
+        {"axiom": "PM2", "points": [Y, X, Y], "left": "3", "right": "1"},
+        {"axiom": "PM2", "points": [Z, Y, X], "left": "4", "right": "1"},
+    ]
 
 
 # ---------------------------------------------------------------------------

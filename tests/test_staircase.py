@@ -138,7 +138,7 @@ def test_decompose_rejoins():
     rng = random.Random(15)
     for _ in range(50):
         sc = rand_staircase(rng)
-        parts = [one_step(p, a) for p, a in sc.decompose()]
+        parts = [one_step(p, a) for p, a in sc.steps]
         assert join_all(parts) == sc
 
 

@@ -145,3 +145,87 @@ def imp_point_oracle(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Fract
     for s in shifts:
         best = max(best, _largest_shift_level(t, phi, xi, s))
     return best
+
+
+# ---------------------------------------------------------------------------
+# metric axioms, transcribed directly
+
+def _add(a: Time, b: Time) -> Time:
+    return INF if INF in (a, b) else a + b
+
+
+def _monus(a: Time, b: Time) -> Time:
+    """a - b truncated at 0, with inf - p = inf for finite p."""
+    if a <= b:
+        return Fraction(0)
+    return INF if is_infinite(a) else a - b
+
+
+def _conv_probes(phi: Staircase, psi: Staircase, xi: Staircase) -> list[Time]:
+    """Times that see every cell of xi and of the convolution of phi, psi."""
+    times = {p + q for p in phi.jumps for q in psi.jumps}
+    times.update(xi.jumps)
+    times.add(Fraction(0))
+    finite = sorted(times)
+    probes: list[Time] = list(finite)
+    probes.extend((a + b) / 2 for a, b in zip(finite, finite[1:]))
+    probes.extend((finite[-1] + 1, INF))
+    return probes
+
+
+def conv_compare_oracle(t: TNorm, phi: Staircase, psi: Staircase, xi: Staircase, op) -> bool:
+    """op(convolution of phi and psi at s, xi(s)) at every probe time s."""
+    return all(
+        op(conv_point_oracle(t, phi, psi, s), xi(s)) for s in _conv_probes(phi, psi, xi)
+    )
+
+
+def metric_axiom_oracle(m, partial: bool) -> list[tuple[str, tuple[str, ...]]]:
+    """(axiom, points) of every failed axiom instance, in validator order.
+
+    Numeric entries use plain arithmetic: M1 d(i,i) = 0, M2 d(i,k) <=
+    d(i,j) + d(j,k), PM1 max(d(i,i), d(j,j)) <= d(i,j), PM2 d(i,k) <=
+    d(j,k) + (d(i,j) - d(j,j) truncated).  Staircase entries compare
+    convolutions pointwise: ProbM1 d(i,i) is top, ProbM2 the convolution of
+    d(j,k) and d(i,j) lies below d(i,k), ProbPM1 d(i,j) equals the
+    convolution of p and implication(p, d(i,j)) for both self-distances p,
+    ProbPM2 the convolution of d(j,k) and implication(d(j,j), d(i,j)) lies
+    below d(i,k).
+    """
+    from ddquant import TOP, implication
+    from ddquant.metrics import ProbParMetInstance
+
+    d, pts, n = m.dist, m.points, m.size
+    prob = isinstance(m, ProbParMetInstance)
+    prefix = ("Prob" if prob else "") + ("PM" if partial else "M")
+    le, eq = (lambda a, b: a <= b), (lambda a, b: a == b)
+    out = []
+    for i in range(n):
+        if not partial:
+            if not (eq_oracle(d[i][i], TOP) if prob else d[i][i] == 0):
+                out.append((prefix + "1", (pts[i],)))
+            continue
+        for j in range(n):
+            if prob:
+                bad = any(
+                    not conv_compare_oracle(
+                        m.tnorm, d[e][e], implication(m.tnorm, d[e][e], d[i][j]), d[i][j], eq
+                    )
+                    for e in (i, j)
+                )
+            else:
+                bad = not max(d[i][i], d[j][j]) <= d[i][j]
+            if bad:
+                out.append((prefix + "1", (pts[i], pts[j])))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if prob:
+                    via = implication(m.tnorm, d[j][j], d[i][j]) if partial else d[i][j]
+                    ok = conv_compare_oracle(m.tnorm, d[j][k], via, d[i][k], le)
+                else:
+                    via = _monus(d[i][j], d[j][j]) if partial else d[i][j]
+                    ok = d[i][k] <= _add(d[j][k], via)
+                if not ok:
+                    out.append((prefix + "2", (pts[i], pts[j], pts[k])))
+    return out
