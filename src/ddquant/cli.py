@@ -157,8 +157,18 @@ def cmd_export_samples(ns: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end like every other input error: one line, exit 2.
+
+    Subparsers are built from the same class, so they inherit this.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddquant",
         description="exact computation with staircase distance distributions",
     )

@@ -8,10 +8,14 @@ and on staircases it is the upper envelope of the pairwise one-step
 products: a step (p, a) of phi and (q, b) of psi contribute the candidate
 step (p + q, a * b).  The implication is the right adjoint of convolution,
 
-    phi (*) psi <= xi  iff  psi <= implication(phi, xi),
+    phi (*) psi <= xi  iff  psi <= implication(phi, xi).
 
-computed as the meet over the canonical steps of phi of exact one-step
-implications.  `vertical_distance` evaluates the pointwise quantity
+phi is the join of its steps, so the implication is the meet of the
+one-step implications, one per step of phi; `implication` computes them all
+on integers and meets them in one sweep.  `convolve` and `implication` both
+scale their inputs once to common integer denominators (`_scale`) and build
+the canonical staircase once (`_from_candidates`).  `vertical_distance`
+evaluates the pointwise quantity
 
     rho(t) = inf_{q > 0} phi(q) -> xi(q + t)
 
@@ -21,6 +25,7 @@ test-suite uses as an independent cross-check.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -29,7 +34,7 @@ import numpy as np
 
 from .axis import ONE, ZERO, Time, ensure_time, is_infinite
 from .errors import DomainError
-from .staircase import BOTTOM, MonotoneStep, Staircase, envelope, meet_all
+from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, envelope, meet_all
 from .tnorms import LUK, MIN, PROD, PRODUCT_KIND, TNorm
 
 _FAST_CUTOFF = 48
@@ -154,7 +159,7 @@ def _convolve_int(s: _Scaled) -> Staircase:
     right = list(zip(s.j2, s.l2))
     cands = [(p + q, apply(a, b)) for p, a in zip(s.j1, s.l1) for q, b in right]
     cands.sort()
-    return _from_candidates(cands, s)
+    return _from_candidates(cands, s.jd, s.ld * s.m)
 
 
 def _convolve_fast(tag: str, s: _Scaled) -> Staircase:
@@ -184,13 +189,15 @@ def _convolve_fast(tag: str, s: _Scaled) -> Staircase:
     shifted[0] = -1
     shifted[1:] = running[:-1]
     keep = vals > shifted
-    return _from_candidates(zip(sums[keep].tolist(), vals[keep].tolist()), s)
+    return _from_candidates(
+        zip(sums[keep].tolist(), vals[keep].tolist()), s.jd, s.ld * s.m
+    )
 
 
-def _from_candidates(cands, s: _Scaled) -> Staircase:
-    """Canonical staircase of integer (jump sum, value) candidates sorted by
-    jump sum: one sweep keeps each candidate above the running maximum, the
-    highest one at an equal jump sum."""
+def _from_candidates(cands, jd: int, vd: int) -> Staircase:
+    """Canonical staircase of integer (jump, value) candidates sorted by
+    jump, jumps over jd and values over vd: one sweep keeps each candidate
+    above the running maximum, the highest one at an equal jump."""
     out: list[list[int]] = []
     top = 0
     for p, v in cands:
@@ -201,7 +208,6 @@ def _from_candidates(cands, s: _Scaled) -> Staircase:
             out[-1][1] = v
         else:
             out.append([p, v])
-    jd, vd = s.jd, s.ld * s.m
     return Staircase(tuple((Fraction(p, jd), Fraction(v, vd)) for p, v in out))
 
 
@@ -285,11 +291,75 @@ def step_implication(t: TNorm, p: Time, a, xi: Staircase) -> Staircase:
 
 
 def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
-    """Right adjoint of convolution in the first argument.
+    """Right adjoint of convolution in the first argument, exactly.
 
-    phi is a finite join of its canonical one-steps, and implication turns
-    joins in the antecedent into meets.
+    phi is the join of its steps (p, a) and implication turns joins in the
+    antecedent into meets, so the result is the meet over those steps of
+    `step_implication(t, p, a, xi)`, as in the reference
+    `_implication_plain`.  Here every one-step implication is computed on
+    the integer images of `_scale`.  Just after 0 its value is a -> 0 (the
+    floor), or a -> c for the last step (r, c) of xi with r <= p.  Each
+    later step (r, c) of xi raises it to a -> c at r - p, up to the first
+    with c >= a, where a -> c is 1.  A raise at r - p from the value v is
+    the co-step "v on [0, r - p], 1 above", and a one-step implication is
+    the meet of its co-steps and its value at infinity.  Pooling the
+    co-steps of all steps of phi and taking suffix minima meets them in one
+    sweep, as `meet_all` does.
+
+    Values are integers over ld * d, where d is the lcm of a - lo over the
+    levels a of phi inside a product piece (lo, hi]: there a -> c is
+    lo + (hi - lo)(c - lo)/(a - lo).  Under min and luk d is 1.
     """
+    if not phi.steps:
+        return TOP
+    s = _scale(t, phi, xi)
+    pieces = [
+        next(((lo, hi, kind) for lo, hi, kind, _ in s.pieces if lo < a <= hi), None)
+        for a in s.l1
+    ]
+    d = lcm(*(a - pc[0] for a, pc in zip(s.l1, pieces) if pc and pc[2] == PRODUCT_KIND))
+    one = s.ld * d
+    rs, cs = s.j2, s.l2
+    cap = one
+    costeps: list[tuple[int, int]] = []
+    for p, a, piece in zip(s.j1, s.l1, pieces):
+        first = bisect_right(rs, p)  # steps of xi after p: raises at r - p > 0
+        full = bisect_left(cs, a)  # levels c >= a: a -> c = 1
+        if first > full:
+            continue  # xi reaches a by p: this one-step implication is top
+        vals = _residua(piece, a, d, [cs[first - 1] if first else 0, *cs[first:full]])
+        costeps.extend(zip([r - p for r in rs[first : full + 1]], vals))
+        if full == len(cs):
+            cap = min(cap, vals[-1])
+    # Walk down the positions: the meet just after q is cap met with every
+    # co-step at a position above q.
+    costeps.sort(reverse=True)
+    pts: list[tuple[int, int]] = []
+    run = cap
+    for q, v in costeps:
+        if not pts or pts[-1][0] != q:
+            pts.append((q, run))
+        run = min(run, v)
+    pts.append((0, run))
+    pts.reverse()
+    return _from_candidates(pts, s.jd, one)
+
+
+def _residua(piece, a: int, d: int, levels: list[int]) -> list[int]:
+    """a -> c over ld * d for the scaled levels c < a; piece is the
+    (lo, hi, kind) with lo < a <= hi, or None."""
+    if piece is None:
+        return [c * d for c in levels]
+    lo, hi, kind = piece
+    if kind == PRODUCT_KIND:
+        k = (hi - lo) * (d // (a - lo))
+        return [c * d if c < lo else lo * d + (c - lo) * k for c in levels]
+    return [c * d if c < lo else (hi - a + c) * d for c in levels]
+
+
+def _implication_plain(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
+    """Reference kernel on Fractions, the meet of the one-step
+    implications; the tests compare `implication` with it."""
     return meet_all([step_implication(t, p, a, xi) for p, a in phi.steps])
 
 

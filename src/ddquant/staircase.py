@@ -35,7 +35,15 @@ class Staircase:
     steps: tuple[Step, ...] = ()
 
     def __post_init__(self):
-        steps = tuple((Fraction(p), Fraction(a)) for p, a in self.steps)
+        # Fractions are immutable, so exact Fraction instances are kept as
+        # they are; anything else, subclasses included, is converted.
+        steps = tuple(
+            (
+                p if type(p) is Fraction else Fraction(p),
+                a if type(a) is Fraction else Fraction(a),
+            )
+            for p, a in self.steps
+        )
         object.__setattr__(self, "steps", steps)
         prev_p, prev_a = None, ZERO
         for p, a in steps:

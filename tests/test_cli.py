@@ -350,11 +350,20 @@ _MALFORMED = {
     "deep-json-quantale-check": ("quantale-check", _DEEP_JSON),
 }
 
+# Argument errors: a removed flag, an unknown subcommand, a missing option.
+_BAD_ARGS = {
+    "removed-seed-flag": ["eval", "--seed", "1", "step(1,1)"],
+    "unknown-subcommand": ["bogus"],
+    "diag-without-xi": ["diag", "--phi", "step(1,1)"],
+}
 
-@pytest.mark.parametrize("case", [*_MALFORMED, "deep-nesting"])
+
+@pytest.mark.parametrize("case", [*_MALFORMED, "deep-nesting", *_BAD_ARGS])
 def test_malformed_input_exits_two_with_one_line(case, tmp_path):
     if case == "deep-nesting":
         argv = ["eval", "conv(" * 3000 + "step(1,1)" + ",step(0,1))" * 3000]
+    elif case in _BAD_ARGS:
+        argv = _BAD_ARGS[case]
     else:
         command, text = _MALFORMED[case]
         path = tmp_path / "input.json"
@@ -368,3 +377,13 @@ def test_malformed_input_exits_two_with_one_line(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["diag", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddquant", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ddquant")
+    assert proc.stderr == ""

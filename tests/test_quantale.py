@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -28,8 +28,9 @@ from ddquant import (
     vertical_distance_sup_below,
 )
 from ddquant import quantale
-from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, _convolve_plain
+from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, _convolve_plain, _implication_plain
 from util import (
+    ORDINAL,
     TNORMS,
     conv_point_oracle,
     imp_point_oracle,
@@ -208,6 +209,78 @@ def test_implication_empty_antecedent():
     for _, t in TNORMS:
         assert implication(t, BOTTOM, BOTTOM) == TOP
         assert implication(t, BOTTOM, one_step(F(1), F(1, 2))) == TOP
+
+
+def _check_implication(t, phi, xi):
+    """implication against the reference meet and the regularised rho."""
+    imp = implication(t, phi, xi)
+    assert imp == _implication_plain(t, phi, xi)
+    for at in probe_times(phi, xi, imp):
+        assert imp(at) == vertical_distance_sup_below(t, phi, xi, at)
+    return imp
+
+
+def _staircase_over(rng, levels, max_steps):
+    n = rng.randrange(0, max_steps + 1)
+    jumps = sorted(rng.sample([F(k, 4) for k in range(24)], n))
+    return Staircase(tuple(zip(jumps, sorted(rng.sample(levels, n)))))
+
+
+# Tenths hold every endpoint of ORDINAL's pieces (2/10, 6/10, 7/10, 1) and
+# NILPOTENT's 1/3, 1/2 and 3/4 are among the twelfths.
+_IMPLICATION_LEVELS = sorted({F(k, 10) for k in range(1, 11)} | {F(k, 12) for k in range(1, 13)})
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_implication_differential(name, t):
+    rng = random.Random(34)
+    for _ in range(150):
+        phi = _staircase_over(rng, _IMPLICATION_LEVELS, 6)
+        xi = _staircase_over(rng, _IMPLICATION_LEVELS, 6)
+        _check_implication(t, phi, xi)
+    # phi levels exactly at the piece endpoints, xi levels on both sides
+    phi = Staircase(((F(0), F(2, 10)), (F(1), F(6, 10)), (F(2), F(7, 10)), (F(3), F(1))))
+    xi = Staircase(((F(1, 2), F(1, 10)), (F(2), F(3, 10)), (F(5, 2), F(13, 20)), (F(4), F(9, 10))))
+    _check_implication(t, phi, xi)
+    _check_implication(t, xi, phi)
+    # empty antecedent: top; empty consequent: the least floor a -> 0
+    for xi in (BOTTOM, one_step(F(1), F(1, 2))):
+        assert _check_implication(t, BOTTOM, xi) == TOP
+    phi = Staircase(((F(1), F(1, 4)), (F(2), F(3, 4))))
+    assert _check_implication(t, phi, BOTTOM) == \
+        one_step(F(0), min(t.implies(a, F(0)) for a in phi.levels))
+
+
+def test_implication_floor():
+    # xi rises only after the antecedent's jump: until then the value is
+    # the floor a -> 0, which is 1 - a under luk and 0 without zero divisors
+    phi = one_step(F(1), F(3, 4))
+    xi = one_step(F(3), F(1, 2))
+    assert _check_implication(LUK, phi, xi) == Staircase(((F(0), F(1, 4)), (F(2), F(3, 4))))
+    assert _check_implication(MIN, phi, xi) == one_step(F(2), F(1, 2))
+    assert _check_implication(NILPOTENT, one_step(F(1), F(1, 4)), BOTTOM) == \
+        one_step(F(0), F(1, 12))
+
+
+@pytest.mark.parametrize("name,t", TNORMS)
+def test_implication_large_denominators(name, t):
+    # Levels with large prime denominators, those of phi inside ORDINAL's
+    # product piece (2/10, 6/10): the values' common denominator passes 2**64.
+    phi = Staircase((
+        (F(0), F(3 * 10**8, 1_000_000_007)),
+        (F(1, 3), F(1, 3)),
+        (F(2), F(2**60, 2**61 - 1)),
+    ))
+    xi = Staircase((
+        (F(1, 2), F(1, 2_147_483_647)),
+        (F(1), F(10**9, 2_147_483_647)),
+        (F(5, 2), F(5 * 10**8, 998_244_353)),
+        (F(3), F(1)),
+    ))
+    assert lcm(*(a.denominator for a in phi.levels + xi.levels)) > 2**64
+    assert all(ORDINAL.pieces[0].lo < a < ORDINAL.pieces[0].hi for a in phi.levels)
+    _check_implication(t, phi, xi)
+    _check_implication(t, xi, phi)
 
 
 def test_worked_implication_values():
