@@ -9,10 +9,18 @@ Subtraction follows the conventions
     inf - inf = 0,
 
 and is otherwise only defined when the result is non-negative.
+
+Every text form of the package (scalars, `steps[...]`, `ordinal[...]`,
+`linear[...]` and expressions) is read with one token grammar, kept here
+next to `format_scalar`.  A rational is digits or digits/digits with a
+nonzero denominator, a scalar is a rational or `inf`, names are ASCII
+letters, and whitespace may sit between any two tokens.  Decimals, signs,
+exponents and underscores are not part of it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -138,10 +146,115 @@ def format_scalar(v: Time) -> str:
 
 
 def parse_scalar(text: str) -> Time:
-    s = text.strip()
-    if s == "inf":
-        return INF
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational or inf: {text!r}") from exc
+    r = _Reader(text)
+    return r.end(r.scalar())
+
+
+# Names and punctuation; digits, optionally over a slash and more digits;
+# or any other character, which is an error.  The empty denominator of `1/`
+# matches so that its error names the denominator.
+_LEXEME = re.compile(r"\s*(?:([A-Za-z]+|[()\[\],])|([0-9]+)(?:/([0-9]*))?|(\S))")
+
+
+def _lex(text: str) -> list[tuple[object, int]]:
+    """(value, column) pairs ending in (None, len(text)); a value is a
+    Fraction, a name or a punctuation character."""
+    tokens: list[tuple[object, int]] = []
+    for m in _LEXEME.finditer(text):
+        if m.lastindex == 1:
+            tokens.append((m[1], m.start(1)))
+            continue
+        num, den, bad = m.group(2, 3, 4)
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
+        if den == "":
+            raise ParseError("expected denominator digits", m.end())
+        try:
+            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("number has too many digits", m.start(2)) from None
+        except ZeroDivisionError:
+            raise ParseError("zero denominator", m.start(2)) from None
+        tokens.append((value, m.start(2)))
+    tokens.append((None, len(text)))
+    return tokens
+
+
+def _shown(value) -> str:
+    if value is None:
+        return "end of input"
+    return repr(format_scalar(value) if type(value) is Fraction else value)
+
+
+class _Reader:
+    """A cursor over the tokens of one text; `column` is that of the token
+    taken last, and every error names it."""
+
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
+        self.at = 0
+        self.column = 0
+
+    def peek(self):
+        return self.tokens[self.at][0]
+
+    def take(self):
+        value, self.column = self.tokens[self.at]
+        if value is not None:
+            self.at += 1
+        return value
+
+    def expect(self, want: str) -> None:
+        got = self.take()
+        if got != want:
+            raise ParseError(f"expected {want!r}, got {_shown(got)}", self.column)
+
+    def name(self, what: str = "a name") -> str:
+        got = self.take()
+        if not (isinstance(got, str) and got.isalpha()):
+            raise ParseError(f"expected {what}, got {_shown(got)}", self.column)
+        return got
+
+    def scalar(self) -> Time:
+        got = self.take()
+        if type(got) is Fraction:
+            return got
+        if got == "inf":
+            return INF
+        raise ParseError(f"expected a rational or inf, got {_shown(got)}", self.column)
+
+    def rational(self) -> Fraction:
+        got = self.scalar()
+        if got is INF:
+            raise ParseError("literal entries must be finite, got 'inf'", self.column)
+        return got
+
+    def tuples(self, make, what: str, *fields):
+        """Read `[(f1,f2,...),...]`, each field by its reader method, and
+        return make(tuple of the tuples); its DomainError is a ParseError."""
+        self.expect("[")
+        column = self.column
+        items = []
+        while self.peek() != "]":
+            if items:
+                self.expect(",")
+            self.expect("(")
+            item = []
+            for k, field in enumerate(fields):
+                if k:
+                    self.expect(",")
+                item.append(field())
+            self.expect(")")
+            items.append(tuple(item))
+        self.take()
+        try:
+            return make(tuple(items))
+        except DomainError as exc:
+            raise ParseError(f"invalid {what}: {exc}", column) from exc
+
+    def end(self, value):
+        """Return value once every token has been read."""
+        got = self.take()
+        if got is not None:
+            raise ParseError(f"unexpected trailing input {_shown(got)}", self.column)
+        return value

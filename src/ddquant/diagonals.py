@@ -17,11 +17,10 @@ the finite quantale tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from random import Random
 
 from .axis import INF, ONE, ZERO, Time, is_infinite, time_add
-from .errors import PreconditionError, SearchExhausted
-from .staircase import BOTTOM, Staircase, envelope
+from .errors import PreconditionError
+from .staircase import Staircase
 from .tnorms import TNorm
 from .values import Staircases
 
@@ -98,42 +97,25 @@ def _truncation(phi: Staircase, index: int) -> Staircase:
     return Staircase(phi.steps[index:])
 
 
-def find_nondiagonal_below(
-    t: TNorm,
-    phi: Staircase,
-    *,
-    random_rounds: int = 200,
-    seed: int = 0,
-) -> Staircase | None:
-    """Search for xi <= phi that is not divisible by phi.
+def find_nondiagonal_below(t: TNorm, phi: Staircase) -> Staircase | None:
+    """An xi <= phi that is not divisible by phi, or None if there is none.
 
-    Returns None when phi has at most one step: every xi below a one-step
-    function is divisible by it, so no witness exists.  For multi-step phi
-    the truncations of phi at its own breakpoints are tried first (smallest
-    breakpoint wins), then bounded random meets below phi.  If nothing is
-    found, SearchExhausted is raised; exhaustion is never evidence that phi
-    is one-step.
+    Every xi below a staircase with at most one step is divisible by it, so
+    the answer is None exactly then.  For phi with steps (p1, a1), (p2, a2),
+    ... the witness is the first truncation xi, which is 0 on [0, p2] and
+    agrees with phi above p2.  Under any continuous t-norm T, suppose
+    xi = phi (*) psi and let b = psi(0+):
+
+    - Just above p2, xi takes the value a2 > a1.  Times r <= p2 give
+      phi(r) <= a1, so only r just above p2, where phi is a2 and psi(s) is b,
+      can supply it: T(a2, b) >= a2, hence T(a2, b) = a2.
+    - For a continuous t-norm that needs an idempotent e with a2 <= e <= b
+      (1 counts: b may be 1).  Then T(a1, b) >= T(a1, e) = min(a1, e) = a1.
+    - Just above p1 the same sum gives phi (*) psi >= T(a1, b) >= a1 > 0,
+      yet xi is 0 on (p1, p2].
+
+    So xi is not divisible by phi, whatever the t-norm.
     """
     if len(phi.steps) <= 1:
         return None
-    for index in range(1, len(phi.steps)):
-        xi = _truncation(phi, index)
-        if not is_divisible_by(t, xi, phi):
-            return xi
-    rng = Random(seed)
-    pool_times = [Fraction(n, 4) for n in range(0, 4 * 5)]
-    pool_levels = [Fraction(n, 12) for n in range(1, 13)]
-    for _ in range(random_rounds):
-        k = rng.randint(1, 4)
-        jumps = sorted(rng.sample(pool_times, k))
-        levels = sorted(rng.sample(pool_levels, k))
-        sigma = envelope(zip(jumps, levels))
-        xi = phi.meet(sigma)
-        if xi == phi or xi == BOTTOM:
-            continue
-        if not is_divisible_by(t, xi, phi):
-            return xi
-    raise SearchExhausted(
-        f"no non-divisible witness below {phi} found after "
-        f"{random_rounds} randomised rounds"
-    )
+    return _truncation(phi, 1)

@@ -16,8 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axis import ONE, ZERO, Time, format_scalar, is_infinite, parse_scalar
-from .errors import DomainError, ParseError
+from .axis import ONE, ZERO, Time, _Reader, format_scalar, is_infinite
+from .errors import DomainError
 from .quantale import convolve, implication
 from .staircase import Staircase, envelope
 from .tnorms import TNorm
@@ -75,34 +75,15 @@ class PiecewiseLinear:
 
 
 def parse_linear(text: str) -> PiecewiseLinear:
-    s = text.strip()
-    if not (s.startswith("linear[") and s.endswith("]")):
-        raise ParseError(f"not a piecewise linear literal: {text!r}")
-    inner = s[len("linear[") : -1].strip()
-    knots = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            if depth == 0:
-                start = i + 1
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                chunk = inner[start:i]
-                parts = [p.strip() for p in chunk.split(",")]
-                if len(parts) != 2:
-                    raise ParseError(f"knot needs (time,value), got ({chunk})")
-                t, v = (parse_scalar(x) for x in parts)
-                if is_infinite(t) or is_infinite(v):
-                    raise DomainError("knots must be finite")
-                knots.append((t, v))
-        elif depth == 0 and ch not in ", \t":
-            raise ParseError(f"unexpected character {ch!r} in linear literal", i)
-    if depth != 0:
-        raise ParseError("unbalanced parentheses in linear literal")
-    return PiecewiseLinear(tuple(knots))
+    """Parse the canonical `linear[(t,v),...]` form (inverse of str)."""
+    r = _Reader(text)
+    r.expect("linear")
+    return r.end(_read_knots(r))
+
+
+def _read_knots(r: _Reader) -> PiecewiseLinear:
+    """The `[(t,v),...]` body of a piecewise-linear literal."""
+    return r.tuples(PiecewiseLinear, "piecewise-linear map", r.rational, r.rational)
 
 
 @dataclass(frozen=True)

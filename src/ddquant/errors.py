@@ -30,8 +30,8 @@ class ParseError(DdqError, ValueError):
 class SearchExhausted(DdqError, RuntimeError):
     """A bounded witness search finished without reaching a verdict.
 
-    This is deliberately distinct from "no witness exists": callers must not
-    treat exhaustion as a proof.
+    Nothing in the package raises it any more: `find_nondiagonal_below`
+    constructs its witness.  The name stays public for existing callers.
     """
 
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .axis import INF, ONE, ZERO, Time, ensure_time, format_scalar, is_infinite, parse_scalar
-from .errors import DomainError, ParseError
+from .axis import INF, ONE, ZERO, Time, _Reader, ensure_time, format_scalar, is_infinite
+from .errors import DomainError
 
 Step = tuple[Fraction, Fraction]
 
@@ -190,44 +190,14 @@ def format_staircase(sc: Staircase) -> str:
 
 def parse_staircase(text: str) -> Staircase:
     """Parse the canonical `steps[(p,a),...]` form (inverse of format)."""
-    s = text.strip()
-    if not (s.startswith("steps[") and s.endswith("]")):
-        raise ParseError(f"not a staircase literal: {text!r}")
-    inner = s[len("steps[") : -1].strip()
-    if not inner:
-        return BOTTOM
-    steps = []
-    for chunk in _split_pairs(inner):
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 2:
-            raise ParseError(f"step needs (jump,level), got ({chunk})")
-        p, a = (parse_scalar(x) for x in parts)
-        if is_infinite(p) or is_infinite(a):
-            raise DomainError("staircase steps must be finite")
-        steps.append((p, a))
-    return Staircase(tuple(steps))
+    r = _Reader(text)
+    r.expect("steps")
+    return r.end(_read_steps(r))
 
 
-def _split_pairs(inner: str) -> list[str]:
-    out = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            if depth == 0:
-                start = i + 1
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses in staircase literal", i)
-            if depth == 0:
-                out.append(inner[start:i])
-        elif depth == 0 and ch not in ", \t":
-            raise ParseError(f"unexpected character {ch!r} in staircase literal", i)
-    if depth != 0:
-        raise ParseError("unbalanced parentheses in staircase literal")
-    return out
+def _read_steps(r: _Reader) -> Staircase:
+    """The `[(p,a),...]` body of a staircase literal."""
+    return r.tuples(Staircase, "staircase", r.rational, r.rational)
 
 
 @dataclass(frozen=True)

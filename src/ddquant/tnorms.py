@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axis import ONE, ZERO
+from .axis import ONE, ZERO, _Reader, format_scalar
 from .errors import DomainError, ParseError
 
 PRODUCT_KIND = "prod"
@@ -117,62 +117,27 @@ def format_tnorm(t: TNorm) -> str:
         return "prod"
     if t == LUK:
         return "luk"
-    from .axis import format_scalar
-
     body = ",".join(
         f"({format_scalar(p.lo)},{format_scalar(p.hi)},{p.kind})" for p in t.pieces
     )
     return f"ordinal[{body}]"
 
 
+_NAMED = {"min": MIN, "prod": PROD, "luk": LUK}
+
+
 def parse_tnorm(text: str) -> TNorm:
     """Parse `min`, `prod`, `luk`, or `ordinal[(lo,hi,kind),...]`."""
-    s = text.strip()
-    if s == "min":
-        return MIN
-    if s == "prod":
-        return PROD
-    if s == "luk":
-        return LUK
-    if s.startswith("ordinal[") and s.endswith("]"):
-        inner = s[len("ordinal[") : -1].strip()
-        if not inner:
-            raise ParseError("ordinal sum needs at least one piece")
-        pieces = []
-        for chunk in _split_triples(inner):
-            parts = [p.strip() for p in chunk.split(",")]
-            if len(parts) != 3:
-                raise ParseError(f"piece needs (lo,hi,kind), got ({chunk})")
-            lo, hi, kind = parts
-            if kind not in _KINDS:
-                raise ParseError(f"unknown piece kind {kind!r}")
-            try:
-                pieces.append(Piece(Fraction(lo), Fraction(hi), kind))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational in piece ({chunk})") from exc
-        return TNorm(tuple(pieces))
-    raise ParseError(f"unknown t-norm descriptor {text!r}")
+    r = _Reader(text)
+    name = r.name("a t-norm")
+    if name == "ordinal":
+        return r.end(r.tuples(_ordinal, "ordinal sum", r.rational, r.rational, r.name))
+    if name not in _NAMED:
+        raise ParseError(f"unknown t-norm descriptor {text!r}")
+    return r.end(_NAMED[name])
 
 
-def _split_triples(inner: str) -> list[str]:
-    out = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            if depth == 0:
-                start = i + 1
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses in ordinal descriptor", i)
-            if depth == 0:
-                out.append(inner[start:i])
-        elif depth == 0 and ch not in ", \t":
-            raise ParseError(f"unexpected character {ch!r} in ordinal descriptor", i)
-    if depth != 0:
-        raise ParseError("unbalanced parentheses in ordinal descriptor")
-    if not out:
-        raise ParseError("ordinal sum needs at least one piece")
-    return out
+def _ordinal(pieces) -> TNorm:
+    if not pieces:
+        raise DomainError("needs at least one piece")
+    return TNorm(tuple(Piece(*piece) for piece in pieces))

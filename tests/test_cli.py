@@ -348,6 +348,8 @@ _MALFORMED = {
     "quantale-scalar-elements": ("quantale-check", '{"elements": 5, "leq": [[1]], "mult": [["a"]], "unit": "a"}'),
     "deep-json-validate": ("validate", _DEEP_JSON),
     "deep-json-quantale-check": ("quantale-check", _DEEP_JSON),
+    "staircase-entry-missing-comma": ("validate", '{"points": ["x"], "tnorm": "min", "dist": [["steps[(1,1/2)(2,1)]"]]}'),
+    "numeric-entry-exponent": ("validate", '{"points": ["x"], "dist": [["1e400"]]}'),
 }
 
 # Argument errors: a removed flag, an unknown subcommand, a missing option.
@@ -357,13 +359,22 @@ _BAD_ARGS = {
     "diag-without-xi": ["diag", "--phi", "step(1,1)"],
 }
 
+# Literals outside the one scalar grammar, given on the command line.
+_BAD_LITERALS = {
+    "eval-zero-denominator": ["eval", "step(1/0,1)"],
+    "diag-zero-denominator": ["diag", "--xi", "steps[(1/0,1)]", "--phi", "step(0,1)"],
+    "tnorm-doubled-comma": ["eval", "--tnorm", "ordinal[(0,1/2,prod),,(1/2,1,luk)]", "step(1,1)"],
+}
 
-@pytest.mark.parametrize("case", [*_MALFORMED, "deep-nesting", *_BAD_ARGS])
+
+@pytest.mark.parametrize("case", [*_MALFORMED, "deep-nesting", *_BAD_ARGS, *_BAD_LITERALS])
 def test_malformed_input_exits_two_with_one_line(case, tmp_path):
     if case == "deep-nesting":
         argv = ["eval", "conv(" * 3000 + "step(1,1)" + ",step(0,1))" * 3000]
     elif case in _BAD_ARGS:
         argv = _BAD_ARGS[case]
+    elif case in _BAD_LITERALS:
+        argv = _BAD_LITERALS[case]
     else:
         command, text = _MALFORMED[case]
         path = tmp_path / "input.json"

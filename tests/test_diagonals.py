@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddquant import (
     BOTTOM,
@@ -19,7 +21,7 @@ from ddquant import (
     one_step,
     residual,
 )
-from util import TNORMS, rand_staircase
+from util import NILPOTENT, TNORMS, rand_staircase
 
 F = Fraction
 
@@ -160,6 +162,24 @@ def test_find_nondiagonal_below(name, t):
         assert witness.leq(phi)
         assert not is_divisible_by(t, witness, phi)
     assert found >= 20
+
+
+@st.composite
+def multi_step_staircases(draw):
+    n = draw(st.integers(2, 6))
+    jumps = draw(st.lists(st.fractions(0, 6, max_denominator=12), min_size=n, max_size=n, unique=True))
+    levels = draw(st.lists(st.fractions(F(1, 60), 1, max_denominator=60), min_size=n, max_size=n, unique=True))
+    return Staircase(tuple(zip(sorted(jumps), sorted(levels))))
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+@given(phi=multi_step_staircases())
+@settings(max_examples=60, deadline=None)
+def test_witness_is_the_first_truncation(name, t, phi):
+    witness = find_nondiagonal_below(t, phi)
+    assert witness == Staircase(phi.steps[1:])
+    assert witness.leq(phi)
+    assert not is_divisible_by(t, witness, phi)
 
 
 def test_truncation_is_the_first_witness():

@@ -20,7 +20,6 @@ from ddquant import (
     implication,
     join_all,
     one_step,
-    parse_tnorm,
     residual,
     step_implication,
     vertical_distance,
@@ -30,6 +29,7 @@ from ddquant import (
 from ddquant import quantale
 from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, _convolve_plain, _implication_plain
 from util import (
+    NILPOTENT,
     ORDINAL,
     TNORMS,
     conv_point_oracle,
@@ -94,10 +94,6 @@ def test_fast_path_agrees_with_plain():
     big2 = Staircase(tuple(zip(jumps2, levels2)))
     for name, t in TNORMS:
         assert convolve(t, big1, big2) == _convolve_plain(t, big1, big2)
-
-
-# A nilpotent piece at 0: luk values there can drop to the piece's floor 0.
-NILPOTENT = parse_tnorm("ordinal[(0,1/3,luk),(1/2,3/4,prod),(3/4,1,luk)]")
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])

@@ -29,6 +29,9 @@ TNORMS: list[tuple[str, TNorm]] = [
     ("ordinal", ORDINAL),
 ]
 
+# A nilpotent piece at 0: luk values there can drop to the piece's floor 0.
+NILPOTENT = parse_tnorm("ordinal[(0,1/3,luk),(1/2,3/4,prod),(3/4,1,luk)]")
+
 _DENS = (1, 2, 3, 4, 6, 8, 12)
 
 
