@@ -90,11 +90,21 @@ def is_infinite(t: Time) -> bool:
     return t is INF
 
 
+def _as_rational(x) -> Fraction:
+    """x, an int or a Fraction, as a Fraction.  Anything else, str and float
+    included, is a DomainError: text goes through `parse_scalar`."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise DomainError(f"expected an int or Fraction, got {type(x).__name__}")
+
+
 def ensure_time(t) -> Time:
     """Coerce to a point of [0, inf]; reject negatives and non-rationals."""
     if t is INF:
         return t
-    f = Fraction(t)
+    f = _as_rational(t)
     if f < 0:
         raise DomainError(f"time must be non-negative, got {f}")
     return f
@@ -102,7 +112,7 @@ def ensure_time(t) -> Time:
 
 def ensure_unit(a) -> Fraction:
     """Coerce to a rational in [0, 1]."""
-    f = Fraction(a)
+    f = _as_rational(a)
     if not ZERO <= f <= ONE:
         raise DomainError(f"value must lie in [0, 1], got {f}")
     return f

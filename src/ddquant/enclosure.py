@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axis import ONE, ZERO, Time, _Reader, format_scalar, is_infinite
+from .axis import ONE, ZERO, Time, _Reader, _as_rational, format_scalar, is_infinite
 from .errors import DomainError
 from .quantale import convolve, implication
 from .staircase import Staircase, envelope
@@ -36,7 +36,7 @@ class PiecewiseLinear:
     knots: tuple[Knot, ...]
 
     def __post_init__(self):
-        knots = tuple((Fraction(t), Fraction(v)) for t, v in self.knots)
+        knots = tuple((_as_rational(t), _as_rational(v)) for t, v in self.knots)
         object.__setattr__(self, "knots", knots)
         if not knots or knots[0] != (ZERO, ZERO):
             raise DomainError("first knot must be (0, 0)")

@@ -428,11 +428,15 @@ def quantale_from_dict(data: dict) -> FiniteQuantale:
     )
 
 
-def load_quantale(path: str | Path, max_elements: int = 8) -> FiniteQuantale:
+# Largest carrier `load_quantale` accepts: the law checks are exhaustive.
+_MAX_ELEMENTS = 8
+
+
+def load_quantale(path: str | Path) -> FiniteQuantale:
     q = quantale_from_dict(read_json(path))
-    if len(q.elements) > max_elements:
+    if len(q.elements) > _MAX_ELEMENTS:
         raise ValueError(
             f"carrier has {len(q.elements)} elements; the exhaustive checks "
-            f"are capped at {max_elements} (pass max_elements to raise)"
+            f"are capped at {_MAX_ELEMENTS}"
         )
     return q

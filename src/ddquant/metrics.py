@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .axis import Time, ensure_time, format_scalar, parse_scalar, plus_implies, time_add
-from .errors import PreconditionError, read_json
+from .errors import ParseError, PreconditionError, read_json
 from .staircase import Staircase, parse_staircase
 from .tnorms import TNorm, format_tnorm, parse_tnorm
 from .values import NUMERIC, Staircases
@@ -367,11 +367,30 @@ def instance_from_dict(data: dict) -> ParMetInstance | ProbParMetInstance:
     if "tnorm" in data:
         if not isinstance(data["tnorm"], str):
             raise ValueError("instance field 'tnorm' must be a string")
-        t = parse_tnorm(data["tnorm"])
-        dist = tuple(tuple(parse_staircase(v) for v in row) for row in rows)
-        return ProbParMetInstance(points, dist, t)
-    dist = tuple(tuple(parse_scalar(v) for v in row) for row in rows)
-    return ParMetInstance(points, dist)
+        t = _parsed(parse_tnorm, data["tnorm"], "tnorm")
+        return ProbParMetInstance(points, _parsed_rows(rows, points, parse_staircase), t)
+    return ParMetInstance(points, _parsed_rows(rows, points, parse_scalar))
+
+
+def _parsed(parse, text: str, where: str):
+    """parse(text); a ParseError names `where` the text sits."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _parsed_rows(rows: list, points: tuple, parse) -> tuple[tuple, ...]:
+    """Each entry parsed; an error names the entry and, if they exist, its points."""
+
+    def where(i: int, j: int) -> str:
+        ends = f" ({points[i]}, {points[j]})" if max(i, j) < len(points) else ""
+        return f"dist[{i}][{j}]{ends}"
+
+    return tuple(
+        tuple(_parsed(parse, v, where(i, j)) for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    )
 
 
 def load_instance(path: str | Path) -> ParMetInstance | ProbParMetInstance:

@@ -13,8 +13,9 @@ step (p + q, a * b).  The implication is the right adjoint of convolution,
 phi is the join of its steps, so the implication is the meet of the
 one-step implications, one per step of phi; `implication` computes them all
 on integers and meets them in one sweep.  `convolve` and `implication` both
-scale their inputs once to common integer denominators (`_scale`) and build
-the canonical staircase once (`_from_candidates`).  `vertical_distance`
+rescale the integer images of their inputs to common denominators
+(`_scale`) and end in the canonical sweep `staircase._from_candidates`;
+`implication` reaches it through `meet_all`'s co-step sweep.  `vertical_distance`
 evaluates the pointwise quantity
 
     rho(t) = inf_{q > 0} phi(q) -> xi(q + t)
@@ -32,13 +33,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .axis import ONE, ZERO, Time, ensure_time, is_infinite
+from .axis import ZERO, Time, _as_rational, ensure_time, is_infinite
 from .errors import DomainError
 from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, envelope, meet_all
+from .staircase import _from_candidates, _meet_costeps
 from .tnorms import LUK, MIN, PROD, PRODUCT_KIND, TNorm
 
 _FAST_CUTOFF = 48
 _INT64_LIMIT = 2**62
+# The t-norms the numpy kernel implements.
+_FAST_TAGS = {MIN: "min", PROD: "prod", LUK: "luk"}
 
 
 class _Scaled(NamedTuple):
@@ -61,12 +65,8 @@ class _Scaled(NamedTuple):
 
 
 def _scale(t: TNorm, phi: Staircase, psi: Staircase) -> _Scaled:
-    jd = lcm(*(p.denominator for p in phi.jumps), *(q.denominator for q in psi.jumps))
-    ld = lcm(
-        *(a.denominator for a in phi.levels),
-        *(b.denominator for b in psi.levels),
-        *(e.denominator for piece in t.pieces for e in (piece.lo, piece.hi)),
-    )
+    jd = lcm(phi.jd, psi.jd)
+    ld = lcm(phi.ld, psi.ld, *(e.denominator for pc in t.pieces for e in (pc.lo, pc.hi)))
     bounds = [(int(pc.lo * ld), int(pc.hi * ld), pc.kind) for pc in t.pieces]
     m = lcm(*(hi - lo for lo, hi, kind in bounds if kind == PRODUCT_KIND))
     return _Scaled(
@@ -74,10 +74,8 @@ def _scale(t: TNorm, phi: Staircase, psi: Staircase) -> _Scaled:
         ld,
         m,
         tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds),
-        [p.numerator * (jd // p.denominator) for p in phi.jumps],
-        [a.numerator * (ld // a.denominator) for a in phi.levels],
-        [q.numerator * (jd // q.denominator) for q in psi.jumps],
-        [b.numerator * (ld // b.denominator) for b in psi.levels],
+        *phi._scaled(jd, ld),
+        *psi._scaled(jd, ld),
     )
 
 
@@ -100,10 +98,10 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     fixed cost of about 25 us a call loses to Python ints, at 0.7-1.1 us a
     pair, on fewer pairs, and numpy is faster on all three from 48 pairs.
     """
-    if not phi.steps or not psi.steps:
+    if not phi.js or not psi.js:
         return BOTTOM
     s = _scale(t, phi, psi)
-    tag = _tnorm_tag(t)
+    tag = _FAST_TAGS.get(t)
     if (
         tag is not None
         and len(s.j1) * len(s.j2) >= _FAST_CUTOFF
@@ -116,22 +114,7 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
 def _convolve_plain(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     """Reference kernel on Fractions; the tests compare the others with it."""
     apply = t.apply
-    pts = [
-        (p + q, apply(a, b))
-        for p, a in phi.steps
-        for q, b in psi.steps
-    ]
-    return envelope(pts)
-
-
-def _tnorm_tag(t: TNorm) -> str | None:
-    if t == MIN:
-        return "min"
-    if t == PROD:
-        return "prod"
-    if t == LUK:
-        return "luk"
-    return None
+    return envelope((p + q, apply(a, b)) for p, a in phi.steps for q, b in psi.steps)
 
 
 def _int_apply(s: _Scaled):
@@ -194,23 +177,6 @@ def _convolve_fast(tag: str, s: _Scaled) -> Staircase:
     )
 
 
-def _from_candidates(cands, jd: int, vd: int) -> Staircase:
-    """Canonical staircase of integer (jump, value) candidates sorted by
-    jump, jumps over jd and values over vd: one sweep keeps each candidate
-    above the running maximum, the highest one at an equal jump."""
-    out: list[list[int]] = []
-    top = 0
-    for p, v in cands:
-        if v <= top:
-            continue
-        top = v
-        if out and out[-1][0] == p:
-            out[-1][1] = v
-        else:
-            out.append([p, v])
-    return Staircase(tuple((Fraction(p, jd), Fraction(v, vd)) for p, v in out))
-
-
 def convolve_monotone(t: TNorm, m1: MonotoneStep, m2: MonotoneStep) -> MonotoneStep:
     """Sup-convolution of unnormalised monotone step maps.
 
@@ -222,13 +188,8 @@ def convolve_monotone(t: TNorm, m1: MonotoneStep, m2: MonotoneStep) -> MonotoneS
         {b1 + b2 for b1 in m1.breakpoints for b2 in m2.breakpoints}
     )
     pvs = [_monotone_conv_at(t, m1, m2, s) for s in sums]
-    cvs = []
-    for k, b in enumerate(sums):
-        if k + 1 < len(sums):
-            probe = (b + sums[k + 1]) / 2
-        else:
-            probe = b + 1
-        cvs.append(_monotone_conv_at(t, m1, m2, probe))
+    probes = [(a + b) / 2 for a, b in zip(sums, sums[1:])] + [sums[-1] + 1]
+    cvs = [_monotone_conv_at(t, m1, m2, probe) for probe in probes]
     inf_v = t.apply(m1.infinity_value, m2.infinity_value)
     return MonotoneStep(tuple(sums), tuple(pvs), tuple(cvs), inf_v)
 
@@ -281,7 +242,7 @@ def step_implication(t: TNorm, p: Time, a, xi: Staircase) -> Staircase:
     if is_infinite(p):
         raise DomainError("one-step jump must be finite")
     p = ensure_time(p)
-    a = Fraction(a)
+    a = _as_rational(a)
     implies = t.implies
     pts = [(ZERO, implies(a, ZERO))]
     for r, c in xi.steps:
@@ -302,15 +263,14 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     later step (r, c) of xi raises it to a -> c at r - p, up to the first
     with c >= a, where a -> c is 1.  A raise at r - p from the value v is
     the co-step "v on [0, r - p], 1 above", and a one-step implication is
-    the meet of its co-steps and its value at infinity.  Pooling the
-    co-steps of all steps of phi and taking suffix minima meets them in one
-    sweep, as `meet_all` does.
+    the meet of its co-steps and its value at infinity.  `_meet_costeps`,
+    shared with `meet_all`, meets the co-steps of all steps of phi at once.
 
     Values are integers over ld * d, where d is the lcm of a - lo over the
     levels a of phi inside a product piece (lo, hi]: there a -> c is
     lo + (hi - lo)(c - lo)/(a - lo).  Under min and luk d is 1.
     """
-    if not phi.steps:
+    if not phi.js:
         return TOP
     s = _scale(t, phi, xi)
     pieces = [
@@ -331,18 +291,7 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
         costeps.extend(zip([r - p for r in rs[first : full + 1]], vals))
         if full == len(cs):
             cap = min(cap, vals[-1])
-    # Walk down the positions: the meet just after q is cap met with every
-    # co-step at a position above q.
-    costeps.sort(reverse=True)
-    pts: list[tuple[int, int]] = []
-    run = cap
-    for q, v in costeps:
-        if not pts or pts[-1][0] != q:
-            pts.append((q, run))
-        run = min(run, v)
-    pts.append((0, run))
-    pts.reverse()
-    return _from_candidates(pts, s.jd, one)
+    return _meet_costeps(costeps, cap, s.jd, one)
 
 
 def _residua(piece, a: int, d: int, levels: list[int]) -> list[int]:
@@ -380,32 +329,17 @@ def vertical_distance(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Frac
         if q > 0:
             bps.add(q)
     points = sorted(bps)
-    probes: list[Fraction] = []
-    if not points:
-        probes.append(ONE)
-    else:
-        probes.append(points[0] / 2)
-        for k, q in enumerate(points):
-            probes.append(q)
-            if k + 1 < len(points):
-                probes.append((q + points[k + 1]) / 2)
-        probes.append(points[-1] + 1)
+    # every breakpoint, the midpoint of every cell from 0, and one past the last
+    ends = [ZERO, *points]
+    probes = [*points, *((a + b) / 2 for a, b in zip(ends, points)), ends[-1] + 1]
     return min(implies(phi(q), xi(q + at)) for q in probes)
 
 
 def vertical_distance_grid(
     t: TNorm, phi: Staircase, xi: Staircase, grid: list[Time]
-) -> list[tuple[Fraction, Fraction]]:
-    """Lower/upper enclosures of rho at each grid point.
-
-    rho is exactly computable on staircases, so both bounds coincide; the
-    pair shape is kept so callers can treat the values as an enclosure.
-    """
-    out = []
-    for at in grid:
-        v = vertical_distance(t, phi, xi, at)
-        out.append((v, v))
-    return out
+) -> list[Fraction]:
+    """rho at each grid point, exactly."""
+    return [vertical_distance(t, phi, xi, at) for at in grid]
 
 
 def vertical_distance_sup_below(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Fraction:
@@ -417,12 +351,7 @@ def vertical_distance_sup_below(t: TNorm, phi: Staircase, xi: Staircase, at: Tim
     """
     if at == ZERO:
         return ZERO
-    bps = {ZERO}
-    for r in xi.jumps:
-        bps.add(r)
-        for p in phi.jumps:
-            if r - p > 0:
-                bps.add(r - p)
+    bps = {ZERO, *xi.jumps, *(r - p for r in xi.jumps for p in phi.jumps if r > p)}
     if is_infinite(at):
         return vertical_distance(t, phi, xi, max(bps) + 1)
     below = max(b for b in bps if b < at)

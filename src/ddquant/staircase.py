@@ -3,11 +3,18 @@
 A distance distribution is a monotone map phi: [0, inf] -> [0, 1] with
 phi(0) = 0 that is determined from below, phi(t) = sup_{s<t} phi(s).  Every
 such map with finitely many values is a finite join of one-step functions
-and is stored canonically as a tuple of (jump, level) pairs with jumps and
+and is stored canonically by its (jump, level) steps, with jumps and
 levels both strictly increasing and levels positive: the function is 0 on
 [0, jump_1], level_i on (jump_i, jump_{i+1}], and level_n on (jump_n, inf].
-The empty tuple is the bottom distribution (constant 0).  Equality of step
-tuples is equality of functions.
+No steps is the bottom distribution (constant 0).
+
+A `Staircase` holds integers: jump numerators over one denominator and
+level numerators over another, each image reduced, so equal functions have
+equal state.  Equality, hashing, `leq` and the construction checks in
+`__post_init__`, which every constructor runs, work on them; `steps`,
+`jumps` and `levels` are `Fraction` views built when first read.  The
+kernels, `envelope` and `meet_all` build their results in one canonical
+sweep over integer candidates, `_from_candidates`.
 
 `MonotoneStep` drops the normalisation: it represents an arbitrary monotone
 step map, with explicit values at breakpoints, on the open cells between
@@ -22,53 +29,85 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Sequence
 
-from .axis import INF, ONE, ZERO, Time, _Reader, ensure_time, format_scalar, is_infinite
+from .axis import INF, ONE, ZERO, Time, _as_rational, _Reader, ensure_time, format_scalar
+from .axis import is_infinite
 from .errors import DomainError
 
 Step = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+def _images(points: Iterable[Step]) -> tuple[int, int, list[tuple[int, int]]]:
+    """(jd, ld, pairs): the points as integer (jump, level) pairs over
+    common denominators jd and ld."""
+    pts = [(_as_rational(p), _as_rational(a)) for p, a in points]
+    jd = lcm(*(p.denominator for p, _ in pts))
+    ld = lcm(*(a.denominator for _, a in pts))
+    return jd, ld, [
+        (p.numerator * (jd // p.denominator), a.numerator * (ld // a.denominator))
+        for p, a in pts
+    ]
+
+
+@dataclass(frozen=True, init=False)
 class Staircase:
-    steps: tuple[Step, ...] = ()
+    """A canonical staircase: jump k is js[k] / jd and level k is ls[k] / ld.
+
+    `Staircase(steps)` takes (jump, level) pairs of ints or Fractions and
+    `_from_candidates` integer images; both end in `__post_init__`.
+    """
+
+    jd: int
+    ld: int
+    js: tuple[int, ...]
+    ls: tuple[int, ...]
+
+    def __init__(self, steps: Iterable[Step] = ()):
+        jd, ld, pts = _images(steps)
+        vars(self).update(jd=jd, ld=ld, js=[p for p, _ in pts], ls=[a for _, a in pts])
+        self.__post_init__()
 
     def __post_init__(self):
-        # Fractions are immutable, so exact Fraction instances are kept as
-        # they are; anything else, subclasses included, is converted.
-        steps = tuple(
-            (
-                p if type(p) is Fraction else Fraction(p),
-                a if type(a) is Fraction else Fraction(a),
-            )
-            for p, a in self.steps
-        )
-        object.__setattr__(self, "steps", steps)
-        prev_p, prev_a = None, ZERO
-        for p, a in steps:
-            if p < 0:
-                raise DomainError(f"negative jump {p}")
-            if not ZERO < a <= ONE:
-                raise DomainError(f"level {a} outside (0, 1]")
-            if prev_p is not None and p <= prev_p:
-                raise DomainError("jumps must be strictly increasing")
-            if a <= prev_a:
-                raise DomainError("levels must be strictly increasing")
-            prev_p, prev_a = p, a
+        """Reduce both images and check the staircase conditions on them."""
+        g, h = gcd(self.jd, *self.js), gcd(self.ld, *self.ls)
+        jd, js = self.jd // g, tuple(j // g for j in self.js)
+        ld, ls = self.ld // h, tuple(a // h for a in self.ls)
+        if js and min(js) < 0:
+            raise DomainError(f"negative jump {Fraction(min(js), jd)}")
+        if ls and not 0 < min(ls) <= max(ls) <= ld:
+            bad = min(ls) if min(ls) <= 0 else max(ls)
+            raise DomainError(f"level {Fraction(bad, ld)} outside (0, 1]")
+        if not all(map(lt, js, js[1:])):
+            raise DomainError("jumps must be strictly increasing")
+        if not all(map(lt, ls, ls[1:])):
+            raise DomainError("levels must be strictly increasing")
+        vars(self).update(jd=jd, ld=ld, js=js, ls=ls)
 
     @cached_property
     def jumps(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.steps)
+        return tuple(Fraction(j, self.jd) for j in self.js)
 
     @cached_property
     def levels(self) -> tuple[Fraction, ...]:
-        return tuple(a for _, a in self.steps)
+        return tuple(Fraction(a, self.ld) for a in self.ls)
+
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(zip(self.jumps, self.levels))
 
     @property
     def last_level(self) -> Fraction:
         """The value at infinity."""
-        return self.levels[-1] if self.steps else ZERO
+        return Fraction(self.ls[-1], self.ld) if self.ls else ZERO
+
+    def _scaled(self, jd: int, ld: int) -> tuple[list[int], list[int]]:
+        """The jump and level numerators over jd and ld, which must be
+        multiples of this staircase's denominators."""
+        fj, fl = jd // self.jd, ld // self.ld
+        return [j * fj for j in self.js], [a * fl for a in self.ls]
 
     def __call__(self, t: Time) -> Fraction:
         if is_infinite(t):
@@ -84,10 +123,17 @@ class Staircase:
     def leq(self, other: "Staircase") -> bool:
         # On each cell (p_i, p_{i+1}] this function equals a_i while the
         # other attains its infimum just above p_i.
-        return all(other.value_after(p) >= a for p, a in self.steps)
+        jd, ld = lcm(self.jd, other.jd), lcm(self.ld, other.ld)
+        js, ls = self._scaled(jd, ld)
+        jo, lo = other._scaled(jd, ld)
+        for p, a in zip(js, ls):
+            k = bisect_right(jo, p)  # steps of other at or below p
+            if not k or lo[k - 1] < a:
+                return False
+        return True
 
     def join(self, other: "Staircase") -> "Staircase":
-        return envelope(self.steps + other.steps)
+        return join_all((self, other))
 
     def meet(self, other: "Staircase") -> "Staircase":
         return meet_all((self, other))
@@ -117,7 +163,7 @@ def one_step(p: Time, a) -> Staircase:
     if is_infinite(p):
         raise DomainError("one-step jump must be finite")
     p = ensure_time(p)
-    a = Fraction(a)
+    a = _as_rational(a)
     if not ZERO <= a <= ONE:
         raise DomainError(f"level {a} outside [0, 1]")
     if a == ZERO:
@@ -125,26 +171,37 @@ def one_step(p: Time, a) -> Staircase:
     return Staircase(((p, a),))
 
 
+def _from_candidates(cands: Iterable[tuple[int, int]], jd: int, ld: int) -> Staircase:
+    """Canonical staircase of integer (jump, level) candidates sorted by
+    jump, jumps over jd and levels over ld: one sweep keeps each candidate
+    above the running maximum, the highest one at an equal jump."""
+    js: list[int] = []
+    ls: list[int] = []
+    top = 0
+    for p, a in cands:
+        if a <= top:
+            continue
+        top = a
+        if js and js[-1] == p:
+            ls[-1] = a
+        else:
+            js.append(p)
+            ls.append(a)
+    sc = Staircase.__new__(Staircase)
+    vars(sc).update(jd=jd, ld=ld, js=js, ls=ls)
+    sc.__post_init__()
+    return sc
+
+
 def envelope(points: Iterable[Step]) -> Staircase:
     """Join of one-step functions: upper envelope of (jump, level) pairs."""
-    pts = sorted((p, a) for p, a in points if a > 0)
-    out: list[Step] = []
-    for p, a in pts:
-        if out:
-            if a <= out[-1][1]:
-                continue
-            if p == out[-1][0]:
-                out[-1] = (p, a)
-                continue
-        out.append((p, a))
-    return Staircase(tuple(out))
+    jd, ld, pts = _images(points)
+    pts.sort()
+    return _from_candidates(pts, jd, ld)
 
 
 def join_all(items: Sequence[Staircase]) -> Staircase:
-    pts: list[Step] = []
-    for sc in items:
-        pts.extend(sc.steps)
-    return envelope(pts)
+    return envelope([step for sc in items for step in sc.steps])
 
 
 def meet_all(items: Sequence[Staircase]) -> Staircase:
@@ -152,35 +209,36 @@ def meet_all(items: Sequence[Staircase]) -> Staircase:
 
     Each staircase is the meet of its final level (as a constant) with the
     "co-steps" (p_j, a_{j-1}): the function equal to a_{j-1} on [0, p_j] and
-    1 above.  Pooling all co-steps and taking suffix minima over increasing
-    jump positions computes the meet of the whole family in one sweep.
+    1 above.  `_meet_costeps` meets the pooled co-steps of the whole family
+    in one sweep.
     """
     items = list(items)
     if not items:
         return TOP
-    if any(not sc.steps for sc in items):
-        return BOTTOM
-    cap = min(sc.last_level for sc in items)
-    costeps: dict[Fraction, Fraction] = {}
+    jd = lcm(*(sc.jd for sc in items))
+    ld = lcm(*(sc.ld for sc in items))
+    cap, costeps = ld, []
     for sc in items:
-        prev = ZERO
-        for p, a in sc.steps:
-            if p not in costeps or prev < costeps[p]:
-                costeps[p] = prev
-            prev = a
-    positions = sorted(costeps)
-    # suffix[k] = min of co-step values at positions k.. end
-    suffix = [ZERO] * len(positions)
-    running = None
-    for k in range(len(positions) - 1, -1, -1):
-        v = costeps[positions[k]]
-        running = v if running is None else min(running, v)
-        suffix[k] = running
-    pts = []
-    for k, p in enumerate(positions):
-        after = suffix[k + 1] if k + 1 < len(positions) else ONE
-        pts.append((p, min(cap, after)))
-    return envelope(pts)
+        js, ls = sc._scaled(jd, ld)
+        costeps += zip(js, (0, *ls))
+        cap = min(cap, ls[-1] if ls else 0)
+    return _meet_costeps(costeps, cap, jd, ld)
+
+
+def _meet_costeps(costeps: list[tuple[int, int]], cap: int, jd: int, ld: int) -> Staircase:
+    """Meet of the constant cap with the co-steps (q, v), each v on [0, q]
+    and 1 above; positions over jd, values over ld.  Walking down the
+    positions, the meet just after q is cap met with every co-step at a
+    position above q (suffix minima)."""
+    costeps.sort(reverse=True)
+    pts: list[tuple[int, int]] = []
+    run = cap
+    for q, v in costeps:
+        pts.append((q, run))
+        run = min(run, v)
+    pts.append((0, run))
+    pts.reverse()
+    return _from_candidates(pts, jd, ld)
 
 
 def format_staircase(sc: Staircase) -> str:
@@ -217,57 +275,35 @@ class MonotoneStep:
     infinity_value: Fraction | None = None
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        pvs = tuple(Fraction(v) for v in self.point_values)
-        cvs = tuple(Fraction(v) for v in self.cell_values)
+        bps = tuple(_as_rational(b) for b in self.breakpoints)
+        pvs = tuple(_as_rational(v) for v in self.point_values)
+        cvs = tuple(_as_rational(v) for v in self.cell_values)
         if not bps or bps[0] != ZERO:
             raise DomainError("breakpoints must start at 0")
         if not (len(bps) == len(pvs) == len(cvs)):
             raise DomainError("breakpoints and value tuples must have equal length")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise DomainError("breakpoints must be strictly increasing")
-        inf_v = cvs[-1] if self.infinity_value is None else Fraction(self.infinity_value)
-        chain: list[Fraction] = []
-        for pv, cv in zip(pvs, cvs):
-            chain.extend((pv, cv))
-        chain.append(inf_v)
+        inf_v = cvs[-1] if self.infinity_value is None else _as_rational(self.infinity_value)
+        chain = [v for pair in zip(pvs, cvs) for v in pair] + [inf_v]
         if any(not ZERO <= v <= ONE for v in chain):
             raise DomainError("values must lie in [0, 1]")
         if any(v2 < v1 for v1, v2 in zip(chain, chain[1:])):
             raise DomainError("values must be monotone along the axis")
         # Canonical form: drop breakpoints the function passes through flatly.
-        keep_b = [bps[0]]
-        keep_p = [pvs[0]]
-        keep_c = [cvs[0]]
-        for k in range(1, len(bps)):
-            if pvs[k] == keep_c[-1] == cvs[k]:
-                continue
-            keep_b.append(bps[k])
-            keep_p.append(pvs[k])
-            keep_c.append(cvs[k])
-        object.__setattr__(self, "breakpoints", tuple(keep_b))
-        object.__setattr__(self, "point_values", tuple(keep_p))
-        object.__setattr__(self, "cell_values", tuple(keep_c))
+        keep = [0] + [k for k in range(1, len(bps)) if not pvs[k] == cvs[k - 1] == cvs[k]]
+        for name, values in (("breakpoints", bps), ("point_values", pvs), ("cell_values", cvs)):
+            object.__setattr__(self, name, tuple(values[k] for k in keep))
         object.__setattr__(self, "infinity_value", inf_v)
 
     @classmethod
     def from_staircase(cls, sc: Staircase) -> "MonotoneStep":
-        if not sc.steps:
-            return cls((ZERO,), (ZERO,), (ZERO,))
-        bps: list[Fraction] = [ZERO]
-        pvs: list[Fraction] = [ZERO]
-        prev = ZERO
-        for p, a in sc.steps:
-            if p != ZERO:
-                bps.append(p)
-                pvs.append(prev)  # left continuity: value at the jump is the old level
-            prev = a
-        cvs = [sc.value_after(b) for b in bps]
-        return cls(tuple(bps), tuple(pvs), tuple(cvs), sc.last_level)
+        bps = sorted({ZERO, *sc.jumps})
+        return cls(bps, [sc(b) for b in bps], [sc.value_after(b) for b in bps], sc.last_level)
 
     @classmethod
     def constant(cls, v) -> "MonotoneStep":
-        v = Fraction(v)
+        v = _as_rational(v)
         return cls((ZERO,), (v,), (v,), v)
 
     def __call__(self, t: Time) -> Fraction:

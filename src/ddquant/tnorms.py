@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axis import ONE, ZERO, _Reader, format_scalar
+from .axis import ONE, ZERO, _Reader, _as_rational, format_scalar
 from .errors import DomainError, ParseError
 
 PRODUCT_KIND = "prod"
@@ -47,8 +47,8 @@ class Piece:
     kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", _as_rational(self.lo))
+        object.__setattr__(self, "hi", _as_rational(self.hi))
         if not ZERO <= self.lo < self.hi <= ONE:
             raise DomainError(f"piece needs 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
         if self.kind not in _KINDS:

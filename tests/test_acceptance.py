@@ -47,6 +47,7 @@ from ddquant import (
     validate_quantale,
     validate_slice,
     verify_quantaloid_laws,
+    vertical_distance,
     vertical_distance_grid,
     vertical_distance_sup_below,
 )
@@ -265,11 +266,11 @@ def test_criterion_09_vertical_distance_grid(capsys):
                 grid = [hi * k / 49 for k in range(49)] + [INF]
                 imp = implication(t, phi, xi)
                 raw = vertical_distance_grid(t, phi, xi, grid)
-                for at, (lo, up) in zip(grid, raw):
-                    assert lo == up
+                for at, v in zip(grid, raw, strict=True):
+                    assert v == vertical_distance(t, phi, xi, at)
                     reg = vertical_distance_sup_below(t, phi, xi, at)
                     assert imp(at) == reg
-                    assert reg <= up
+                    assert reg <= v
 
 
 def test_criterion_10_finite_quantale_oracle(capsys):

@@ -1,6 +1,9 @@
-"""The public names of the package."""
+"""The public names of the package and the scalars they accept."""
+
+import pytest
 
 import ddquant
+from ddquant.axis import ensure_time, ensure_unit
 
 
 def test_public_names_are_pinned():
@@ -28,3 +31,28 @@ def test_public_names_are_pinned():
         "vertical_distance_sup_below",
     ]
     assert all(hasattr(ddquant, name) for name in ddquant.__all__)
+
+
+# Every entry point that takes a scalar, each fed the bad value in the
+# position of one scalar.
+_SCALAR_ENTRY_POINTS = {
+    "ensure_time": lambda x: ensure_time(x),
+    "ensure_unit": lambda x: ensure_unit(x),
+    "Staircase-jump": lambda x: ddquant.Staircase(((x, 1),)),
+    "Staircase-level": lambda x: ddquant.Staircase(((0, x),)),
+    "one_step-jump": lambda x: ddquant.one_step(x, 1),
+    "one_step-level": lambda x: ddquant.one_step(0, x),
+    "step_implication": lambda x: ddquant.step_implication(ddquant.MIN, 0, x, ddquant.TOP),
+    "Piece": lambda x: ddquant.Piece(x, 1, "prod"),
+    "PiecewiseLinear": lambda x: ddquant.PiecewiseLinear(((0, 0), (x, 1))),
+    "MonotoneStep": lambda x: ddquant.MonotoneStep((0,), (x,), (x,)),
+}
+
+
+@pytest.mark.parametrize("bad", ["1e1000000", "1/2", 0.5, None])
+@pytest.mark.parametrize("entry", list(_SCALAR_ENTRY_POINTS))
+def test_api_scalars_are_int_or_fraction(entry, bad):
+    """Text goes through parse_scalar; an API scalar of another type is a
+    DomainError naming the type, and a long numeric string is never read."""
+    with pytest.raises(ddquant.DomainError, match=f"got {type(bad).__name__}$"):
+        _SCALAR_ENTRY_POINTS[entry](bad)

@@ -349,6 +349,14 @@ _MALFORMED = {
     "deep-json-validate": ("validate", _DEEP_JSON),
     "deep-json-quantale-check": ("quantale-check", _DEEP_JSON),
     "staircase-entry-missing-comma": ("validate", '{"points": ["x"], "tnorm": "min", "dist": [["steps[(1,1/2)(2,1)]"]]}'),
+    "staircase-entry-off-diagonal": (
+        "validate",
+        '{"points": ["x", "y"], "tnorm": "min", "dist": [["steps[(0,1)]", "steps[(1,1/2)(2,1)]"], ["steps[(1,1)]", "steps[(0,1)]"]]}',
+    ),
+    "instance-tnorm-doubled-comma": (
+        "validate",
+        '{"points": ["x"], "tnorm": "ordinal[(0,1/2,prod),,(1/2,1,luk)]", "dist": [["steps[(0,1)]"]]}',
+    ),
     "numeric-entry-exponent": ("validate", '{"points": ["x"], "dist": [["1e400"]]}'),
 }
 
@@ -364,6 +372,15 @@ _BAD_LITERALS = {
     "eval-zero-denominator": ["eval", "step(1/0,1)"],
     "diag-zero-denominator": ["diag", "--xi", "steps[(1/0,1)]", "--phi", "step(0,1)"],
     "tnorm-doubled-comma": ["eval", "--tnorm", "ordinal[(0,1/2,prod),,(1/2,1,luk)]", "step(1,1)"],
+}
+
+
+# The one error line names where in the instance file the bad literal sits.
+_NAMED_PLACE = {
+    "staircase-entry-missing-comma": "error: dist[0][0] (x, x): expected ',', got '('",
+    "numeric-entry-exponent": "error: dist[0][0] (x, x): ",
+    "staircase-entry-off-diagonal": "error: dist[0][1] (x, y): expected ',', got '('",
+    "instance-tnorm-doubled-comma": "error: tnorm: expected '(', got ','",
 }
 
 
@@ -387,7 +404,7 @@ def test_malformed_input_exits_two_with_one_line(case, tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr.startswith(_NAMED_PLACE.get(case, "error:"))
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["diag", "--help"]])

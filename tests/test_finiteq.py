@@ -122,7 +122,6 @@ def test_load_rejects_oversized_carrier(tmp_path):
     path.write_text(json.dumps(quantale_to_dict(q)))
     with pytest.raises(ValueError, match="capped"):
         load_quantale(path)
-    assert load_quantale(path, max_elements=9) == q
 
 
 def test_missing_fields_rejected():

@@ -319,8 +319,8 @@ def test_rho_grid_pairs_coincide(name, t):
     phi = rand_staircase(rng, max_steps=4)
     xi = rand_staircase(rng, max_steps=4)
     grid = [F(k, 7) for k in range(22)]
-    for (lo, hi), at in zip(vertical_distance_grid(t, phi, xi, grid), grid):
-        assert lo == hi == vertical_distance(t, phi, xi, at)
+    for v, at in zip(vertical_distance_grid(t, phi, xi, grid), grid, strict=True):
+        assert v == vertical_distance(t, phi, xi, at)
 
 
 def test_rho_dominates_implication_pointwise():

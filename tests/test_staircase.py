@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,8 @@ from ddquant import (
     one_step,
     parse_staircase,
 )
-from util import eq_oracle, probe_times, rand_monotone, rand_staircase, rand_unit
+from ddquant.staircase import _from_candidates
+from util import eq_oracle, leq_oracle, probe_times, rand_monotone, rand_staircase, rand_unit
 
 F = Fraction
 
@@ -33,6 +35,61 @@ def test_construction_validation():
         Staircase(((F(-1), F(1, 2)),))
     with pytest.raises(DomainError):
         Staircase(((F(1), F(3, 2)),))
+
+
+_FIVE_ERRORS = [
+    (((-1, 1),), "negative jump -1"),
+    (((1, 0),), "level 0 outside"),
+    (((1, 2),), "level 2 outside"),
+    (((2, 1), (1, 1)), "jumps must be strictly increasing"),
+    (((0, 1), (1, 1)), "levels must be strictly increasing"),
+    (((F(-1, 2), F(1, 2)),), "negative jump -1/2"),
+    (((F(1, 2), F(0)),), "level 0 outside"),
+    (((F(1, 2), F(3, 2)),), "level 3/2 outside"),
+    (((F(3, 2), F(1, 2)), (F(1, 2), F(3, 4))), "jumps must be strictly increasing"),
+    (((F(1, 2), F(1, 2)), (F(3, 2), F(1, 3))), "levels must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("steps,message", _FIVE_ERRORS)
+def test_each_construction_check_from_ints_and_fractions(steps, message):
+    with pytest.raises(DomainError, match=message):
+        Staircase(steps)
+
+
+# (jump, level) denominators for rand_staircase; the first is its default.
+_DENS = [(4, 12), (3, 10), (5, 7), (6, 8)]
+
+
+def test_state_is_reduced_and_independent_of_the_denominator():
+    rng = random.Random(19)
+    for _ in range(200):
+        sc = rand_staircase(rng, dens=rng.choice(_DENS))
+        assert gcd(sc.jd, *sc.js) == 1 and gcd(sc.ld, *sc.ls) == 1
+        k, m = rng.randrange(2, 40), rng.randrange(2, 40)
+        scaled = [(j * k, a * m) for j, a in zip(sc.js, sc.ls)]
+        for rebuilt in (
+            _from_candidates(scaled, sc.jd * k, sc.ld * m),
+            Staircase((F(j, sc.jd * k), F(a, sc.ld * m)) for j, a in scaled),
+        ):
+            assert rebuilt == sc and hash(rebuilt) == hash(sc)
+            assert str(rebuilt) == str(sc)
+            assert rebuilt.steps == sc.steps
+            assert rebuilt.last_level == sc.last_level
+    assert Staircase(((1, 1),)) == Staircase(((F(1), F(1)),)) == Staircase(((F(2, 2), F(3, 3)),))
+
+
+def test_lattice_oracle_across_denominators():
+    rng = random.Random(20)
+    for _ in range(150):
+        a, b, c = (rand_staircase(rng, dens=rng.choice(_DENS)) for _ in range(3))
+        assert a.leq(b) == leq_oracle(a, b)
+        assert b.leq(a) == leq_oracle(b, a)
+        j = envelope(a.steps + b.steps + c.steps)
+        m = meet_all([a, b, c])
+        for t in probe_times(a, b, c, j, m):
+            assert j(t) == max(a(t), b(t), c(t))
+            assert m(t) == min(a(t), b(t), c(t))
 
 
 def test_call_left_continuity():

@@ -47,14 +47,16 @@ def rand_unit(rng: random.Random, include_zero: bool = False) -> Fraction:
 
 
 def rand_staircase(
-    rng: random.Random, max_steps: int = 6, allow_empty: bool = True
+    rng: random.Random, max_steps: int = 6, allow_empty: bool = True, dens: tuple = (4, 12)
 ) -> Staircase:
+    """Jumps in [0, 6) with denominator dens[0], levels with dens[1]."""
     lo = 0 if allow_empty else 1
     n = rng.randrange(lo, max_steps + 1)
     if n == 0:
         return Staircase()
-    jumps = sorted(rng.sample([Fraction(k, 4) for k in range(0, 24)], n))
-    levels = sorted(rng.sample([Fraction(k, 12) for k in range(1, 13)], n))
+    jd, ld = dens
+    jumps = sorted(rng.sample([Fraction(k, jd) for k in range(0, 6 * jd)], n))
+    levels = sorted(rng.sample([Fraction(k, ld) for k in range(1, ld + 1)], n))
     return Staircase(tuple(zip(jumps, levels)))
 
 
