@@ -6,13 +6,18 @@ diagonals are all checked by direct enumeration over the (small) carrier.
 A table is a `values.ValueQuantale`, so divisibility and the composite
 formulas are the ones the staircase track uses; its arithmetic is table
 lookup, which makes it an oracle independent of the staircase machinery.
+
+A table computes its join and meet tables and its diagonal hom-sets once,
+and every check reads them.  Hom-set members, and so the violations the
+law check reports, come in element order.  `residuate` raises ValueError
+on a table that is not a lattice or where no r has a * r <= b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .axis import format_scalar
@@ -93,34 +98,46 @@ class FiniteQuantale(ValueQuantale):
     def times(self, a: int, b: int) -> int:
         return self.mult_idx[a][b]
 
-    def upper_bounds(self, a: int, b: int) -> list[int]:
-        return [k for k in range(len(self.elements)) if self.leq[a][k] and self.leq[b][k]]
+    @cached_property
+    def joins(self) -> tuple[tuple[int | None, ...], ...]:
+        """Join of each pair of indices, None where it is missing."""
+        return _join_table(self.leq)
 
-    def lower_bounds(self, a: int, b: int) -> list[int]:
-        return [k for k in range(len(self.elements)) if self.leq[k][a] and self.leq[k][b]]
-
-    def join_idx(self, a: int, b: int) -> int | None:
-        ubs = self.upper_bounds(a, b)
-        least = [u for u in ubs if all(self.leq[u][v] for v in ubs)]
-        return least[0] if len(least) == 1 else None
-
-    def meet_idx(self, a: int, b: int) -> int | None:
-        lbs = self.lower_bounds(a, b)
-        greatest = [l for l in lbs if all(self.leq[v][l] for v in lbs)]
-        return greatest[0] if len(greatest) == 1 else None
+    @cached_property
+    def meets(self) -> tuple[tuple[int | None, ...], ...]:
+        """Meet of each pair of indices: the join in the reversed order."""
+        return _join_table(tuple(zip(*self.leq)))
 
     @cached_property
     def top_idx(self) -> int | None:
-        tops = [k for k in range(len(self.elements)) if all(self.leq[j][k] for j in range(len(self.elements)))]
-        return tops[0] if len(tops) == 1 else None
+        return _least(tuple(zip(*self.leq)), range(len(self.elements)))
 
     @cached_property
     def bottom_idx(self) -> int | None:
-        bots = [k for k in range(len(self.elements)) if all(self.leq[k][j] for j in range(len(self.elements)))]
-        return bots[0] if len(bots) == 1 else None
+        return _least(self.leq, range(len(self.elements)))
+
+    @cached_property
+    def homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """Every diagonal hom-set, computed once, members in element order."""
+        els, order = self.elements, self.index.__getitem__
+        return {(p, r): tuple(sorted(diag_homset(self, p, r).members, key=order))
+                for p in els for r in els}
 
     def downset(self, a: int) -> frozenset[int]:
         return frozenset(k for k in range(len(self.elements)) if self.leq[k][a])
+
+
+def _least(leq, ks) -> int | None:
+    """The one member of ks below every member under leq, or None."""
+    least = [u for u in ks if all(leq[u][v] for v in ks)]
+    return least[0] if len(least) == 1 else None
+
+
+def _join_table(leq) -> tuple[tuple[int | None, ...], ...]:
+    """Least upper bound under leq of each pair, None where it is missing."""
+    r = range(len(leq))
+    return tuple(tuple(_least(leq, [k for k in r if leq[a][k] and leq[b][k]]) for b in r)
+                 for a in r)
 
 
 @dataclass(frozen=True)
@@ -150,9 +167,9 @@ def validate_quantale(q: FiniteQuantale) -> QuantaleReport:
         problems.append("no least element")
     for a in range(n):
         for b in range(n):
-            if q.join_idx(a, b) is None:
+            if q.joins[a][b] is None:
                 problems.append(f"join of ({e[a]},{e[b]}) missing")
-            if q.meet_idx(a, b) is None:
+            if q.meets[a][b] is None:
                 problems.append(f"meet of ({e[a]},{e[b]}) missing")
     if problems:
         # Without a lattice the remaining axioms are not well-posed.
@@ -178,8 +195,7 @@ def validate_quantale(q: FiniteQuantale) -> QuantaleReport:
             problems.append(f"bottom not absorbed at {e[a]}")
         for b in range(n):
             for c in range(n):
-                j = q.join_idx(b, c)
-                if q.times(a, j) != q.join_idx(q.times(a, b), q.times(a, c)):
+                if q.times(a, q.joins[b][c]) != q.joins[q.times(a, b)][q.times(a, c)]:
                     problems.append(
                         f"multiplication does not distribute over join at "
                         f"({e[a]},{e[b]},{e[c]})"
@@ -188,12 +204,15 @@ def validate_quantale(q: FiniteQuantale) -> QuantaleReport:
 
 
 def residuate(q: FiniteQuantale, a: str, b: str) -> str:
-    """Largest r with a * r <= b, by exhaustive join."""
+    """Largest r with a * r <= b, by exhaustive join.  A table where no r
+    qualifies, or whose candidates have no join, raises ValueError."""
     ia, ib = q.index[a], q.index[b]
     candidates = [r for r in range(len(q.elements)) if q.leq[q.times(ia, r)][ib]]
+    if not candidates:
+        raise ValueError(f"no r has {a} * r <= {b}; validate first")
     best = candidates[0]
     for r in candidates[1:]:
-        j = q.join_idx(best, r)
+        j = q.joins[best][r]
         if j is None:
             raise ValueError("carrier is not a lattice; validate first")
         best = j
@@ -229,93 +248,80 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
     hom-set; composition is associative; the object itself is an identity;
     composition preserves bottom and binary joins of diagonals.  Hom-set
     joins are computed in the ambient quantale; pairs of diagonals whose
-    join is not itself a diagonal are flagged, not failed.
+    join is not itself a diagonal are flagged, not failed.  Each composite
+    is computed once.
     """
     violations: list[str] = []
     join_gaps: list[str] = []
-    els = q.elements
-    homs: dict[tuple[str, str], frozenset[str]] = {}
+    els, homs, ix = q.elements, q.homs, q.index
+    # Memoised, not precomputed: where the laws fail, a composite can leave
+    # hom(mid, mid) and still be composed further.
+    composites = cache(q.composites)
     for p in els:
-        for r in els:
-            homs[(p, r)] = diag_homset(q, p, r).members
-    for p in els:
-        if p not in homs[(p, p)]:
+        if p not in homs[p, p]:
             violations.append(f"identity {p} is not a diagonal on itself")
     # composition: d in hom(p, r), e in hom(r, s)
-    for p in els:
-        for r in els:
-            for d in homs[(p, r)]:
-                for s in els:
-                    for ee in homs[(r, s)]:
-                        left, right = q.composites(r, ee, d)
-                        if left != right:
-                            violations.append(
-                                f"composition formulas disagree for d={d}:{p}->{r}, "
-                                f"e={ee}:{r}->{s}: {left} vs {right}"
-                            )
-                        if left not in homs[(p, s)]:
-                            violations.append(
-                                f"composite {left} of d={d}, e={ee} escapes hom({p},{s})"
-                            )
-    for p in els:
-        for r in els:
-            for d in homs[(p, r)]:
-                left, _ = q.composites(p, d, p)
-                if left != d:
-                    violations.append(f"identity {p} not neutral below {d}:{p}->{r}")
-                left, _ = q.composites(r, r, d)
-                if left != d:
-                    violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
-    # associativity over composable triples
-    for p in els:
-        for r in els:
+    for (p, r), hom in homs.items():
+        for d in hom:
             for s in els:
-                for t_ in els:
-                    for d in homs[(p, r)]:
-                        for ee in homs[(r, s)]:
-                            for g in homs[(s, t_)]:
-                                ed, _ = q.composites(r, ee, d)
-                                a1, _ = q.composites(s, g, ed)
-                                ge, _ = q.composites(s, g, ee)
-                                a2, _ = q.composites(r, ge, d)
-                                if a1 != a2:
-                                    violations.append(
-                                        f"composition not associative at "
-                                        f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
-                                    )
-    # join preservation inside hom-sets, and bottom preservation
-    bot = q.elements[q.bottom_idx]
-    for p in els:
-        for r in els:
-            if bot not in homs[(p, r)]:
-                violations.append(f"bottom missing from hom({p},{r})")
-            for s in els:
-                for ee in homs[(r, s)]:
-                    left, _ = q.composites(r, ee, bot)
-                    if left != bot:
-                        violations.append(f"composition with bottom not bottom for e={ee}")
-            hom = sorted(homs[(p, r)], key=q.index.__getitem__)
-            for i1 in range(len(hom)):
-                for i2 in range(i1 + 1, len(hom)):
-                    d1, d2 = hom[i1], hom[i2]
-                    j = q.join_idx(q.index[d1], q.index[d2])
-                    jl = q.elements[j]
-                    if jl not in homs[(p, r)]:
-                        join_gaps.append(
-                            f"join {jl} of diagonals {d1},{d2} in hom({p},{r}) "
-                            f"is not a diagonal"
+                for ee in homs[r, s]:
+                    left, right = composites(r, ee, d)
+                    if left != right:
+                        violations.append(
+                            f"composition formulas disagree for d={d}:{p}->{r}, "
+                            f"e={ee}:{r}->{s}: {left} vs {right}"
                         )
-                        continue
-                    for s in els:
-                        for ee in homs[(r, s)]:
-                            cj, _ = q.composites(r, ee, jl)
-                            c1, _ = q.composites(r, ee, d1)
-                            c2, _ = q.composites(r, ee, d2)
-                            if cj != q.elements[q.join_idx(q.index[c1], q.index[c2])]:
+                    if left not in homs[p, s]:
+                        violations.append(
+                            f"composite {left} of d={d}, e={ee} escapes hom({p},{s})"
+                        )
+    for (p, r), hom in homs.items():
+        for d in hom:
+            if composites(p, d, p)[0] != d:
+                violations.append(f"identity {p} not neutral below {d}:{p}->{r}")
+            if composites(r, r, d)[0] != d:
+                violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
+    # associativity over composable triples
+    for (p, r), hom in homs.items():
+        for s in els:
+            for t_ in els:
+                for d in hom:
+                    for ee in homs[r, s]:
+                        ed = composites(r, ee, d)[0]
+                        for g in homs[s, t_]:
+                            a1 = composites(s, g, ed)[0]
+                            a2 = composites(r, composites(s, g, ee)[0], d)[0]
+                            if a1 != a2:
                                 violations.append(
-                                    f"composition does not preserve join of "
-                                    f"{d1},{d2} under e={ee}"
+                                    f"composition not associative at "
+                                    f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
                                 )
+    # join preservation inside hom-sets, and bottom preservation
+    bot = els[q.bottom_idx]
+    for (p, r), hom in homs.items():
+        if bot not in hom:
+            violations.append(f"bottom missing from hom({p},{r})")
+        for s in els:
+            for ee in homs[r, s]:
+                if composites(r, ee, bot)[0] != bot:
+                    violations.append(f"composition with bottom not bottom for e={ee}")
+        for i1, d1 in enumerate(hom):
+            for d2 in hom[i1 + 1:]:
+                jl = els[q.joins[ix[d1]][ix[d2]]]
+                if jl not in hom:
+                    join_gaps.append(
+                        f"join {jl} of diagonals {d1},{d2} in hom({p},{r}) is not a diagonal"
+                    )
+                    continue
+                for s in els:
+                    for ee in homs[r, s]:
+                        cj = composites(r, ee, jl)[0]
+                        c1 = composites(r, ee, d1)[0]
+                        c2 = composites(r, ee, d2)[0]
+                        if cj != els[q.joins[ix[c1]][ix[c2]]]:
+                            violations.append(
+                                f"composition does not preserve join of {d1},{d2} under e={ee}"
+                            )
     return QuantaloidReport(not violations, tuple(violations), tuple(join_gaps))
 
 
@@ -336,25 +342,29 @@ def check_downset_equality(q: FiniteQuantale) -> DownsetReport:
     checked exhaustively (b <= a implies a * (a -> b) = b).
     """
     divisible = all(q.divides(a, b) for a in q.elements for b in q.elements if q.below(b, a))
-    mismatches = []
-    for p in q.elements:
-        for r in q.elements:
-            hom = {q.index[d] for d in diag_homset(q, p, r).members}
-            down = set(q.downset(q.meet_idx(q.index[p], q.index[r])))
-            if hom != down:
-                mismatches.append((p, r))
-    return DownsetReport(divisible, tuple(mismatches))
+    ix = q.index
+    mismatches = tuple(
+        (p, r) for (p, r), hom in q.homs.items()
+        if {ix[d] for d in hom} != q.downset(q.meets[ix[p]][ix[r]])
+    )
+    return DownsetReport(divisible, mismatches)
 
 
 # ---------------------------------------------------------------------------
 # builders and serialisation
 
+def _chain(labels: tuple[str, ...], times) -> FiniteQuantale:
+    """Chain ordered by position, unit on top, with labels[times(i, j)] as
+    the product of the i-th and j-th elements."""
+    r = range(len(labels))
+    leq = tuple(tuple(i <= j for j in r) for i in r)
+    mult = tuple(tuple(labels[times(i, j)] for j in r) for i in r)
+    return FiniteQuantale(tuple(labels), leq, mult, labels[-1])
+
+
 def chain_with_min(labels: tuple[str, ...]) -> FiniteQuantale:
     """Chain ordered by position with meet as multiplication."""
-    n = len(labels)
-    leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
-    mult = tuple(tuple(labels[min(i, j)] for j in range(n)) for i in range(n))
-    return FiniteQuantale(tuple(labels), leq, mult, labels[-1])
+    return _chain(labels, min)
 
 
 def lukasiewicz_chain(n: int) -> FiniteQuantale:
@@ -362,28 +372,13 @@ def lukasiewicz_chain(n: int) -> FiniteQuantale:
     if n < 2:
         raise ValueError("need at least two elements")
     labels = tuple(format_scalar(Fraction(i, n - 1)) for i in range(n))
-    leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
-    mult = tuple(
-        tuple(labels[max(0, i + j - (n - 1))] for j in range(n)) for i in range(n)
-    )
-    return FiniteQuantale(labels, leq, mult, labels[-1])
+    return _chain(labels, lambda i, j: max(0, i + j - (n - 1)))
 
 
 def drastic_chain(labels: tuple[str, str, str, str] = ("0", "a", "b", "1")) -> FiniteQuantale:
     """Four-element chain with the drastic product: x * y = 0 unless one
     argument is the unit.  A valid quantale that is not divisible."""
-    n = 4
-    leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
-
-    def prod(i, j):
-        if i == n - 1:
-            return labels[j]
-        if j == n - 1:
-            return labels[i]
-        return labels[0]
-
-    mult = tuple(tuple(prod(i, j) for j in range(n)) for i in range(n))
-    return FiniteQuantale(tuple(labels), leq, mult, labels[-1])
+    return _chain(labels, lambda i, j: j if i == 3 else i if j == 3 else 0)
 
 
 def quantale_to_dict(q: FiniteQuantale) -> dict:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -14,6 +17,7 @@ from ddquant import (
     verify_quantaloid_laws,
 )
 from ddquant.finiteq import chain_with_min, load_quantale, quantale_from_dict, quantale_to_dict
+from ddquant.values import ValueQuantale
 
 
 def test_malformed_tables_rejected():
@@ -145,7 +149,65 @@ def test_quantaloid_laws_residuate_each_pair_once(build, monkeypatch):
         return original(q, a, b)
 
     monkeypatch.setattr(finiteq, "residuate", spy)
+    composed, homsets = Counter(), Counter()
+    composites, homset = ValueQuantale.composites, finiteq.diag_homset
+
+    def composites_spy(self, mid, e, d):
+        composed[mid, e, d] += 1
+        return composites(self, mid, e, d)
+
+    def homset_spy(q, p, r):
+        homsets[p, r] += 1
+        return homset(q, p, r)
+
+    monkeypatch.setattr(ValueQuantale, "composites", composites_spy)
+    monkeypatch.setattr(finiteq, "diag_homset", homset_spy)
     q = build()
     assert verify_quantaloid_laws(q).ok
     check_downset_equality(q)
     assert calls and max(calls.values()) == 1
+    assert composed and max(composed.values()) == 1
+    assert len(homsets) == len(q.elements) ** 2 and max(homsets.values()) == 1
+
+
+# The chain 0 < a < 1 with unit 1 and a non-commutative product: it fails
+# the quantaloid laws 23 times.
+_FAILING = FiniteQuantale(
+    ("0", "a", "1"),
+    ((True, True, True), (False, True, True), (False, False, True)),
+    (("0", "0", "0"), ("0", "0", "a"), ("0", "0", "1")),
+    "1",
+)
+
+
+def test_law_report_order_does_not_depend_on_hash_seed():
+    script = (
+        "import json, sys\n"
+        "from ddquant.finiteq import quantale_from_dict, verify_quantaloid_laws\n"
+        "r = verify_quantaloid_laws(quantale_from_dict(json.loads(sys.argv[1])))\n"
+        "print(json.dumps([r.violations, r.join_gaps]))\n"
+    )
+    table = json.dumps(quantale_to_dict(_FAILING))
+    outputs = []
+    for seed in ("0", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, table],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(json.loads(outputs[0])[0]) == 23
+    assert outputs[0] == outputs[1]
+
+
+def test_residuate_without_candidates_asks_for_validation():
+    # every product is the top, so nothing multiplies a below 0
+    q = FiniteQuantale(_FAILING.elements, _FAILING.leq, (("1",) * 3,) * 3, "1")
+    with pytest.raises(ValueError, match="validate first"):
+        residuate(q, "a", "0")
+    with pytest.raises(ValueError, match="validate first"):
+        q.divides("a", "0")
+    with pytest.raises(ValueError, match="validate first"):
+        diag_homset(q, "a", "0")
+    with pytest.raises(ValueError, match="validate first"):
+        verify_quantaloid_laws(q)
