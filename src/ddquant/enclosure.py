@@ -8,6 +8,10 @@ rigorous two-sided bounds, and a one-sided bound suffices to certify that a
 target is NOT divisible by the function.  Absence of a certificate at a
 given resolution is inconclusive and is reported as such, never as a
 divisibility claim.
+
+A bracket takes the cell-end values of each segment as v1 + j (v2 - v1) / n,
+left ends below and right ends above; a certificate is read off the first
+step of the target above the upper bound, found by `Staircase.leq`'s scan.
 """
 
 from __future__ import annotations
@@ -106,19 +110,12 @@ def bracket(f: PiecewiseLinear, n: int) -> Enclosure:
     """
     if n < 1:
         raise DomainError("resolution must be at least 1")
-    lower_pts: list[tuple[Fraction, Fraction]] = []
-    upper_pts: list[tuple[Fraction, Fraction]] = []
-    for (t1, _), (t2, _) in zip(f.knots, f.knots[1:]):
-        width = (t2 - t1) / n
-        for j in range(n):
-            left = t1 + j * width
-            right = left + width
-            lower_pts.append((left, f(left)))
-            upper_pts.append((left, f(right)))
-    # constant tail after the last knot
-    tail_t, tail_v = f.knots[-1]
-    lower_pts.append((tail_t, tail_v))
-    upper_pts.append((tail_t, tail_v))
+    lower_pts, upper_pts = [f.knots[-1]], [f.knots[-1]]  # the constant tail
+    for (t1, v1), (t2, v2) in zip(f.knots, f.knots[1:]):
+        ts = [t1 + j * (t2 - t1) / n for j in range(n)]
+        vs = [v1 + j * (v2 - v1) / n for j in range(n + 1)]
+        lower_pts += zip(ts, vs)
+        upper_pts += zip(ts, vs[1:])
     return Enclosure(envelope(lower_pts), envelope(upper_pts))
 
 
@@ -162,11 +159,10 @@ def certify_not_divisible(
     about divisibility.
     """
     upper = divisibility_upper_bound(t, f, xi, n)
-    cuts = sorted({*upper.jumps, *xi.jumps})
-    for k, b in enumerate(cuts):
-        uv = upper.value_after(b)
-        xv = xi.value_after(b)
-        if uv < xv:
-            witness = (b + cuts[k + 1]) / 2 if k + 1 < len(cuts) else b + 1
-            return Certificate(witness, xv - uv)
-    return None
+    # The bound is monotone, so it first falls below xi just after a jump of xi.
+    if (found := xi._first_above(upper)) is None:
+        return None
+    i, k = found
+    p, later = xi.jumps[i], xi.jumps[i + 1:i + 2] + upper.jumps[k:k + 1]
+    witness = (p + min(later)) / 2 if later else p + 1
+    return Certificate(witness, xi.levels[i] - (upper.levels[k - 1] if k else ZERO))

@@ -1,5 +1,5 @@
-"""Shared exception types for the package, and the JSON file reader that
-maps every decoding failure onto ValueError."""
+"""Shared exception types for the package, the JSON file reader that maps
+every decoding failure onto ValueError, and the shape test its decoders share."""
 
 import json
 from pathlib import Path
@@ -43,3 +43,10 @@ def read_json(path: str | Path):
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _rows_of(value, ok) -> bool:
+    """Whether a decoded value is a list of rows (lists) whose entries pass ok."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(ok(v) for v in row) for row in value
+    )

@@ -10,7 +10,8 @@ lookup, which makes it an oracle independent of the staircase machinery.
 A table computes its join and meet tables and its diagonal hom-sets once,
 and every check reads them.  Hom-set members, and so the violations the
 law check reports, come in element order.  `residuate` raises ValueError
-on a table that is not a lattice or where no r has a * r <= b.
+on a table that is not a lattice or where no r has a * r <= b, and the law
+and downset checks on a table that is not a lattice.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cache, cached_property
 from pathlib import Path
 
 from .axis import format_scalar
-from .errors import read_json
+from .errors import _rows_of, read_json
 from .values import ValueQuantale
 
 
@@ -219,6 +220,13 @@ def residuate(q: FiniteQuantale, a: str, b: str) -> str:
     return q.elements[best]
 
 
+def _require_lattice(q: FiniteQuantale) -> None:
+    """Raise residuate's ValueError unless the table has a bottom and every
+    join and meet."""
+    if q.bottom_idx is None or any(None in row for row in q.joins + q.meets):
+        raise ValueError("carrier is not a lattice; validate first")
+
+
 @dataclass(frozen=True)
 class DiagonalHomset:
     source: str
@@ -251,6 +259,7 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
     join is not itself a diagonal are flagged, not failed.  Each composite
     is computed once.
     """
+    _require_lattice(q)
     violations: list[str] = []
     join_gaps: list[str] = []
     els, homs, ix = q.elements, q.homs, q.index
@@ -281,17 +290,25 @@ def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
                 violations.append(f"identity {p} not neutral below {d}:{p}->{r}")
             if composites(r, r, d)[0] != d:
                 violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
-    # associativity over composable triples
-    for (p, r), hom in homs.items():
+    # associativity over composable triples: the composites depend on
+    # (r, s, d, e, g) alone, so each is checked once, and p and t only name
+    # a failure in its messages
+    into = {r: {d for p in els for d in homs[p, r]} for r in els}
+    out_of = {s: {g for t_ in els for g in homs[s, t_]} for s in els}
+    broken = {
+        (r, s, d, ee, g)
+        for r in els for s in els for d in into[r] for ee in homs[r, s] for g in out_of[s]
+        if composites(s, g, composites(r, ee, d)[0])[0]
+        != composites(r, composites(s, g, ee)[0], d)[0]
+    }
+    # the full loop, for its message order, only where a check failed
+    for (p, r), hom in homs.items() if broken else ():
         for s in els:
             for t_ in els:
                 for d in hom:
                     for ee in homs[r, s]:
-                        ed = composites(r, ee, d)[0]
                         for g in homs[s, t_]:
-                            a1 = composites(s, g, ed)[0]
-                            a2 = composites(r, composites(s, g, ee)[0], d)[0]
-                            if a1 != a2:
+                            if (r, s, d, ee, g) in broken:
                                 violations.append(
                                     f"composition not associative at "
                                     f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
@@ -341,6 +358,7 @@ def check_downset_equality(q: FiniteQuantale) -> DownsetReport:
     In a divisible quantale the two agree for every pair; divisibility is
     checked exhaustively (b <= a implies a * (a -> b) = b).
     """
+    _require_lattice(q)
     divisible = all(q.divides(a, b) for a in q.elements for b in q.elements if q.below(b, a))
     ix = q.index
     mismatches = tuple(
@@ -388,12 +406,6 @@ def quantale_to_dict(q: FiniteQuantale) -> dict:
         "mult": [list(row) for row in q.mult],
         "unit": q.unit,
     }
-
-
-def _rows_of(value, ok) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(row, list) and all(ok(v) for v in row) for row in value
-    )
 
 
 def quantale_from_dict(data: dict) -> FiniteQuantale:

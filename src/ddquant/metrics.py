@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .axis import Time, ensure_time, format_scalar, parse_scalar, plus_implies, time_add
-from .errors import ParseError, PreconditionError, read_json
+from .errors import ParseError, PreconditionError, _rows_of, read_json
 from .staircase import Staircase, parse_staircase
 from .tnorms import TNorm, format_tnorm, parse_tnorm
 from .values import NUMERIC, Staircases
@@ -358,10 +358,7 @@ def instance_from_dict(data: dict) -> ParMetInstance | ProbParMetInstance:
         raise ValueError(f"missing field in instance: {exc}") from exc
     if not (isinstance(points, list) and all(isinstance(p, str) for p in points)):
         raise ValueError("instance field 'points' must be a list of strings")
-    if not (
-        isinstance(rows, list)
-        and all(isinstance(row, list) and all(isinstance(v, str) for v in row) for row in rows)
-    ):
+    if not _rows_of(rows, lambda v: isinstance(v, str)):
         raise ValueError("instance field 'dist' must be a list of rows of strings")
     points = tuple(points)
     if "tnorm" in data:

@@ -121,16 +121,20 @@ class Staircase:
         return self.levels[idx - 1] if idx else ZERO
 
     def leq(self, other: "Staircase") -> bool:
-        # On each cell (p_i, p_{i+1}] this function equals a_i while the
-        # other attains its infimum just above p_i.
+        return self._first_above(other) is None
+
+    def _first_above(self, other: "Staircase") -> tuple[int, int] | None:
+        """(i, k) for the first step i of self above other, where k counts
+        the jumps of other at or below p_i: on the cell (p_i, p_{i+1}] other
+        is least just after p_i.  None when self <= other."""
         jd, ld = lcm(self.jd, other.jd), lcm(self.ld, other.ld)
         js, ls = self._scaled(jd, ld)
         jo, lo = other._scaled(jd, ld)
-        for p, a in zip(js, ls):
+        for i, (p, a) in enumerate(zip(js, ls)):
             k = bisect_right(jo, p)  # steps of other at or below p
             if not k or lo[k - 1] < a:
-                return False
-        return True
+                return i, k
+        return None
 
     def join(self, other: "Staircase") -> "Staircase":
         return join_all((self, other))

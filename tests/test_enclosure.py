@@ -22,7 +22,7 @@ from ddquant import (
     parse_linear,
     residual,
 )
-from util import TNORMS, rand_staircase
+from util import TNORMS, bracket_oracle, certify_oracle, rand_linear, rand_staircase
 
 F = Fraction
 
@@ -145,3 +145,44 @@ def test_divisible_shape_is_inconclusive_at_every_resolution():
         # so the scan finds no violating cell
         xi = bracket(RAMP, n).lower
         assert certify_not_divisible(MIN, RAMP, xi, n) is None
+
+
+def _boundary_staircase(rng: random.Random, f: PiecewiseLinear, n: int) -> Staircase:
+    """A staircase of 0 to 4 steps whose jumps sit on cell ends of bracket(f, n)."""
+    ends = sorted(
+        {t1 + j * (t2 - t1) / n for (t1, _), (t2, _) in zip(f.knots, f.knots[1:])
+         for j in range(n + 1)} or {F(0)}
+    )
+    m = rng.randrange(0, min(4, len(ends)) + 1)
+    levels = sorted(rng.sample([F(k, 12) for k in range(1, 13)], m))
+    return Staircase(tuple(zip(sorted(rng.sample(ends, m)), levels)))
+
+
+def _differential_cases(seed: int, count: int):
+    """(f, n, xi): maps of 1-4 knots, resolutions 1-16, and xi either
+    random (bottom included) or jumping on cell ends."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = rand_linear(rng)
+        n = rng.randrange(1, 17)
+        if rng.random() < 0.5:
+            xi = rand_staircase(rng, max_steps=5)
+        else:
+            xi = _boundary_staircase(rng, f, n)
+        yield f, n, xi
+
+
+def test_bracket_matches_cell_by_cell_oracle():
+    for f, n, _ in _differential_cases(61, 2000):
+        assert bracket(f, n) == bracket_oracle(f, n), (str(f), n)
+
+
+@pytest.mark.parametrize("name,t", TNORMS)
+def test_certify_matches_merged_cut_oracle(name, t):
+    certified = 0
+    for f, n, xi in _differential_cases(62, 500):
+        cert = certify_not_divisible(t, f, xi, n)
+        assert cert == certify_oracle(t, f, xi, n), (str(f), n, str(xi))
+        certified += cert is not None
+    # both outcomes are exercised
+    assert 0 < certified < 500

@@ -211,3 +211,34 @@ def test_residuate_without_candidates_asks_for_validation():
         diag_homset(q, "a", "0")
     with pytest.raises(ValueError, match="validate first"):
         verify_quantaloid_laws(q)
+    # e0 and e2 have no meet, so there is no bottom either: both checks
+    # stop before they look one up
+    els = ("e0", "e1", "e2", "e3")
+    broken = FiniteQuantale(
+        els,
+        ((1, 1, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)),
+        (("e2", "e0", "e2", "e1"), ("e2", "e0", "e1", "e2"),
+         ("e2", "e0", "e0", "e3"), ("e3", "e0", "e2", "e0")),
+        "e3",
+    )
+    for check in (verify_quantaloid_laws, check_downset_equality):
+        with pytest.raises(ValueError, match="not a lattice; validate first"):
+            check(broken)
+
+
+def test_associativity_violations_keep_their_messages_and_order():
+    # each (r, s, d, e, g) is checked once; its messages still name every
+    # (p, t) around it, in loop order
+    els = ("e0", "e1", "e2")
+    q = FiniteQuantale(
+        els,
+        tuple(tuple(i <= j for j in range(3)) for i in range(3)),
+        (("e2", "e0", "e1"), ("e2", "e2", "e0"), ("e0", "e1", "e0")),
+        "e2",
+    )
+    report = verify_quantaloid_laws(q)
+    assoc = [v for v in report.violations if "associative" in v]
+    assert len(report.violations) == 129
+    assert len(assoc) == 61
+    assert assoc[0] == "composition not associative at (e0,e0,e1) over (e0,e0,e0,e0)"
+    assert assoc[-1] == "composition not associative at (e0,e0,e0) over (e2,e2,e0,e2)"

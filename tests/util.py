@@ -14,8 +14,14 @@ from ddquant import (
     LUK,
     MIN,
     PROD,
+    Certificate,
+    Enclosure,
+    PiecewiseLinear,
     Staircase,
     TNorm,
+    convolve,
+    envelope,
+    implication,
     parse_tnorm,
 )
 from ddquant.axis import Time, is_infinite, time_add
@@ -150,6 +156,49 @@ def imp_point_oracle(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Fract
     for s in shifts:
         best = max(best, _largest_shift_level(t, phi, xi, s))
     return best
+
+
+# ---------------------------------------------------------------------------
+# enclosures, cell by cell
+
+def rand_linear(rng: random.Random, max_knots: int = 4) -> PiecewiseLinear:
+    """1 to max_knots knots; equal neighbouring values give zero-slope segments."""
+    k = rng.randrange(1, max_knots + 1)
+    times = [Fraction(0)] + sorted(rng.sample([Fraction(j, 4) for j in range(1, 17)], k - 1))
+    values = sorted(
+        [Fraction(0)] + [rng.choice([Fraction(j, 6) for j in range(7)]) for _ in range(k - 1)]
+    )
+    return PiecewiseLinear(tuple(zip(times, values)))
+
+
+def bracket_oracle(f: PiecewiseLinear, n: int) -> Enclosure:
+    """The bracket by evaluating f at both ends of every cell: the lower
+    staircase takes each cell's left value, the upper its right value."""
+    lower, upper = [], []
+    for (t1, _), (t2, _) in zip(f.knots, f.knots[1:]):
+        width = (t2 - t1) / n
+        for j in range(n):
+            left = t1 + j * width
+            lower.append((left, f(left)))
+            upper.append((left, f(left + width)))
+    lower.append(f.knots[-1])
+    upper.append(f.knots[-1])
+    return Enclosure(envelope(lower), envelope(upper))
+
+
+def certify_oracle(t: TNorm, f: PiecewiseLinear, xi: Staircase, n: int) -> Certificate | None:
+    """The first cut, over the merged jumps of xi and of the upper bound,
+    just after which the bound lies below xi: the gap there, and the
+    midpoint to the next cut (or the cut + 1) as witness."""
+    enc = bracket_oracle(f, n)
+    upper = convolve(t, enc.upper, implication(t, enc.lower, xi))
+    cuts = sorted({*upper.jumps, *xi.jumps})
+    for k, b in enumerate(cuts):
+        uv, xv = upper.value_after(b), xi.value_after(b)
+        if uv < xv:
+            witness = (b + cuts[k + 1]) / 2 if k + 1 < len(cuts) else b + 1
+            return Certificate(witness, xv - uv)
+    return None
 
 
 # ---------------------------------------------------------------------------
