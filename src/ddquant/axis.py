@@ -15,13 +15,16 @@ Every text form of the package (scalars, `steps[...]`, `ordinal[...]`,
 next to `format_scalar`.  A rational is digits or digits/digits with a
 nonzero denominator, a scalar is a rational or `inf`, names are ASCII
 letters, and whitespace may sit between any two tokens.  Decimals, signs,
-exponents and underscores are not part of it.
+exponents and underscores are not part of it.  Numbers are read as their
+(numerator, denominator) int pairs as spelled: `_Reader.ratio` hands them
+on to the staircase builder, `scalar` and `rational` make `Fraction`s.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import DomainError, ParseError
@@ -148,11 +151,13 @@ def plus_implies(p: Time, q: Time) -> Time:
 
 def format_scalar(v: Time) -> str:
     """Canonical text: integers bare, other rationals as num/den, inf as inf."""
-    if v is INF:
-        return "inf"
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    return "inf" if v is INF else format_ratio(v.numerator, v.denominator)
+
+
+def format_ratio(n: int, d: int) -> str:
+    """The canonical text of n/d for ints n and d > 0, without a Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def parse_scalar(text: str) -> Time:
@@ -168,7 +173,8 @@ _LEXEME = re.compile(r"\s*(?:([A-Za-z]+|[()\[\],])|([0-9]+)(?:/([0-9]*))?|(\S))"
 
 def _lex(text: str) -> list[tuple[object, int]]:
     """(value, column) pairs ending in (None, len(text)); a value is a
-    Fraction, a name or a punctuation character."""
+    number's (numerator, denominator) int pair, a name or a punctuation
+    character."""
     tokens: list[tuple[object, int]] = []
     for m in _LEXEME.finditer(text):
         if m.lastindex == 1:
@@ -180,11 +186,11 @@ def _lex(text: str) -> list[tuple[object, int]]:
         if den == "":
             raise ParseError("expected denominator digits", m.end())
         try:
-            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            value = (int(num), int(den) if den else 1)
         except ValueError:  # more digits than int() converts
             raise ParseError("number has too many digits", m.start(2)) from None
-        except ZeroDivisionError:
-            raise ParseError("zero denominator", m.start(2)) from None
+        if not value[1]:
+            raise ParseError("zero denominator", m.start(2))
         tokens.append((value, m.start(2)))
     tokens.append((None, len(text)))
     return tokens
@@ -193,7 +199,7 @@ def _lex(text: str) -> list[tuple[object, int]]:
 def _shown(value) -> str:
     if value is None:
         return "end of input"
-    return repr(format_scalar(value) if type(value) is Fraction else value)
+    return repr(format_ratio(*value) if type(value) is tuple else value)
 
 
 class _Reader:
@@ -226,18 +232,22 @@ class _Reader:
         return got
 
     def scalar(self) -> Time:
-        got = self.take()
-        if type(got) is Fraction:
-            return got
-        if got == "inf":
+        if self.peek() == "inf":
+            self.take()
             return INF
-        raise ParseError(f"expected a rational or inf, got {_shown(got)}", self.column)
+        return self.rational()
 
     def rational(self) -> Fraction:
-        got = self.scalar()
-        if got is INF:
+        return Fraction(*self.ratio())
+
+    def ratio(self) -> tuple[int, int]:
+        """A finite rational as its (numerator, denominator) pair as spelled."""
+        got = self.take()
+        if type(got) is tuple:
+            return got
+        if got == "inf":
             raise ParseError("literal entries must be finite, got 'inf'", self.column)
-        return got
+        raise ParseError(f"expected a rational or inf, got {_shown(got)}", self.column)
 
     def tuples(self, make, what: str, *fields):
         """Read `[(f1,f2,...),...]`, each field by its reader method, and

@@ -225,12 +225,19 @@ _DISPATCH = {
 }
 
 
+# Largest --resolution and --grid: time and memory grow linearly with them.
+_MAX_RESOLUTION = 2**16
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        if getattr(ns, "resolution", 1) < 1:
+        resolution = getattr(ns, "resolution", 1)
+        if resolution < 1:
             raise ValueError("resolution must be at least 1")
+        if resolution > _MAX_RESOLUTION:
+            raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}")
         return _DISPATCH[ns.command](ns)
     except (DdqError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,12 @@ target is NOT divisible by the function.  Absence of a certificate at a
 given resolution is inconclusive and is reported as such, never as a
 divisibility claim.
 
-A bracket takes the cell-end values of each segment as v1 + j (v2 - v1) / n,
-left ends below and right ends above; a certificate is read off the first
-step of the target above the upper bound, found by `Staircase.leq`'s scan.
+A bracket takes the cell ends of each segment as t1 + j (t2 - t1) / n and
+v1 + j (v2 - v1) / n, left values below and right values above, on
+integers: times over n times the lcm of the knot time denominators and
+values over n times that of the knot value denominators, where every cell
+end is an integer.  A certificate is read off the first step of the target
+above the upper bound, found by `Staircase.leq`'s scan.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .axis import ONE, ZERO, Time, _Reader, _as_rational, format_scalar, is_infinite
 from .errors import DomainError
 from .quantale import convolve, implication
-from .staircase import Staircase, envelope
+from .staircase import Staircase, _from_candidates
 from .tnorms import TNorm
 
 Knot = tuple[Fraction, Fraction]
@@ -110,13 +114,19 @@ def bracket(f: PiecewiseLinear, n: int) -> Enclosure:
     """
     if n < 1:
         raise DomainError("resolution must be at least 1")
-    lower_pts, upper_pts = [f.knots[-1]], [f.knots[-1]]  # the constant tail
-    for (t1, v1), (t2, v2) in zip(f.knots, f.knots[1:]):
-        ts = [t1 + j * (t2 - t1) / n for j in range(n)]
-        vs = [v1 + j * (v2 - v1) / n for j in range(n + 1)]
-        lower_pts += zip(ts, vs)
-        upper_pts += zip(ts, vs[1:])
-    return Enclosure(envelope(lower_pts), envelope(upper_pts))
+    td = lcm(*(t.denominator for t, _ in f.knots)) * n
+    vd = lcm(*(v.denominator for _, v in f.knots)) * n
+    knots = [(t.numerator * (td // t.denominator), v.numerator * (vd // v.denominator))
+             for t, v in f.knots]
+    lower, upper = [], []
+    for (t1, v1), (t2, v2) in zip(knots, knots[1:]):
+        ts, dv = range(t1, t2, (t2 - t1) // n), (v2 - v1) // n
+        vs = range(v1, v2 + 1, dv) if dv else [v1] * (n + 1)
+        lower += zip(ts, vs)
+        upper += zip(ts, vs[1:])
+    lower.append(knots[-1])  # the constant tail
+    upper.append(knots[-1])
+    return Enclosure(_from_candidates(lower, td, vd), _from_candidates(upper, td, vd))
 
 
 def bound_convolve(t: TNorm, e1: Enclosure, e2: Enclosure) -> Enclosure:

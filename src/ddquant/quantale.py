@@ -37,12 +37,10 @@ from .axis import ZERO, Time, _as_rational, ensure_time, is_infinite
 from .errors import DomainError
 from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, envelope, meet_all
 from .staircase import _from_candidates, _meet_costeps
-from .tnorms import LUK, MIN, PROD, PRODUCT_KIND, TNorm
+from .tnorms import PRODUCT_KIND, TNorm
 
 _FAST_CUTOFF = 48
 _INT64_LIMIT = 2**62
-# The t-norms the numpy kernel implements.
-_FAST_TAGS = {MIN: "min", PROD: "prod", LUK: "luk"}
 
 
 class _Scaled(NamedTuple):
@@ -65,9 +63,9 @@ class _Scaled(NamedTuple):
 
 
 def _scale(t: TNorm, phi: Staircase, psi: Staircase) -> _Scaled:
-    jd = lcm(phi.jd, psi.jd)
-    ld = lcm(phi.ld, psi.ld, *(e.denominator for pc in t.pieces for e in (pc.lo, pc.hi)))
-    bounds = [(int(pc.lo * ld), int(pc.hi * ld), pc.kind) for pc in t.pieces]
+    td, pieces = t._int_pieces
+    jd, ld = lcm(phi.jd, psi.jd), lcm(phi.ld, psi.ld, td)
+    bounds = [(lo * (ld // td), hi * (ld // td), kind) for lo, hi, kind in pieces]
     m = lcm(*(hi - lo for lo, hi, kind in bounds if kind == PRODUCT_KIND))
     return _Scaled(
         jd,
@@ -101,7 +99,7 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     if not phi.js or not psi.js:
         return BOTTOM
     s = _scale(t, phi, psi)
-    tag = _FAST_TAGS.get(t)
+    tag = t._name  # the numpy kernel implements min, prod and luk
     if (
         tag is not None
         and len(s.j1) * len(s.j2) >= _FAST_CUTOFF

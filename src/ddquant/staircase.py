@@ -10,11 +10,13 @@ No steps is the bottom distribution (constant 0).
 
 A `Staircase` holds integers: jump numerators over one denominator and
 level numerators over another, each image reduced, so equal functions have
-equal state.  Equality, hashing, `leq` and the construction checks in
-`__post_init__`, which every constructor runs, work on them; `steps`,
-`jumps` and `levels` are `Fraction` views built when first read.  The
-kernels, `envelope` and `meet_all` build their results in one canonical
-sweep over integer candidates, `_from_candidates`.
+equal state.  Equality, hashing, `leq`, printing and the construction
+checks in `__post_init__`, which every constructor runs, work on them;
+`steps`, `jumps` and `levels` are `Fraction` views built when first read.
+`Staircase(steps)` and the `steps[...]` reader, whose numbers are
+(numerator, denominator) int pairs as spelled, share one image builder,
+`_from_ratios`.  The kernels, `envelope` and `meet_all` build their
+results in one canonical sweep over integer candidates, `_from_candidates`.
 
 `MonotoneStep` drops the normalisation: it represents an arbitrary monotone
 step map, with explicit values at breakpoints, on the open cells between
@@ -33,31 +35,47 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Sequence
 
-from .axis import INF, ONE, ZERO, Time, _as_rational, _Reader, ensure_time, format_scalar
+from .axis import INF, ONE, ZERO, Time, _as_rational, _Reader, ensure_time, format_ratio
 from .axis import is_infinite
 from .errors import DomainError
 
 Step = tuple[Fraction, Fraction]
+Ratio = tuple[int, int]
 
 
-def _images(points: Iterable[Step]) -> tuple[int, int, list[tuple[int, int]]]:
-    """(jd, ld, pairs): the points as integer (jump, level) pairs over
-    common denominators jd and ld."""
+def _ratios(points: Iterable[Step]) -> list[tuple[Ratio, Ratio]]:
+    """(jump, level) pairs of ints or Fractions as pairs of (numerator,
+    denominator) int pairs."""
     pts = [(_as_rational(p), _as_rational(a)) for p, a in points]
-    jd = lcm(*(p.denominator for p, _ in pts))
-    ld = lcm(*(a.denominator for _, a in pts))
-    return jd, ld, [
-        (p.numerator * (jd // p.denominator), a.numerator * (ld // a.denominator))
-        for p, a in pts
-    ]
+    return [((p.numerator, p.denominator), (a.numerator, a.denominator)) for p, a in pts]
+
+
+def _images(points: Sequence[tuple[Ratio, Ratio]]) -> tuple[int, int, list[tuple[int, int]]]:
+    """(jd, ld, pairs): (jump, level) pairs of (numerator, denominator) int
+    pairs as integer (jump, level) pairs over common denominators jd and ld,
+    the lcms of the denominators."""
+    jd = lcm(*(d for (_, d), _ in points))
+    ld = lcm(*(d for _, (_, d) in points))
+    return jd, ld, [(p * (jd // e), a * (ld // d)) for (p, e), (a, d) in points]
+
+
+def _from_ratios(points: Sequence[tuple[Ratio, Ratio]], sc: Staircase | None = None) -> Staircase:
+    """The staircase of (jump, level) pairs of (numerator, denominator) int
+    pairs, such as the `steps[...]` reader's; it fills sc when given."""
+    sc = Staircase.__new__(Staircase) if sc is None else sc
+    jd, ld, pts = _images(points)
+    vars(sc).update(jd=jd, ld=ld, js=[p for p, _ in pts], ls=[a for _, a in pts])
+    sc.__post_init__()
+    return sc
 
 
 @dataclass(frozen=True, init=False)
 class Staircase:
     """A canonical staircase: jump k is js[k] / jd and level k is ls[k] / ld.
 
-    `Staircase(steps)` takes (jump, level) pairs of ints or Fractions and
-    `_from_candidates` integer images; both end in `__post_init__`.
+    `Staircase(steps)` takes (jump, level) pairs of ints or Fractions,
+    `_from_ratios` pairs of (numerator, denominator) int pairs and
+    `_from_candidates` integer images; all end in `__post_init__`.
     """
 
     jd: int
@@ -66,9 +84,7 @@ class Staircase:
     ls: tuple[int, ...]
 
     def __init__(self, steps: Iterable[Step] = ()):
-        jd, ld, pts = _images(steps)
-        vars(self).update(jd=jd, ld=ld, js=[p for p, _ in pts], ls=[a for _, a in pts])
-        self.__post_init__()
+        _from_ratios(_ratios(steps), self)
 
     def __post_init__(self):
         """Reduce both images and check the staircase conditions on them."""
@@ -199,7 +215,7 @@ def _from_candidates(cands: Iterable[tuple[int, int]], jd: int, ld: int) -> Stai
 
 def envelope(points: Iterable[Step]) -> Staircase:
     """Join of one-step functions: upper envelope of (jump, level) pairs."""
-    jd, ld, pts = _images(points)
+    jd, ld, pts = _images(_ratios(points))
     pts.sort()
     return _from_candidates(pts, jd, ld)
 
@@ -246,7 +262,9 @@ def _meet_costeps(costeps: list[tuple[int, int]], cap: int, jd: int, ld: int) ->
 
 
 def format_staircase(sc: Staircase) -> str:
-    body = ",".join(f"({format_scalar(p)},{format_scalar(a)})" for p, a in sc.steps)
+    """The canonical `steps[(p,a),...]` text, printed from the integer images."""
+    jd, ld = sc.jd, sc.ld
+    body = ",".join(f"({format_ratio(p, jd)},{format_ratio(a, ld)})" for p, a in zip(sc.js, sc.ls))
     return f"steps[{body}]"
 
 
@@ -259,7 +277,7 @@ def parse_staircase(text: str) -> Staircase:
 
 def _read_steps(r: _Reader) -> Staircase:
     """The `[(p,a),...]` body of a staircase literal."""
-    return r.tuples(Staircase, "staircase", r.rational, r.rational)
+    return r.tuples(_from_ratios, "staircase", r.ratio, r.ratio)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .axis import ONE, ZERO, _Reader, _as_rational, format_scalar
 from .errors import DomainError, ParseError
@@ -69,6 +71,18 @@ class TNorm:
                 raise DomainError("ordinal sum pieces must be disjoint and sorted")
             prev_hi = piece.hi
 
+    @cached_property
+    def _name(self) -> str | None:
+        """'min', 'prod' or 'luk' when the t-norm is one of those, else None."""
+        return next((name for name, t in _NAMED.items() if t == self), None)
+
+    @cached_property
+    def _int_pieces(self) -> tuple[int, tuple[tuple[int, int, str], ...]]:
+        """(D, pieces): each piece as (lo * D, hi * D, kind), D the lcm of
+        the endpoint denominators; the integer kernels rescale these."""
+        d = lcm(*(e.denominator for pc in self.pieces for e in (pc.lo, pc.hi)))
+        return d, tuple((int(pc.lo * d), int(pc.hi * d), pc.kind) for pc in self.pieces)
+
     def _piece_containing(self, low: Fraction, high: Fraction) -> Piece | None:
         # Closed-interval membership; values at shared endpoints agree on
         # both sides, so the first match is as good as any.
@@ -111,12 +125,8 @@ LUK = TNorm((Piece(ZERO, ONE, LUKASIEWICZ_KIND),))
 
 
 def format_tnorm(t: TNorm) -> str:
-    if not t.pieces:
-        return "min"
-    if t == PROD:
-        return "prod"
-    if t == LUK:
-        return "luk"
+    if t._name is not None:
+        return t._name
     body = ",".join(
         f"({format_scalar(p.lo)},{format_scalar(p.hi)},{p.kind})" for p in t.pieces
     )

@@ -72,6 +72,22 @@ def test_diag_golden_not_divisible(capsys):
     assert out == golden("diag_min.txt")
 
 
+def test_diag_golden_ordinal_unreduced_literals(capsys):
+    # Literals spelled with unreduced fractions, under an ordinal sum.
+    code, out, _ = run_cli(
+        capsys,
+        "diag",
+        "--tnorm",
+        "ordinal[(0,1/2,luk),(1/2,1,prod)]",
+        "--xi",
+        "steps[(1/3,2/10),(4/6,6/10),(5/2,1)]",
+        "--phi",
+        "steps[(0/7,2/4),(3/9,9/9)]",
+    )
+    assert code == 1
+    assert out == golden("diag_ordinal_mixed.txt")
+
+
 def test_diag_divisible_exits_zero(capsys):
     code, out, _ = run_cli(
         capsys, "diag", "--xi", "step(1,1/2)", "--phi", "step(0,1/2)"
@@ -147,6 +163,25 @@ def test_certify_golden(capsys):
     )
     assert code == 1
     assert out == golden("certify_ramp_min.txt")
+
+
+def test_certify_golden_prod_unreduced_literals(capsys):
+    # Knots and target spelled with unreduced fractions, cell ends on
+    # denominators that the knots do not share.
+    code, out, _ = run_cli(
+        capsys,
+        "certify",
+        "--tnorm",
+        "prod",
+        "--xi",
+        "steps[(6/4,14/20)]",
+        "--phi",
+        "linear[(0,0),(2/3,1/4),(7/5,1)]",
+        "--resolution",
+        "12",
+    )
+    assert code == 1
+    assert out == golden("certify_prod_mixed.txt")
 
 
 def test_certify_inconclusive_exits_two(capsys):
@@ -374,6 +409,15 @@ _BAD_LITERALS = {
     "tnorm-doubled-comma": ["eval", "--tnorm", "ordinal[(0,1/2,prod),,(1/2,1,luk)]", "step(1,1)"],
 }
 
+# Sizes past the resource budget: each would run for minutes and hold
+# gigabytes, so the budget turns them away before any work.
+_OVER_BUDGET = {
+    "grid-over-budget": ["export-samples", "--grid", "1000000000", "step(1,1)"],
+    "resolution-over-budget": [
+        "certify", "--xi", "step(1,1)", "--phi", "linear[(0,0),(1,1)]", "--resolution", "65537",
+    ],
+}
+
 
 # The one error line names where in the instance file the bad literal sits.
 _NAMED_PLACE = {
@@ -381,10 +425,14 @@ _NAMED_PLACE = {
     "numeric-entry-exponent": "error: dist[0][0] (x, x): ",
     "staircase-entry-off-diagonal": "error: dist[0][1] (x, y): expected ',', got '('",
     "instance-tnorm-doubled-comma": "error: tnorm: expected '(', got ','",
+    "grid-over-budget": "error: resolution must be at most 65536",
+    "resolution-over-budget": "error: resolution must be at most 65536",
 }
 
 
-@pytest.mark.parametrize("case", [*_MALFORMED, "deep-nesting", *_BAD_ARGS, *_BAD_LITERALS])
+@pytest.mark.parametrize(
+    "case", [*_MALFORMED, "deep-nesting", *_BAD_ARGS, *_BAD_LITERALS, *_OVER_BUDGET]
+)
 def test_malformed_input_exits_two_with_one_line(case, tmp_path):
     if case == "deep-nesting":
         argv = ["eval", "conv(" * 3000 + "step(1,1)" + ",step(0,1))" * 3000]
@@ -392,6 +440,8 @@ def test_malformed_input_exits_two_with_one_line(case, tmp_path):
         argv = _BAD_ARGS[case]
     elif case in _BAD_LITERALS:
         argv = _BAD_LITERALS[case]
+    elif case in _OVER_BUDGET:
+        argv = _OVER_BUDGET[case]
     else:
         command, text = _MALFORMED[case]
         path = tmp_path / "input.json"

@@ -4,15 +4,18 @@ reject the same scalars and the same punctuation."""
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from ddquant import (
     MIN,
     ParseError,
+    Staircase,
     evaluate,
     format_scalar,
     format_tnorm,
+    instance_from_dict,
     parse_expression,
     parse_linear,
     parse_scalar,
@@ -176,3 +179,63 @@ def test_staircase_literal_reads_alike_in_both_parsers():
     for _ in range(300):
         text = str(rand_staircase(rng, max_steps=12))
         assert parse_staircase(text) == evaluate(parse_expression(text), MIN)
+
+
+def _spell(rng, value: Fraction, used: set) -> str:
+    """value as k*p/k*q for a k that gives a denominator no other value of
+    the literal has; integers also as n/1 and zero also as 0/7."""
+    p, q = value.numerator, value.denominator
+    if q == 1 and rng.random() < 0.3 and q not in used:
+        used.add(1)
+        return f"{p}/1"
+    if p == 0 and 7 not in used and rng.random() < 0.5:
+        used.add(7)
+        return "0/7"
+    k = rng.randrange(1, 50)
+    while k * q in used:
+        k += 1
+    used.add(k * q)
+    return f"{k * p}/{k * q}"
+
+
+def _rand_literal(rng):
+    """(text, steps): an unreduced `steps[...]` spelling of random Fraction
+    steps, a different denominator on every value, some past 2**64."""
+    n = rng.randrange(0, 10)
+    dens = [rng.choice((1, 2, 3, 10, 2**64 + rng.randrange(1, 2**20))) for _ in range(2 * n)]
+    jumps = sorted({Fraction(rng.randrange(0, 6 * d), d) for d in dens[:n]})
+    levels = sorted({Fraction(rng.randrange(1, d + 1), d) for d in dens[n:]})
+    steps = list(zip(jumps, levels))
+    used: set = set()
+    body = ",".join(f"({_spell(rng, p, used)},{_spell(rng, a, used)})" for p, a in steps)
+    return f"steps[{body}]", steps
+
+
+def test_unreduced_literals_read_as_their_fraction_steps():
+    rng = random.Random(97)
+    big = 0
+    for _ in range(600):
+        text, steps = _rand_literal(rng)
+        expected = Staircase(steps)
+        entry = instance_from_dict({"points": ["x"], "tnorm": "min", "dist": [[text]]})
+        read = (parse_staircase(text), evaluate(parse_expression(text), MIN), entry.dist[0][0])
+        for got in read:
+            assert got == expected, text
+            assert hash(got) == hash(expected)
+            assert str(got) == str(expected)
+            assert got.steps == tuple(steps)
+        big += any(a.denominator > 2**64 for _, a in steps)
+    assert big > 100
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("steps[(1,2/4),(2,1/2)]", "levels must be strictly increasing"),
+        ("steps[(2/4,1/3),(1/2,1)]", "jumps must be strictly increasing"),
+    ],
+)
+def test_literals_equal_only_after_reduction_are_rejected(text, message):
+    for parse in (parse_staircase, parse_expression):
+        with pytest.raises(ParseError, match=re.escape(f"invalid staircase: {message} (column 6)")):
+            parse(text)

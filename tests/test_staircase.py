@@ -19,7 +19,15 @@ from ddquant import (
     parse_staircase,
 )
 from ddquant.staircase import _from_candidates
-from util import eq_oracle, leq_oracle, probe_times, rand_monotone, rand_staircase, rand_unit
+from util import (
+    eq_oracle,
+    format_oracle,
+    leq_oracle,
+    probe_times,
+    rand_monotone,
+    rand_staircase,
+    rand_unit,
+)
 
 F = Fraction
 
@@ -206,6 +214,28 @@ def test_parse_format_round_trip():
         assert parse_staircase(str(sc)) == sc
     assert str(BOTTOM) == "steps[]"
     assert str(TOP) == "steps[(0,1)]"
+
+
+def test_printing_from_the_images_matches_the_fraction_oracle():
+    # Candidates over denominators with spare factors, some past 2**64, so
+    # the image's denominator differs from each value's own.
+    rng = random.Random(83)
+    # Fresh copies of the shared BOTTOM and TOP, whose views other tests read.
+    cases = [Staircase(), Staircase(((0, 1),))]
+    assert cases == [BOTTOM, TOP]
+    for _ in range(1200):
+        jd = rng.choice((1, 2, 6, 12, 60, 2**64 + 13)) * rng.randrange(1, 40)
+        ld = rng.choice((1, 4, 10, 36, 3**41)) * rng.randrange(1, 40)
+        cands = sorted(
+            (rng.randrange(0, 6 * jd), rng.randrange(0, ld + 1))
+            for _ in range(rng.randrange(0, 12))
+        )
+        cases.append(_from_candidates(cands, jd, ld))
+    for sc in cases:
+        text = str(sc)
+        assert "steps" not in vars(sc)  # printed without the Fraction views
+        assert text == format_oracle(sc)
+    assert any(sc.jd > 2**64 for sc in cases) and any(sc.ld > 2**64 for sc in cases)
 
 
 def test_parse_errors():

@@ -24,7 +24,7 @@ from ddquant import (
     implication,
     parse_tnorm,
 )
-from ddquant.axis import Time, is_infinite, time_add
+from ddquant.axis import Time, format_scalar, is_infinite, time_add
 
 ORDINAL = parse_tnorm("ordinal[(2/10,6/10,prod),(7/10,1,luk)]")
 
@@ -64,6 +64,13 @@ def rand_staircase(
     jumps = sorted(rng.sample([Fraction(k, jd) for k in range(0, 6 * jd)], n))
     levels = sorted(rng.sample([Fraction(k, ld) for k in range(1, ld + 1)], n))
     return Staircase(tuple(zip(jumps, levels)))
+
+
+def format_oracle(sc: Staircase) -> str:
+    """The canonical text from the `Fraction` views, one reduced value at a
+    time, as `format_staircase` printed it before it read the images."""
+    body = ",".join(f"({format_scalar(p)},{format_scalar(a)})" for p, a in sc.steps)
+    return f"steps[{body}]"
 
 
 def rand_monotone(rng: random.Random, max_breaks: int = 5):
