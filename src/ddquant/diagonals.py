@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .axis import INF, ONE, ZERO, Time, is_infinite, time_add
 from .errors import PreconditionError
-from .staircase import Staircase
+from .staircase import Staircase, _from_candidates
 from .tnorms import TNorm
 from .values import Staircases
 
@@ -92,11 +92,6 @@ def flat_criterion_min(xi: Staircase, phi: Staircase) -> bool:
     )
 
 
-def _truncation(phi: Staircase, index: int) -> Staircase:
-    """Zero out phi on [0, jump_index]; agrees with phi above it."""
-    return Staircase(phi.steps[index:])
-
-
 def find_nondiagonal_below(t: TNorm, phi: Staircase) -> Staircase | None:
     """An xi <= phi that is not divisible by phi, or None if there is none.
 
@@ -116,6 +111,6 @@ def find_nondiagonal_below(t: TNorm, phi: Staircase) -> Staircase | None:
 
     So xi is not divisible by phi, whatever the t-norm.
     """
-    if len(phi.steps) <= 1:
+    if len(phi.js) <= 1:
         return None
-    return _truncation(phi, 1)
+    return _from_candidates(zip(phi.js[1:], phi.ls[1:]), phi.jd, phi.ld)

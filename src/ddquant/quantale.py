@@ -12,11 +12,13 @@ step (p + q, a * b).  The implication is the right adjoint of convolution,
 
 phi is the join of its steps, so the implication is the meet of the
 one-step implications, one per step of phi; `implication` computes them all
-on integers and meets them in one sweep.  `convolve` and `implication` both
-rescale the integer images of their inputs to common denominators
-(`_scale`) and end in the canonical sweep `staircase._from_candidates`;
-`implication` reaches it through `meet_all`'s co-step sweep.  `vertical_distance`
-evaluates the pointwise quantity
+on integers and meets them in one sweep, and `step_implication` is its
+one-step case.  `convolve` and `implication` both rescale the integer
+images of their inputs to common denominators (`_scale`) and end in the
+canonical sweep `staircase._from_candidates`; `implication` reaches it
+through `meet_all`'s co-step sweep.  The tests compare both with `Fraction`
+reference kernels kept in `tests/util.py`.  `vertical_distance` evaluates
+the pointwise quantity
 
     rho(t) = inf_{q > 0} phi(q) -> xi(q + t)
 
@@ -33,9 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .axis import ZERO, Time, _as_rational, ensure_time, is_infinite
-from .errors import DomainError
-from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, envelope, meet_all
+from .axis import ZERO, Time, ensure_time, is_infinite
+from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, one_step
 from .staircase import _from_candidates, _meet_costeps
 from .tnorms import PRODUCT_KIND, TNorm
 
@@ -80,8 +81,7 @@ def _scale(t: TNorm, phi: Staircase, psi: Staircase) -> _Scaled:
 def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     """Sup-convolution of two staircases, exactly.
 
-    Both kernels work on the integer images of `_scale` and agree with the
-    reference `_convolve_plain`.  The dispatch rule:
+    Both kernels work on the integer images of `_scale`.  The dispatch rule:
 
     - an empty factor gives bottom;
     - the numpy kernel `_convolve_fast` runs when the t-norm is min, prod
@@ -107,12 +107,6 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     ):
         return _convolve_fast(tag, s)
     return _convolve_int(s)
-
-
-def _convolve_plain(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
-    """Reference kernel on Fractions; the tests compare the others with it."""
-    apply = t.apply
-    return envelope((p + q, apply(a, b)) for p, a in phi.steps for q, b in psi.steps)
 
 
 def _int_apply(s: _Scaled):
@@ -229,24 +223,10 @@ def _monotone_conv_at(t: TNorm, m1: MonotoneStep, m2: MonotoneStep, at: Fraction
 
 
 def step_implication(t: TNorm, p: Time, a, xi: Staircase) -> Staircase:
-    """Implication with a one-step antecedent, exactly.
-
-    The result is sup_{s<t} a -> xi(p + s): the candidate steps are the
-    shifted steps (max(0, r - p), a -> c) of xi together with the floor step
-    (0, a -> 0).  The floor matters for nilpotent t-norms, where a -> 0 can
-    be positive; there the one-step/one-step implication is the join of the
-    floor with one shifted step, not a single step.
-    """
-    if is_infinite(p):
-        raise DomainError("one-step jump must be finite")
-    p = ensure_time(p)
-    a = _as_rational(a)
-    implies = t.implies
-    pts = [(ZERO, implies(a, ZERO))]
-    for r, c in xi.steps:
-        shifted = r - p if r > p else ZERO
-        pts.append((shifted, implies(a, c)))
-    return envelope(pts)
+    """Implication with the antecedent `one_step(p, a)`, exactly:
+    sup_{s<t} a -> xi(p + s), whose floor a -> 0 is positive under a
+    nilpotent t-norm."""
+    return implication(t, one_step(p, a), xi)
 
 
 def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
@@ -254,8 +234,7 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
 
     phi is the join of its steps (p, a) and implication turns joins in the
     antecedent into meets, so the result is the meet over those steps of
-    `step_implication(t, p, a, xi)`, as in the reference
-    `_implication_plain`.  Here every one-step implication is computed on
+    the one-step implications sup_{s<t} a -> xi(p + s), each computed on
     the integer images of `_scale`.  Just after 0 its value is a -> 0 (the
     floor), or a -> c for the last step (r, c) of xi with r <= p.  Each
     later step (r, c) of xi raises it to a -> c at r - p, up to the first
@@ -302,12 +281,6 @@ def _residua(piece, a: int, d: int, levels: list[int]) -> list[int]:
         k = (hi - lo) * (d // (a - lo))
         return [c * d if c < lo else lo * d + (c - lo) * k for c in levels]
     return [c * d if c < lo else (hi - a + c) * d for c in levels]
-
-
-def _implication_plain(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
-    """Reference kernel on Fractions, the meet of the one-step
-    implications; the tests compare `implication` with it."""
-    return meet_all([step_implication(t, p, a, xi) for p, a in phi.steps])
 
 
 def vertical_distance(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Fraction:

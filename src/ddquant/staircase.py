@@ -15,8 +15,9 @@ checks in `__post_init__`, which every constructor runs, work on them;
 `steps`, `jumps` and `levels` are `Fraction` views built when first read.
 `Staircase(steps)` and the `steps[...]` reader, whose numbers are
 (numerator, denominator) int pairs as spelled, share one image builder,
-`_from_ratios`.  The kernels, `envelope` and `meet_all` build their
-results in one canonical sweep over integer candidates, `_from_candidates`.
+`_from_ratios`.  The kernels, `envelope`, `join_all` and `meet_all` build
+their results in one canonical sweep over integer candidates,
+`_from_candidates`.
 
 `MonotoneStep` drops the normalisation: it represents an arbitrary monotone
 step map, with explicit values at breakpoints, on the open cells between
@@ -220,11 +221,17 @@ def envelope(points: Iterable[Step]) -> Staircase:
     return _from_candidates(pts, jd, ld)
 
 
-def join_all(items: Sequence[Staircase]) -> Staircase:
-    return envelope([step for sc in items for step in sc.steps])
+def join_all(items: Iterable[Staircase]) -> Staircase:
+    """Pointwise maximum of finitely many staircases (empty join is bottom):
+    the envelope of their pooled steps, rescaled to common denominators."""
+    items = list(items)
+    jd = lcm(*(sc.jd for sc in items))
+    ld = lcm(*(sc.ld for sc in items))
+    pts = sorted(pt for sc in items for pt in zip(*sc._scaled(jd, ld)))
+    return _from_candidates(pts, jd, ld)
 
 
-def meet_all(items: Sequence[Staircase]) -> Staircase:
+def meet_all(items: Iterable[Staircase]) -> Staircase:
     """Pointwise minimum of finitely many staircases (empty meet is top).
 
     Each staircase is the meet of its final level (as a constant) with the

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axis import ONE, ZERO, format_scalar, is_infinite, plus_implies, time_add
-from .quantale import convolve, implication, residual
+from .quantale import convolve, implication
 from .staircase import TOP
 from .tnorms import TNorm
 
@@ -87,9 +87,6 @@ class Staircases(ValueQuantale):
 
     def implies(self, a, b):
         return implication(self.tnorm, a, b)
-
-    def residual(self, d, p):
-        return residual(self.tnorm, d, p)
 
     def below(self, a, b) -> bool:
         return a.leq(b)

@@ -36,6 +36,18 @@ def test_eval_golden(capsys):
     assert err == ""
 
 
+def test_eval_golden_join_mixed(capsys):
+    # Unreduced literals and step(...) terms joined across denominators.
+    code, out, err = run_cli(
+        capsys,
+        "eval",
+        "join(steps[(2/6,1/4),(3/2,6/8)],steps[(1/2,4/6)],step(5/6,1),step(1,1/2))",
+    )
+    assert code == 0
+    assert out == golden("eval_join_mixed.txt")
+    assert err == ""
+
+
 def test_eval_default_tnorm_is_min(capsys):
     code, out, _ = run_cli(capsys, "eval", "conv(step(1,1/2),step(2,1/3))")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -27,18 +28,21 @@ from ddquant import (
     vertical_distance_sup_below,
 )
 from ddquant import quantale
-from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, _convolve_plain, _implication_plain
+from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT
 from util import (
     NILPOTENT,
     ORDINAL,
     TNORMS,
     conv_point_oracle,
+    convolve_plain,
     imp_point_oracle,
+    implication_plain,
     probe_times,
     rand_monotone,
     rand_staircase,
     rand_time,
     rand_unit,
+    step_implication_plain,
 )
 
 F = Fraction
@@ -93,7 +97,7 @@ def test_fast_path_agrees_with_plain():
     levels2 = sorted(rng.sample([F(k, 360) for k in range(1, 361)], 70))
     big2 = Staircase(tuple(zip(jumps2, levels2)))
     for name, t in TNORMS:
-        assert convolve(t, big1, big2) == _convolve_plain(t, big1, big2)
+        assert convolve(t, big1, big2) == convolve_plain(t, big1, big2)
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
@@ -104,7 +108,7 @@ def test_convolve_differential_around_cutoff(name, t):
         a = rand_staircase(rng, max_steps=12, allow_empty=False)
         b = rand_staircase(rng, max_steps=12, allow_empty=False)
         above_cutoff.add(len(a.steps) * len(b.steps) >= _FAST_CUTOFF)
-        assert convolve(t, a, b) == _convolve_plain(t, a, b)
+        assert convolve(t, a, b) == convolve_plain(t, a, b)
     assert above_cutoff == {False, True}
 
 
@@ -123,7 +127,7 @@ def test_fast_path_overflow_falls_back(monkeypatch):
     levels = sorted(F(k, big_den) for k in range(1, 80))
     sc = Staircase(tuple(zip(jumps, levels)))
     out = convolve(PROD, sc, sc)
-    assert out == _convolve_plain(PROD, sc, sc)
+    assert out == convolve_plain(PROD, sc, sc)
     assert numpy_tags == []
     # The numpy kernel forms jump sums up to 2 * top jump and prod values up
     # to ld**2; it runs only when twice the larger is below _INT64_LIMIT.
@@ -139,7 +143,7 @@ def test_fast_path_overflow_falls_back(monkeypatch):
         steps = [(F(k), F(k, level_den)) for k in range(1, 64)] + [(F(top_jump), F(1))]
         sc = Staircase(tuple(steps))
         assert len(sc.steps) ** 2 >= _FAST_CUTOFF
-        assert convolve(t, sc, sc) == _convolve_plain(t, sc, sc)
+        assert convolve(t, sc, sc) == convolve_plain(t, sc, sc)
         assert numpy_tags == ([format_tnorm(t)] if numpy_runs else [])
 
 
@@ -173,6 +177,12 @@ def test_step_law_implication(name, t):
 def test_step_implication_rejects_infinite_jump():
     with pytest.raises(DomainError):
         step_implication(MIN, INF, F(1, 2), one_step(F(1), F(1, 2)))
+
+
+@pytest.mark.parametrize("name,t", TNORMS)
+def test_step_implication_rejects_level_outside_unit_interval(name, t):
+    with pytest.raises(DomainError, match=re.escape("level 3/2 outside [0, 1]")):
+        step_implication(t, 0, F(3, 2), one_step(1, F(1, 2)))
 
 
 @pytest.mark.parametrize("name,t", TNORMS)
@@ -210,7 +220,7 @@ def test_implication_empty_antecedent():
 def _check_implication(t, phi, xi):
     """implication against the reference meet and the regularised rho."""
     imp = implication(t, phi, xi)
-    assert imp == _implication_plain(t, phi, xi)
+    assert imp == implication_plain(t, phi, xi)
     for at in probe_times(phi, xi, imp):
         assert imp(at) == vertical_distance_sup_below(t, phi, xi, at)
     return imp
@@ -245,6 +255,17 @@ def test_implication_differential(name, t):
     phi = Staircase(((F(1), F(1, 4)), (F(2), F(3, 4))))
     assert _check_implication(t, phi, BOTTOM) == \
         one_step(F(0), min(t.implies(a, F(0)) for a in phi.levels))
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_step_implication_differential(name, t):
+    # zero levels give top; jumps in twelfths meet xi's quarters exactly
+    rng = random.Random(35)
+    levels = [F(0), *_IMPLICATION_LEVELS]
+    for _ in range(2000):
+        p, a = rand_time(rng), rng.choice(levels)
+        xi = _staircase_over(rng, _IMPLICATION_LEVELS, 6)
+        assert step_implication(t, p, a, xi) == step_implication_plain(t, p, a, xi)
 
 
 def test_implication_floor():

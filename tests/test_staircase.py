@@ -162,6 +162,22 @@ def test_meet_join_all_families():
     assert meet_all([BOTTOM, TOP]) == BOTTOM
 
 
+def test_join_all_against_envelope_of_steps():
+    # join_all rescales the integer images and never builds the `steps`
+    # views (the shared BOTTOM may hold them from other tests); envelope of
+    # the pooled views is the earlier definition.  Families may be empty,
+    # hold BOTTOM and mix denominators; every other one is a generator.
+    rng = random.Random(18)
+    for k in range(2000):
+        fam = [rand_staircase(rng, dens=rng.choice(_DENS)) for _ in range(rng.randrange(0, 5))]
+        if rng.randrange(4) == 0:
+            fam.insert(rng.randrange(len(fam) + 1), BOTTOM)
+        got = join_all(iter(fam) if k % 2 else fam)
+        assert not any("steps" in vars(sc) for sc in fam if sc is not BOTTOM)
+        want = envelope([step for sc in fam for step in sc.steps])
+        assert got == want and str(got) == str(want)
+
+
 def test_meet_with_idempotent_absorption():
     # meets agree with the left-continuous pointwise minimum even when the
     # minimum lands between levels of the two arguments

@@ -1,7 +1,11 @@
 """Shared generators and independent oracles for the test suite.
 
-Oracles here recompute results by brute pointwise enumeration, sharing no
-algorithmic structure with the envelope/meet machinery they check.
+Pointwise oracles recompute results by brute enumeration, sharing no
+algorithmic structure with the envelope/meet machinery they check.  The
+`Fraction` reference kernels (`convolve_plain`, `step_implication_plain`,
+`implication_plain`, `format_oracle`) are the library's earlier
+definitions, kept as whole-result oracles for the integer kernels: they
+work on the `steps` views and never call the kernel they check.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from ddquant import (
     convolve,
     envelope,
     implication,
+    meet_all,
     parse_tnorm,
 )
 from ddquant.axis import Time, format_scalar, is_infinite, time_add
@@ -71,6 +76,28 @@ def format_oracle(sc: Staircase) -> str:
     time, as `format_staircase` printed it before it read the images."""
     body = ",".join(f"({format_scalar(p)},{format_scalar(a)})" for p, a in sc.steps)
     return f"steps[{body}]"
+
+
+def convolve_plain(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
+    """The convolution on `Fraction`s: the envelope of the pairwise one-step
+    products."""
+    apply = t.apply
+    return envelope((p + q, apply(a, b)) for p, a in phi.steps for q, b in psi.steps)
+
+
+def step_implication_plain(t: TNorm, p: Fraction, a: Fraction, xi: Staircase) -> Staircase:
+    """The implication with antecedent one_step(p, a) on `Fraction`s: the
+    envelope of the floor (0, a -> 0) and the shifted steps
+    (max(0, r - p), a -> c) of xi."""
+    pts = [(Fraction(0), t.implies(a, Fraction(0)))]
+    pts += [(max(r - p, Fraction(0)), t.implies(a, c)) for r, c in xi.steps]
+    return envelope(pts)
+
+
+def implication_plain(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
+    """The implication as the meet of the one-step implications of the
+    steps of phi."""
+    return meet_all([step_implication_plain(t, p, a, xi) for p, a in phi.steps])
 
 
 def rand_monotone(rng: random.Random, max_breaks: int = 5):
