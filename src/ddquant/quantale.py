@@ -50,7 +50,9 @@ class _Scaled(NamedTuple):
     A jump p is j/jd and a level a is l/ld.  `pieces` holds (L, H, kind,
     scale) with lo = L/ld and hi = H/ld; M is the lcm of the product-piece
     widths H - L (1 when there are none), scale = M // (H - L) for product
-    pieces, and every t-norm value is an integer over ld * M.
+    pieces, and every t-norm value is an integer over ld * M.  The guard
+    2 * max(jumps, ld * M) < `_INT64_LIMIT` also bounds `_convolve_fast`'s
+    piece intermediates, because (a - lo)(b - lo) <= (hi - lo) M.
     """
 
     jd: int
@@ -81,31 +83,27 @@ def _scale(t: TNorm, phi: Staircase, psi: Staircase) -> _Scaled:
 def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     """Sup-convolution of two staircases, exactly.
 
-    Both kernels work on the integer images of `_scale`.  The dispatch rule:
+    Both kernels work on the integer images of `_scale`, which hold the
+    t-norm as its piece table.  The dispatch rule: an empty factor gives
+    bottom; the numpy kernel `_convolve_fast` runs from `_FAST_CUTOFF`
+    candidate pairs when every jump sum and t-norm value it forms is below
+    `_INT64_LIMIT`; every other input runs on the Python-int kernel
+    `_convolve_int`, which cannot overflow.
 
-    - an empty factor gives bottom;
-    - the numpy kernel `_convolve_fast` runs when the t-norm is min, prod
-      or luk, there are at least `_FAST_CUTOFF` candidate pairs, and every
-      jump sum and t-norm value it forms is below `_INT64_LIMIT`;
-    - every other input (fewer pairs, an ordinal sum, or quantities that
-      could overflow int64) runs on the Python-int kernel `_convolve_int`,
-      which cannot overflow.
-
-    The cutoff is the measured crossover of the two kernels (min, prod and
-    luk on 4-32-step factors, Python 3.11, numpy 2.4, one core): numpy's
-    fixed cost of about 25 us a call loses to Python ints, at 0.7-1.1 us a
-    pair, on fewer pairs, and numpy is faster on all three from 48 pairs.
+    The cutoff is the measured crossover of the two kernels on 4-32-step
+    factors (Python 3.11, numpy 2.4, one core): numpy's fixed cost of
+    25-40 us a call, and about 10 us more per piece, loses to Python ints,
+    at 0.7-1.5 us a pair, on fewer pairs.  min, prod and luk cross at 40-64
+    pairs, ordinal sums of two or three pieces at 80-96; one cutoff serves all.
     """
     if not phi.js or not psi.js:
         return BOTTOM
     s = _scale(t, phi, psi)
-    tag = t._name  # the numpy kernel implements min, prod and luk
     if (
-        tag is not None
-        and len(s.j1) * len(s.j2) >= _FAST_CUTOFF
+        len(s.j1) * len(s.j2) >= _FAST_CUTOFF
         and 2 * max(s.j1[-1], s.j2[-1], s.ld * s.m) < _INT64_LIMIT
     ):
-        return _convolve_fast(tag, s)
+        return _convolve_fast(s)
     return _convolve_int(s)
 
 
@@ -137,28 +135,35 @@ def _convolve_int(s: _Scaled) -> Staircase:
     return _from_candidates(cands, s.jd, s.ld * s.m)
 
 
-def _convolve_fast(tag: str, s: _Scaled) -> Staircase:
+def _convolve_fast(s: _Scaled) -> Staircase:
     """Envelope of the candidate steps, on int64 numpy arrays.
 
     The caller guarantees that every jump sum and value fits in int64.
-    Only candidates above the running maximum of their predecessors leave
-    numpy; `_from_candidates` settles ties between equal jump sums.
+    Values start as min; each piece overwrites the pairs with both levels
+    in [lo, hi], one slice of each factor as levels increase strictly, and
+    pieces meet only where every formula gives min.  Only candidates above
+    the running maximum of their predecessors leave numpy;
+    `_from_candidates` settles ties between equal jump sums.
     """
     j1 = np.array(s.j1, dtype=np.int64)
     j2 = np.array(s.j2, dtype=np.int64)
     l1 = np.array(s.l1, dtype=np.int64)
     l2 = np.array(s.l2, dtype=np.int64)
     sums = np.add.outer(j1, j2).ravel()
-    if tag == "min":
-        vals = np.minimum.outer(l1, l2).ravel()
-    elif tag == "prod":
-        vals = np.multiply.outer(l1, l2).ravel()
-    else:
-        vals = np.add.outer(l1, l2).ravel() - s.ld
-        np.maximum(vals, 0, out=vals)
+    vals = np.minimum.outer(l1 * s.m, l2 * s.m)
+    for lo, hi, kind, scale in s.pieces:
+        r1 = slice(bisect_left(s.l1, lo), bisect_right(s.l1, hi))
+        r2 = slice(bisect_left(s.l2, lo), bisect_right(s.l2, hi))
+        block = vals[r1, r2]  # a view: the formulas write into vals
+        if kind == PRODUCT_KIND:
+            np.multiply.outer((l1[r1] - lo) * scale, l2[r2] - lo, out=block)
+            block += lo * s.m
+        else:
+            np.add.outer((l1[r1] - hi) * s.m, l2[r2] * s.m, out=block)
+            np.maximum(block, lo * s.m, out=block)
     order = np.argsort(sums, kind="stable")
     sums = sums[order]
-    vals = vals[order]
+    vals = vals.ravel()[order]
     running = np.maximum.accumulate(vals)
     shifted = np.empty_like(running)
     shifted[0] = -1
@@ -320,6 +325,7 @@ def vertical_distance_sup_below(t: TNorm, phi: Staircase, xi: Staircase, at: Tim
     {r - p > 0}, {r}, and 0 (r over jumps of xi, p over jumps of phi), so
     the supremum below `at` is the value on the open cell just under it.
     """
+    at = ensure_time(at)
     if at == ZERO:
         return ZERO
     bps = {ZERO, *xi.jumps, *(r - p for r in xi.jumps for p in phi.jumps if r > p)}

@@ -72,11 +72,6 @@ class TNorm:
             prev_hi = piece.hi
 
     @cached_property
-    def _name(self) -> str | None:
-        """'min', 'prod' or 'luk' when the t-norm is one of those, else None."""
-        return next((name for name, t in _NAMED.items() if t == self), None)
-
-    @cached_property
     def _int_pieces(self) -> tuple[int, tuple[tuple[int, int, str], ...]]:
         """(D, pieces): each piece as (lo * D, hi * D, kind), D the lcm of
         the endpoint denominators; the integer kernels rescale these."""
@@ -125,12 +120,10 @@ LUK = TNorm((Piece(ZERO, ONE, LUKASIEWICZ_KIND),))
 
 
 def format_tnorm(t: TNorm) -> str:
-    if t._name is not None:
-        return t._name
     body = ",".join(
         f"({format_scalar(p.lo)},{format_scalar(p.hi)},{p.kind})" for p in t.pieces
     )
-    return f"ordinal[{body}]"
+    return next((name for name, named in _NAMED.items() if named == t), f"ordinal[{body}]")
 
 
 _NAMED = {"min": MIN, "prod": PROD, "luk": LUK}

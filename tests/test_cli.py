@@ -48,6 +48,22 @@ def test_eval_golden_join_mixed(capsys):
     assert err == ""
 
 
+def test_eval_golden_conv_ordinal(capsys):
+    # 49 candidate pairs, above the numpy cutoff, meeting both pieces of
+    # the ordinal sum and the min region between and below them.
+    code, out, err = run_cli(
+        capsys,
+        "eval",
+        "--tnorm",
+        "ordinal[(2/10,6/10,prod),(7/10,1,luk)]",
+        "conv(steps[(0,1/10),(1/3,3/10),(1/2,2/5),(1,1/2),(3/2,13/20),(2,3/4),(5/2,9/10)],"
+        "steps[(1/4,1/5),(1/2,1/4),(3/4,9/20),(1,3/5),(2,7/10),(3,4/5),(4,1)])",
+    )
+    assert code == 0
+    assert out == golden("eval_conv_ordinal.txt")
+    assert err == ""
+
+
 def test_eval_default_tnorm_is_min(capsys):
     code, out, _ = run_cli(capsys, "eval", "conv(step(1,1/2),step(2,1/3))")
     assert code == 0

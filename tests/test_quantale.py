@@ -17,7 +17,6 @@ from ddquant import (
     Staircase,
     convolve,
     convolve_monotone,
-    format_tnorm,
     implication,
     join_all,
     one_step,
@@ -96,7 +95,7 @@ def test_fast_path_agrees_with_plain():
     jumps2 = sorted(rng.sample([F(k, 5) for k in range(1, 500)], 70))
     levels2 = sorted(rng.sample([F(k, 360) for k in range(1, 361)], 70))
     big2 = Staircase(tuple(zip(jumps2, levels2)))
-    for name, t in TNORMS:
+    for name, t in TNORMS + [("nilpotent", NILPOTENT)]:
         assert convolve(t, big1, big2) == convolve_plain(t, big1, big2)
 
 
@@ -113,12 +112,12 @@ def test_convolve_differential_around_cutoff(name, t):
 
 
 def test_fast_path_overflow_falls_back(monkeypatch):
-    numpy_tags = []
+    numpy_calls = []
     real = quantale._convolve_fast
 
-    def spy(tag, s):
-        numpy_tags.append(tag)
-        return real(tag, s)
+    def spy(s):
+        numpy_calls.append(s)
+        return real(s)
 
     monkeypatch.setattr(quantale, "_convolve_fast", spy)
     # level denominator so large the squared scaling would overflow int64
@@ -128,23 +127,39 @@ def test_fast_path_overflow_falls_back(monkeypatch):
     sc = Staircase(tuple(zip(jumps, levels)))
     out = convolve(PROD, sc, sc)
     assert out == convolve_plain(PROD, sc, sc)
-    assert numpy_tags == []
-    # The numpy kernel forms jump sums up to 2 * top jump and prod values up
-    # to ld**2; it runs only when twice the larger is below _INT64_LIMIT.
-    # _INT64_LIMIT // 2 is not a square, so 2 * root**2 < _INT64_LIMIT.
+    assert numpy_calls == []
+    # The numpy kernel forms jump sums up to 2 * top jump and values up to
+    # ld * M; it runs only when twice the larger is below _INT64_LIMIT.
+    # Under prod M = ld, and _INT64_LIMIT // 2 is not a square, so
+    # 2 * root**2 < _INT64_LIMIT.  ORDINAL's product piece (2/10, 6/10) over
+    # ld = 320 c gives M = 128 c, so ld * M = 40960 c**2; NILPOTENT's
+    # (1/2, 3/4) over ld = 192 c gives M = 48 c, so ld * M = 9216 c**2.
     root = isqrt(_INT64_LIMIT // 2)
-    for t, top_jump, level_den, numpy_runs in [
-        (MIN, _INT64_LIMIT // 2 - 1, 64, True),
-        (MIN, _INT64_LIMIT // 2, 64, False),
-        (PROD, 64, root, True),
-        (PROD, 64, root + 1, False),
+    c_ord = isqrt((_INT64_LIMIT // 2 - 1) // 40960)
+    c_nil = isqrt((_INT64_LIMIT // 2 - 1) // 9216)
+
+    def low(den):
+        return [F(k, den) for k in range(1, 64)]
+
+    def spread(den):  # levels in every piece and in the min region
+        return [F(k, 64) + F(1, den) for k in range(63)]
+
+    for t, top_jump, levels, numpy_runs in [
+        (MIN, _INT64_LIMIT // 2 - 1, low(64), True),
+        (MIN, _INT64_LIMIT // 2, low(64), False),
+        (PROD, 64, low(root), True),
+        (PROD, 64, low(root + 1), False),
+        (ORDINAL, 64, spread(320 * c_ord), True),
+        (ORDINAL, 64, spread(320 * (c_ord + 1)), False),
+        (NILPOTENT, 64, spread(192 * c_nil), True),
+        (NILPOTENT, 64, spread(192 * (c_nil + 1)), False),
     ]:
-        numpy_tags.clear()
-        steps = [(F(k), F(k, level_den)) for k in range(1, 64)] + [(F(top_jump), F(1))]
+        numpy_calls.clear()
+        steps = [*zip(map(F, range(1, 64)), levels), (F(top_jump), F(1))]
         sc = Staircase(tuple(steps))
         assert len(sc.steps) ** 2 >= _FAST_CUTOFF
         assert convolve(t, sc, sc) == convolve_plain(t, sc, sc)
-        assert numpy_tags == ([format_tnorm(t)] if numpy_runs else [])
+        assert numpy_calls == ([quantale._scale(t, sc, sc)] if numpy_runs else [])
 
 
 @pytest.mark.parametrize("name,t", TNORMS)
@@ -321,6 +336,13 @@ def test_rho_worked_value():
     xi = one_step(F(1), F(1))
     assert vertical_distance(MIN, phi, xi, F(1, 2)) == 0
     assert vertical_distance_sup_below(MIN, phi, xi, F(1, 2)) == 0
+
+
+def test_rho_rejects_negative_time():
+    phi = one_step(F(1), F(1, 2))
+    for rho in (vertical_distance, vertical_distance_sup_below):
+        with pytest.raises(DomainError, match="time must be non-negative, got -1"):
+            rho(MIN, phi, phi, F(-1))
 
 
 @pytest.mark.parametrize("name,t", TNORMS)

@@ -76,6 +76,9 @@ def test_parse_format_round_trip():
         t = parse_tnorm(text)
         assert format_tnorm(t) == text
         assert parse_tnorm(format_tnorm(t)) == t
+    # a single piece over [0, 1] is the named t-norm
+    for text, name in (("ordinal[(0,1,prod)]", "prod"), ("ordinal[(0,1,luk)]", "luk")):
+        assert format_tnorm(parse_tnorm(text)) == name
 
 
 def test_parse_rejects_garbage():
