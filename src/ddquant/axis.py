@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 from typing import Union
 
@@ -33,6 +34,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+@total_ordering
 class _Infinity:
     """Singleton for the point at infinity on the time axis."""
 
@@ -52,35 +54,14 @@ class _Infinity:
     def __eq__(self, other):
         return other is self
 
-    def __ne__(self, other):
-        return other is not self
-
     def __hash__(self):
         return hash("ddquant-time-infinity")
 
-    # Comparisons against finite rationals: INF is strictly above everything.
+    # INF is strictly above every finite rational; total_ordering derives
+    # <=, > and >= from this and __eq__.
     def __lt__(self, other):
         if other is self or isinstance(other, (int, Fraction)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is self or isinstance(other, (int, Fraction)):
-            return True
         return NotImplemented
 
 

@@ -239,7 +239,7 @@ def main(argv=None) -> int:
         if resolution > _MAX_RESOLUTION:
             raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}")
         return _DISPATCH[ns.command](ns)
-    except (DdqError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DdqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

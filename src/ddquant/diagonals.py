@@ -16,8 +16,6 @@ the finite quantale tables.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .axis import INF, ONE, ZERO, Time, is_infinite, time_add
 from .errors import PreconditionError
 from .staircase import Staircase, _from_candidates
@@ -56,30 +54,15 @@ def flat_criterion_min(xi: Staircase, phi: Staircase) -> bool:
     from it, and the identity is re-checked with the genuine psi.
     """
     probes = sorted({ZERO, ONE, *phi.levels, *xi.levels})
-    with_mids: list[Fraction] = []
-    for k, a in enumerate(probes):
-        with_mids.append(a)
-        if k + 1 < len(probes):
-            with_mids.append((a + probes[k + 1]) / 2)
+    with_mids = sorted({*probes, *((a + b) / 2 for a, b in zip(probes, probes[1:]))})
     candidate: list[Time] = []
     for a in with_mids:
-        f = phi.flat(a)
-        x = xi.flat(a)
-        if is_infinite(f):
-            if not is_infinite(x):
-                return False
-            candidate.append(INF)
-        elif is_infinite(x):
-            candidate.append(INF)
-        else:
-            if x < f:
-                return False
-            candidate.append(x - f)
-    for v1, v2 in zip(candidate, candidate[1:]):
-        if is_infinite(v1) and not is_infinite(v2):
+        f, x = phi.flat(a), xi.flat(a)
+        if x < f:  # INF is above every finite time
             return False
-        if not is_infinite(v1) and not is_infinite(v2) and v2 < v1:
-            return False
+        candidate.append(INF if is_infinite(x) else x - f)
+    if any(v2 < v1 for v1, v2 in zip(candidate, candidate[1:])):
+        return False
     steps = []
     prev = candidate[0]
     for a, v in zip(with_mids[1:], candidate[1:]):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .axis import ONE, ZERO, Time, _Reader, _as_rational, format_scalar, is_infinite
+from .axis import ONE, ZERO, Time, _Reader, _as_rational, ensure_time, format_scalar, is_infinite
 from .errors import DomainError
 from .quantale import convolve, implication
 from .staircase import Staircase, _from_candidates
@@ -65,10 +65,9 @@ class PiecewiseLinear:
         return self.knots[-1][1]
 
     def __call__(self, t: Time) -> Fraction:
+        t = ensure_time(t)
         if is_infinite(t):
             return self.final_value
-        if t < 0:
-            raise DomainError("negative time")
         times = self.times
         if t >= times[-1]:
             return self.final_value

@@ -36,8 +36,8 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Sequence
 
-from .axis import INF, ONE, ZERO, Time, _as_rational, _Reader, ensure_time, format_ratio
-from .axis import is_infinite
+from .axis import INF, ONE, ZERO, Time, _as_rational, _Reader, ensure_time, ensure_unit
+from .axis import format_ratio, is_infinite
 from .errors import DomainError
 
 Step = tuple[Fraction, Fraction]
@@ -127,14 +127,13 @@ class Staircase:
         return [j * fj for j in self.js], [a * fl for a in self.ls]
 
     def __call__(self, t: Time) -> Fraction:
-        if is_infinite(t):
-            return self.last_level
-        idx = bisect_left(self.jumps, t)  # number of jumps strictly below t
+        # INF lies above every jump, so it needs no case of its own
+        idx = bisect_left(self.jumps, ensure_time(t))  # jumps strictly below t
         return self.levels[idx - 1] if idx else ZERO
 
     def value_after(self, t: Fraction) -> Fraction:
         """The constant value taken just above the finite time t."""
-        idx = bisect_right(self.jumps, t)  # number of jumps at or below t
+        idx = bisect_right(self.jumps, ensure_time(t))  # jumps at or below t
         return self.levels[idx - 1] if idx else ZERO
 
     def leq(self, other: "Staircase") -> bool:
@@ -161,7 +160,7 @@ class Staircase:
 
     def flat(self, a: Fraction) -> Time:
         """Flat adjoint: the largest p with self(p) <= a (inf if none exceed a)."""
-        idx = bisect_right(self.levels, a)  # index of least level above a
+        idx = bisect_right(self.levels, ensure_unit(a))  # least level above a
         if idx == len(self.levels):
             return INF
         return self.jumps[idx]
@@ -336,10 +335,9 @@ class MonotoneStep:
         return cls((ZERO,), (v,), (v,), v)
 
     def __call__(self, t: Time) -> Fraction:
+        t = ensure_time(t)
         if is_infinite(t):
             return self.infinity_value
-        if t < 0:
-            raise DomainError("negative time")
         idx = bisect_right(self.breakpoints, t) - 1
         if self.breakpoints[idx] == t:
             return self.point_values[idx]

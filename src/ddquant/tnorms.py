@@ -2,9 +2,11 @@
 
 A t-norm here is an ordinal sum of finitely many product and Lukasiewicz
 pieces over minimum.  The empty sum is minimum itself; a single piece
-covering [0, 1] gives the plain product or Lukasiewicz t-norm.  All
-arithmetic is exact on `Fraction` inputs and the residuum is computed in
-closed form, so the adjunction
+covering [0, 1] gives the plain product or Lukasiewicz t-norm.  For
+a <= b in one piece (lo, hi) the value is lo + (a - lo)(b - lo)/(hi - lo)
+under prod and max(lo, a + b - hi) under luk, and min(a, b) elsewhere; for
+a > b the residuum is lo + (hi - lo)(b - lo)/(a - lo), hi - a + b, or b.
+All arithmetic is exact on `Fraction` inputs, so the adjunction
 
     apply(a, c) <= b  iff  c <= implies(a, b)
 
@@ -24,20 +26,6 @@ from .errors import DomainError, ParseError
 PRODUCT_KIND = "prod"
 LUKASIEWICZ_KIND = "luk"
 _KINDS = (PRODUCT_KIND, LUKASIEWICZ_KIND)
-
-
-def _base_apply(kind: str, u: Fraction, v: Fraction) -> Fraction:
-    """Base t-norm on [0, 1]: u*v for prod, max(0, u+v-1) for luk."""
-    if kind == PRODUCT_KIND:
-        return u * v
-    return max(ZERO, u + v - 1)
-
-
-def _base_implies(kind: str, u: Fraction, v: Fraction) -> Fraction:
-    """Base residuum for u > v: v/u for prod, 1-u+v for luk."""
-    if kind == PRODUCT_KIND:
-        return v / u
-    return ONE - u + v
 
 
 @dataclass(frozen=True)
@@ -92,10 +80,10 @@ class TNorm:
         piece = self._piece_containing(a, b)
         if piece is None:
             return a
-        width = piece.hi - piece.lo
-        u = (a - piece.lo) / width
-        v = (b - piece.lo) / width
-        return piece.lo + width * _base_apply(piece.kind, u, v)
+        lo, hi = piece.lo, piece.hi
+        if piece.kind == PRODUCT_KIND:
+            return lo + (a - lo) * (b - lo) / (hi - lo)
+        return max(lo, a + b - hi)
 
     def implies(self, a: Fraction, b: Fraction) -> Fraction:
         """Residuum: the largest c with apply(a, c) <= b."""
@@ -104,10 +92,10 @@ class TNorm:
         piece = self._piece_containing(b, a)
         if piece is None:
             return b
-        width = piece.hi - piece.lo
-        u = (a - piece.lo) / width
-        v = (b - piece.lo) / width
-        return piece.lo + width * min(ONE, _base_implies(piece.kind, u, v))
+        lo, hi = piece.lo, piece.hi
+        if piece.kind == PRODUCT_KIND:
+            return lo + (hi - lo) * (b - lo) / (a - lo)
+        return hi - a + b
 
     def is_idempotent(self, a: Fraction) -> bool:
         """apply(a, a) == a, i.e. a is outside every open piece."""

@@ -46,6 +46,11 @@ _SCALAR_ENTRY_POINTS = {
     "Piece": lambda x: ddquant.Piece(x, 1, "prod"),
     "PiecewiseLinear": lambda x: ddquant.PiecewiseLinear(((0, 0), (x, 1))),
     "MonotoneStep": lambda x: ddquant.MonotoneStep((0,), (x,), (x,)),
+    "Staircase.__call__": lambda x: ddquant.TOP(x),
+    "Staircase.value_after": lambda x: ddquant.TOP.value_after(x),
+    "Staircase.flat": lambda x: ddquant.TOP.flat(x),
+    "MonotoneStep.__call__": lambda x: ddquant.MonotoneStep.constant(1)(x),
+    "PiecewiseLinear.__call__": lambda x: ddquant.PiecewiseLinear(((0, 0), (1, 1)))(x),
 }
 
 

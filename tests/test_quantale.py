@@ -36,6 +36,7 @@ from util import (
     convolve_plain,
     imp_point_oracle,
     implication_plain,
+    monotone_conv_at_plain,
     probe_times,
     rand_monotone,
     rand_staircase,
@@ -394,6 +395,28 @@ def test_regularization_law(name, t):
         law_lhs = convolve_monotone(t, m1, m2).regularize()
         law_rhs = convolve(t, m1.regularize(), m2.regularize())
         assert law_lhs == law_rhs
+
+
+@pytest.mark.parametrize("name,t", [*TNORMS, ("nilpotent", NILPOTENT)])
+def test_convolve_monotone_against_cell_enumeration(name, t):
+    """Point values at every breakpoint sum, cell values between them and
+    past the last, and the value at infinity, against the cell enumeration."""
+    rng = random.Random(34)
+    for _ in range(40):
+        m1 = rand_monotone(rng)
+        m2 = rand_monotone(rng)
+        out = convolve_monotone(t, m1, m2)
+        sums = sorted({b1 + b2 for b1 in m1.breakpoints for b2 in m2.breakpoints})
+        cells = [(a + b) / 2 for a, b in zip(sums, sums[1:])] + [sums[-1] + 1]
+        expected = MonotoneStep(
+            sums,
+            [monotone_conv_at_plain(t, m1, m2, s) for s in sums],
+            [monotone_conv_at_plain(t, m1, m2, s) for s in cells],
+            t.apply(m1(INF), m2(INF)),
+        )
+        assert out == expected
+        for at in [*sums, *cells, *(rand_time(rng, hi=14) for _ in range(5))]:
+            assert out(at) == monotone_conv_at_plain(t, m1, m2, at)
 
 
 def test_monotone_convolution_exact_on_staircases():

@@ -11,6 +11,7 @@ from ddquant import (
     DomainError,
     MonotoneStep,
     ParseError,
+    PiecewiseLinear,
     Staircase,
     envelope,
     join_all,
@@ -110,6 +111,17 @@ def test_call_left_continuity():
     assert sc(INF) == 1
     assert sc.value_after(F(1)) == F(1, 2)
     assert sc.value_after(F(2)) == 1
+
+
+def test_evaluators_reject_negative_time_and_level_outside_unit():
+    ramp = PiecewiseLinear(((0, 0), (1, 1)))
+    for evaluate in (TOP, TOP.value_after, MonotoneStep.constant(1), ramp):
+        with pytest.raises(DomainError, match="time must be non-negative, got -1$"):
+            evaluate(-1)
+    assert ramp(1) == 1 and type(ramp(F(1, 2))) is F
+    for level in (-1, 2):
+        with pytest.raises(DomainError, match=f"value must lie in \\[0, 1\\], got {level}$"):
+            TOP.flat(level)
 
 
 def test_bottom_top():

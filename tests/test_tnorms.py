@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddquant import LUK, MIN, PROD, DomainError, ParseError, Piece, TNorm, format_tnorm, parse_tnorm
-from util import ORDINAL, TNORMS
+from util import NILPOTENT, ORDINAL, TNORMS
 
 units = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+WITH_NILPOTENT = [*TNORMS, ("nilpotent", NILPOTENT)]
 
 
 def test_min_prod_luk_values():
@@ -44,7 +46,7 @@ def test_idempotents():
     assert not ORDINAL.is_idempotent(Fraction(8, 10))
 
 
-@pytest.mark.parametrize("name,t", TNORMS)
+@pytest.mark.parametrize("name,t", WITH_NILPOTENT)
 @given(a=units, b=units, c=units)
 @settings(max_examples=60, deadline=None)
 def test_tnorm_laws(name, t, a, b, c):
@@ -56,12 +58,56 @@ def test_tnorm_laws(name, t, a, b, c):
         assert t.apply(a, b) <= t.apply(a, c)
 
 
-@pytest.mark.parametrize("name,t", TNORMS)
+@pytest.mark.parametrize("name,t", WITH_NILPOTENT)
 @given(a=units, b=units, c=units)
 @settings(max_examples=60, deadline=None)
 def test_residuation_adjunction(name, t, a, b, c):
     # c <= a -> b  iff  a * c <= b
     assert (c <= t.implies(a, b)) == (t.apply(a, c) <= b)
+
+
+def _rescaled_apply(t: TNorm, a: Fraction, b: Fraction) -> Fraction:
+    """The t-norm by rescaling its piece to [0, 1]: u * v or max(0, u + v - 1)
+    there, min(a, b) elsewhere."""
+    a, b = min(a, b), max(a, b)
+    for p in t.pieces:
+        if p.lo <= a and b <= p.hi:
+            w = p.hi - p.lo
+            u, v = (a - p.lo) / w, (b - p.lo) / w
+            return p.lo + w * (u * v if p.kind == "prod" else max(Fraction(0), u + v - 1))
+    return a
+
+
+def _rescaled_implies(t: TNorm, a: Fraction, b: Fraction) -> Fraction:
+    """The residuum by rescaling: v / u or 1 - u + v on the piece holding
+    b < a, b off every piece, 1 for a <= b."""
+    if a <= b:
+        return Fraction(1)
+    for p in t.pieces:
+        if p.lo <= b and a <= p.hi:
+            w = p.hi - p.lo
+            u, v = (a - p.lo) / w, (b - p.lo) / w
+            return p.lo + w * (v / u if p.kind == "prod" else 1 - u + v)
+    return b
+
+
+@pytest.mark.parametrize("name,t", WITH_NILPOTENT)
+def test_piece_endpoints_and_midpoints(name, t):
+    """Every endpoint and midpoint of every piece, with 0 and 1: the direct
+    formulas agree with the rescaled ones, and the laws and the adjunction
+    hold on every triple."""
+    ends = {e for p in t.pieces for e in (p.lo, p.hi, (p.lo + p.hi) / 2)}
+    grid = sorted({Fraction(0), Fraction(1), *ends})
+    for a in grid:
+        for b in grid:
+            ab = t.apply(a, b)
+            assert ab == _rescaled_apply(t, a, b) == t.apply(b, a)
+            assert t.implies(a, b) == _rescaled_implies(t, a, b)
+            for c in grid:
+                assert t.apply(a, t.apply(b, c)) == t.apply(ab, c)
+                assert (c <= t.implies(a, b)) == (t.apply(a, c) <= b)
+                if b <= c:
+                    assert ab <= t.apply(a, c)
 
 
 @pytest.mark.parametrize("name,t", TNORMS)

@@ -2,10 +2,11 @@
 
 Pointwise oracles recompute results by brute enumeration, sharing no
 algorithmic structure with the envelope/meet machinery they check.  The
-`Fraction` reference kernels (`convolve_plain`, `step_implication_plain`,
-`implication_plain`, `format_oracle`) are the library's earlier
-definitions, kept as whole-result oracles for the integer kernels: they
-work on the `steps` views and never call the kernel they check.
+`Fraction` reference kernels (`convolve_plain`, `monotone_conv_at_plain`,
+`step_implication_plain`, `implication_plain`, `format_oracle`) are the
+library's earlier definitions, kept as oracles for the kernels that
+replaced them: they work on the `steps` views or on cells and never call
+the kernel they check.
 """
 
 from __future__ import annotations
@@ -83,6 +84,30 @@ def convolve_plain(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     products."""
     apply = t.apply
     return envelope((p + q, apply(a, b)) for p, a in phi.steps for q, b in psi.steps)
+
+
+def monotone_conv_at_plain(t: TNorm, m1, m2, at: Fraction) -> Fraction:
+    """sup_{s in [0, at]} m1(s) * m2(at - s) for finite at, by cells: every
+    breakpoint of either factor that lands in [0, at], and every pair of
+    open cells, one of each factor, whose splittings s overlap."""
+    apply = t.apply
+    best = Fraction(0)
+    for b, v in zip(m1.breakpoints, m1.point_values):
+        if b <= at:
+            best = max(best, apply(v, m2(at - b)))
+    for d, v in zip(m2.breakpoints, m2.point_values):
+        if d <= at:
+            best = max(best, apply(m1(at - d), v))
+    ends1 = [*m1.breakpoints[1:], None]
+    ends2 = [*m2.breakpoints[1:], None]
+    for lo1, hi1, v1 in zip(m1.breakpoints, ends1, m1.cell_values):
+        for lo2, hi2, v2 in zip(m2.breakpoints, ends2, m2.cell_values):
+            # s must satisfy lo1 < s < hi1 and lo2 < at - s < hi2
+            lo = lo1 if hi2 is None else max(lo1, at - hi2)
+            hi = at - lo2 if hi1 is None else min(hi1, at - lo2)
+            if lo < hi:
+                best = max(best, apply(v1, v2))
+    return best
 
 
 def step_implication_plain(t: TNorm, p: Fraction, a: Fraction, xi: Staircase) -> Staircase:
