@@ -4,7 +4,7 @@ Exit codes follow one contract across commands:
 
     0  success; for validators, the instance is valid
     1  a definite negative: invalid instance, not divisible, certificate found
-    2  inconclusive, or any input/parse error
+    2  inconclusive, any input/parse error, or an internal error
 
 Outputs are deterministic: staircases print in canonical form, reports are
 JSON with sorted keys, CSV rows are emitted in a fixed order.
@@ -13,6 +13,7 @@ JSON with sorted keys, CSV rows are emitted in a fixed order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -167,7 +168,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Parsing leaves the parser as it was, so `main` reuses it across calls.
+    """
     parser = _Parser(
         prog="ddquant",
         description="exact computation with staircase distance distributions",
@@ -241,6 +247,10 @@ def main(argv=None) -> int:
         return _DISPATCH[ns.command](ns)
     except (DdqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of ours, still never exit 0 or 1
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

@@ -55,11 +55,13 @@ def flat_criterion_min(xi: Staircase, phi: Staircase) -> bool:
     """
     probes = sorted({ZERO, ONE, *phi.levels, *xi.levels})
     with_mids = sorted({*probes, *((a + b) / 2 for a, b in zip(probes, probes[1:]))})
+    flats: list[tuple[Time, Time]] = []
     candidate: list[Time] = []
     for a in with_mids:
         f, x = phi.flat(a), xi.flat(a)
         if x < f:  # INF is above every finite time
             return False
+        flats.append((f, x))
         candidate.append(INF if is_infinite(x) else x - f)
     if any(v2 < v1 for v1, v2 in zip(candidate, candidate[1:])):
         return False
@@ -71,7 +73,7 @@ def flat_criterion_min(xi: Staircase, phi: Staircase) -> bool:
             prev = v
     psi = Staircase(tuple(steps))
     return all(
-        xi.flat(a) == time_add(phi.flat(a), psi.flat(a)) for a in with_mids
+        x == time_add(f, psi.flat(a)) for a, (f, x) in zip(with_mids, flats)
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ddquant import bracket, parse_linear
+from ddquant import bracket, cli, parse_linear
 from ddquant.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -245,6 +245,7 @@ def test_quantale_check_fully_divisible_chain(capsys):
         capsys, "quantale-check", str(DATA / "luk3_quantale.json")
     )
     assert code == 0
+    assert out == golden("quantale_check_luk3.txt")
     payload = json.loads(out)
     assert payload["valid"] is True
     assert payload["quantaloid_ok"] is True
@@ -258,6 +259,7 @@ def test_quantale_check_drastic_chain(capsys):
         capsys, "quantale-check", str(DATA / "drastic_quantale.json")
     )
     assert code == 0
+    assert out == golden("quantale_check_drastic.txt")
     payload = json.loads(out)
     assert payload["valid"] is True
     assert payload["quantaloid_ok"] is True
@@ -370,6 +372,71 @@ def test_unknown_tnorm_exits_two(capsys):
     code, _, err = run_cli(capsys, "eval", "--tnorm", "frobnicate", "step(1,1)")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_internal_error_exits_two_with_one_line(capsys, monkeypatch):
+    def broken(ns):
+        raise RuntimeError("kernel fault\non two lines")
+
+    monkeypatch.setitem(cli._DISPATCH, "eval", broken)
+    code, out, err = run_cli(capsys, "eval", "step(1,1)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: kernel fault on two lines\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    run_cli(capsys, "eval", "step(1,1)")
+    run_cli(capsys, "diag", "--xi", "step(1,1)", "--phi", "step(0,1)")
+    run_cli(capsys, "quantale-check", str(DATA / "luk3_quantale.json"))
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ddquant.cli; print(ddquant.cli.build_parser.cache_info().misses)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "0\n"
+
+
+# Subcommands that share a dest with different defaults (export-samples'
+# --grid and certify's --resolution), an option given then left out, and an
+# argument error followed by a valid job: a reused parser must carry nothing
+# from one job to the next.
+_SEQUENCE = [
+    ["export-samples", "join(step(1,1/2),step(2,1))"],
+    ["certify", "--xi", "step(1,1)", "--phi", "linear[(0,0),(1,1)]"],
+    ["validate", "--kind", "met", str(DATA / "parmet_instance.json")],
+    ["validate", str(DATA / "parmet_instance.json")],
+    ["diag", "--phi", "step(1,1)"],
+    ["eval", "conv(step(1,1/2),step(2,1/3))"],
+]
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    fresh = {}
+    for argv in _SEQUENCE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddquant", *argv], capture_output=True, text=True
+        )
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    assert [fresh[tuple(argv)][0] for argv in _SEQUENCE] == [0, 1, 1, 0, 2, 0]
+    for argv in _SEQUENCE * 2:  # the second pass runs export-samples after certify
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argument errors leave through argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh[tuple(argv)], argv
 
 
 # ---------------------------------------------------------------------------
