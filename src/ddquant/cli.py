@@ -13,6 +13,7 @@ JSON with sorted keys, CSV rows are emitted in a fixed order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .axis import format_scalar
 from .enclosure import certify_not_divisible
 from .errors import DdqError
-from .expressions import LinearNode, evaluate, parse_expression
+from .expressions import evaluate, parse_expression
 from .finiteq import (
     check_downset_equality,
     load_quantale,
@@ -39,12 +40,6 @@ from .metrics import (
 from .quantale import residual
 from .staircase import Staircase
 from .tnorms import parse_tnorm
-
-
-def _out_stream(ns: argparse.Namespace):
-    if ns.output is None:
-        return sys.stdout, False
-    return open(ns.output, "w"), True
 
 
 def _eval_staircase(text: str, tnorm) -> Staircase:
@@ -96,10 +91,10 @@ def cmd_validate(ns: argparse.Namespace) -> int:
 def cmd_certify(ns: argparse.Namespace) -> int:
     t = parse_tnorm(ns.tnorm)
     phi_node = parse_expression(ns.phi)
-    if not isinstance(phi_node, LinearNode):
+    if phi_node.op != "linear":
         raise ValueError("certify expects --phi to be a linear[...] map")
     xi = _eval_staircase(ns.xi, t)
-    cert = certify_not_divisible(t, phi_node.value, xi, ns.resolution)
+    cert = certify_not_divisible(t, phi_node.args[0], xi, ns.resolution)
     if cert is None:
         print("inconclusive")
         return 2
@@ -146,15 +141,12 @@ def cmd_export_samples(ns: argparse.Namespace) -> int:
     )
     if jumps:
         grid.add(jumps[-1] + 1)
-    stream, owned = _out_stream(ns)
-    try:
+    sink = contextlib.nullcontext(sys.stdout) if ns.output is None else open(ns.output, "w")
+    with sink as stream:
         stream.write("t,value\n")
         for t_ in sorted(grid):
             stream.write(f"{format_scalar(t_)},{format_scalar(sc(t_))}\n")
         stream.write(f"inf,{format_scalar(sc.last_level)}\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -236,8 +228,10 @@ _MAX_RESOLUTION = 2**16
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse leaves with 2 on an error, 0 after --help
+        return exc.code
     try:
         resolution = getattr(ns, "resolution", 1)
         if resolution < 1:

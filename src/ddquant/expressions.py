@@ -11,6 +11,13 @@ any two tokens):
     scalar  := rational | inf
     rational:= digits | digits/digits
 
+Every expression is one frozen `Node(op, args)`.  The four operations
+`join`, `meet`, `conv` and `imp` hold their child nodes in `args`; the
+three literals hold their values: `step` its (jump, level), `steps` its
+`Staircase` and `linear` its `PiecewiseLinear`.  One table, `_OPS`, maps
+each operation to its kernel, and parsing, printing and evaluation each
+look an operation up there.
+
 `steps[...]` is the canonical staircase form, so printing an evaluated
 result and parsing it again is the identity.  `linear[...]` denotes a
 piecewise-linear map; it parses everywhere but only commands that bracket
@@ -24,104 +31,59 @@ beyond every finite time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .axis import INF, Time, _Reader, ensure_time, ensure_unit, format_scalar
-from .enclosure import PiecewiseLinear, _read_knots
+from .axis import INF, _Reader, ensure_unit, format_scalar
+from .enclosure import _read_knots
 from .errors import DomainError, ParseError
 from .quantale import convolve, implication
 from .staircase import Staircase, _read_steps, join_all, meet_all, one_step
 from .tnorms import TNorm
 
 
+@dataclass(frozen=True)
 class Node:
-    """Base class for expression AST nodes."""
+    """An expression: an operation name and its arguments."""
 
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class StepNode(Node):
-    jump: Time
-    level: Fraction
-
-    def __post_init__(self):
-        if self.jump is INF:
-            raise DomainError("step jump must be finite")
-        object.__setattr__(self, "jump", ensure_time(self.jump))
-        object.__setattr__(self, "level", ensure_unit(self.level))
+    op: str
+    args: tuple
 
 
-@dataclass(frozen=True)
-class JoinNode(Node):
-    args: tuple[Node, ...]
+# Each operation's kernel.  join and meet take the evaluated children as one
+# iterable; conv and imp take the t-norm, then exactly two children.
+_OPS = {"join": join_all, "meet": meet_all, "conv": convolve, "imp": implication}
+_BINARY = {"conv", "imp"}
+_LITERALS = {"step", "steps", "linear"}
 
 
-@dataclass(frozen=True)
-class MeetNode(Node):
-    args: tuple[Node, ...]
-
-
-@dataclass(frozen=True)
-class ConvNode(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class ImpNode(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class StaircaseNode(Node):
-    value: Staircase
-
-
-@dataclass(frozen=True)
-class LinearNode(Node):
-    value: PiecewiseLinear
+def _op(node) -> str:
+    if isinstance(node, Node) and (node.op in _OPS or node.op in _LITERALS):
+        return node.op
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def to_text(node: Node) -> str:
-    if isinstance(node, StepNode):
-        return f"step({format_scalar(node.jump)},{format_scalar(node.level)})"
-    if isinstance(node, JoinNode):
-        return "join(" + ",".join(to_text(a) for a in node.args) + ")"
-    if isinstance(node, MeetNode):
-        return "meet(" + ",".join(to_text(a) for a in node.args) + ")"
-    if isinstance(node, ConvNode):
-        return f"conv({to_text(node.left)},{to_text(node.right)})"
-    if isinstance(node, ImpNode):
-        return f"imp({to_text(node.left)},{to_text(node.right)})"
-    if isinstance(node, StaircaseNode):
-        return str(node.value)
-    if isinstance(node, LinearNode):
-        return str(node.value)
-    raise TypeError(f"not an expression node: {node!r}")
+    op = _op(node)
+    if op in _OPS:
+        return op + "(" + ",".join(to_text(a) for a in node.args) + ")"
+    if op == "step":
+        return "step(" + ",".join(format_scalar(v) for v in node.args) + ")"
+    return str(node.args[0])
 
 
 def evaluate(node: Node, t: TNorm) -> Staircase:
     """Reduce an expression to a canonical staircase under the given t-norm."""
-    if isinstance(node, StepNode):
-        return one_step(node.jump, node.level)
-    if isinstance(node, JoinNode):
-        return join_all(evaluate(a, t) for a in node.args)
-    if isinstance(node, MeetNode):
-        return meet_all(evaluate(a, t) for a in node.args)
-    if isinstance(node, ConvNode):
-        return convolve(t, evaluate(node.left, t), evaluate(node.right, t))
-    if isinstance(node, ImpNode):
-        return implication(t, evaluate(node.left, t), evaluate(node.right, t))
-    if isinstance(node, StaircaseNode):
-        return node.value
-    if isinstance(node, LinearNode):
-        raise DomainError(
-            "linear[...] is not a staircase; it is only accepted by "
-            "commands that compute enclosures"
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+    op = _op(node)
+    if op in _OPS:
+        args = [evaluate(a, t) for a in node.args]
+        return _OPS[op](t, *args) if op in _BINARY else _OPS[op](args)
+    if op == "step":
+        return one_step(*node.args)
+    if op == "steps":
+        return node.args[0]
+    raise DomainError(
+        "linear[...] is not a staircase; it is only accepted by "
+        "commands that compute enclosures"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +102,9 @@ class _Parser(_Reader):
         name = self.name("an operation name")
         column = self.column
         if name == "steps":
-            return StaircaseNode(_read_steps(self))
+            return Node(name, (_read_steps(self),))
         if name == "linear":
-            return LinearNode(_read_knots(self))
+            return Node(name, (_read_knots(self),))
         if name == "step":
             self.expect("(")
             jump = self.scalar()
@@ -156,29 +118,21 @@ class _Parser(_Reader):
                 raise DomainError(
                     f"step level must be a rational in [0, 1] (column {column + 1})"
                 )
-            return StepNode(jump, level)
-        if name in ("join", "meet", "conv", "imp"):
-            args = self.args()
-            if name in ("conv", "imp") and len(args) != 2:
-                raise ParseError(
-                    f"{name} takes exactly 2 arguments, got {len(args)}", column
-                )
-            if not args:
-                raise ParseError(f"{name} takes at least one argument", column)
-            if name == "join":
-                return JoinNode(tuple(args))
-            if name == "meet":
-                return MeetNode(tuple(args))
-            if name == "conv":
-                return ConvNode(args[0], args[1])
-            return ImpNode(args[0], args[1])
-        raise ParseError(f"unknown operation {name!r}", column)
+            return Node(name, (jump, ensure_unit(level)))
+        if name not in _OPS:
+            raise ParseError(f"unknown operation {name!r}", column)
+        args = self.args()
+        if name in _BINARY and len(args) != 2:
+            raise ParseError(f"{name} takes exactly 2 arguments, got {len(args)}", column)
+        if not args:
+            raise ParseError(f"{name} takes at least one argument", column)
+        return Node(name, args)
 
-    def args(self) -> list[Node]:
+    def args(self) -> tuple[Node, ...]:
         self.expect("(")
         if self.peek() == ")":
             self.take()
-            return []
+            return ()
         if self.depth == _MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", self.column)
         self.depth += 1
@@ -188,7 +142,7 @@ class _Parser(_Reader):
             out.append(self.expr())
         self.expect(")")
         self.depth -= 1
-        return out
+        return tuple(out)
 
 
 def parse_expression(text: str) -> Node:

@@ -1,11 +1,15 @@
 """Command-line interface: golden outputs, exit codes, error paths."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddquant import bracket, cli, parse_linear
 from ddquant.cli import main
@@ -61,6 +65,21 @@ def test_eval_golden_conv_ordinal(capsys):
     )
     assert code == 0
     assert out == golden("eval_conv_ordinal.txt")
+    assert err == ""
+
+
+def test_eval_golden_all_ops_ordinal(capsys):
+    # Every operation and literal kind once, under an ordinal sum.
+    code, out, err = run_cli(
+        capsys,
+        "eval",
+        "--tnorm",
+        "ordinal[(0,1/2,luk),(1/2,1,prod)]",
+        "meet(imp(step(1,3/4),steps[(2,1/4),(3,5/8)]),"
+        "join(step(0,1/3),conv(step(1,1/2),steps[(1/2,2/3),(2,1)])))",
+    )
+    assert code == 0
+    assert out == golden("eval_all_ops_ordinal.txt")
     assert err == ""
 
 
@@ -313,6 +332,14 @@ def test_export_samples_to_file(capsys, tmp_path):
     assert target.read_text() == golden("export_samples_min.csv")
 
 
+def test_export_samples_to_unwritable_path_exits_two(capsys, tmp_path):
+    target = tmp_path / "no-such-dir" / "samples.csv"
+    code, out, err = run_cli(capsys, "export-samples", "-o", str(target), "step(1,1)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_export_samples_deterministic(capsys):
     argv = ("export-samples", "--grid", "7", "join(step(1/3,1/2),step(2,5/6))")
     first = run_cli(capsys, *argv)
@@ -431,12 +458,18 @@ def test_reused_parser_matches_fresh_processes(capsys):
         fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
     assert [fresh[tuple(argv)][0] for argv in _SEQUENCE] == [0, 1, 1, 0, 2, 0]
     for argv in _SEQUENCE * 2:  # the second pass runs export-samples after certify
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argument errors leave through argparse
-            code = exc.code
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == fresh[tuple(argv)], argv
+        assert run_cli(capsys, *argv) == fresh[tuple(argv)], argv
+
+
+def test_argument_errors_and_help_return_their_codes(capsys):
+    code, out, err = run_cli(capsys, "diag", "--phi", "step(1,1)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: ddquant")
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -560,3 +593,87 @@ def test_help_prints_usage_and_exits_zero(argv):
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: ddquant")
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzz: grammar-shaped texts through main, in process
+
+# Rationals as the grammar reads them, most of them in [0, 1] so that many
+# texts evaluate.  One scalar in sixteen is bad: a zero or missing
+# denominator, inf where a literal needs a rational, a spelling outside the
+# grammar, or a 23-digit number.
+_GOOD = st.one_of(
+    st.integers(0, 3).map(str),
+    st.builds("{}/{}".format, st.integers(0, 4), st.integers(1, 4)),
+)
+_BAD = st.one_of(
+    st.sampled_from(["inf", "1/0", "1/", "0.5", "-1", "1e3", "1_0", ""]),
+    st.integers(10**22, 10**23 - 1).map(str),
+)
+_SCALARS = st.integers(0, 15).flatmap(lambda k: _BAD if k == 0 else _GOOD)
+_PAIRS = st.lists(st.tuples(_SCALARS, _SCALARS), max_size=3).map(
+    lambda ps: "".join(f",({a},{b})" for a, b in ps)
+)
+# Pairs that rise in both entries, so that literals made of them are valid
+# staircases or, after (0,0), valid linear maps.  Three literals in four use
+# them.
+_RISING = st.lists(st.integers(1, 12), max_size=6, unique=True).map(sorted).map(
+    lambda ks: "".join(f",({p}/12,{a}/12)" for p, a in zip(ks[::2], ks[1::2]))
+)
+_BODIES = st.integers(0, 3).flatmap(lambda k: _PAIRS if k == 0 else _RISING)
+_STEPS = _BODIES.map(lambda body: f"steps[{body[1:]}]")
+_LINEAR = _BODIES.map(lambda body: f"linear[(0,0){body}]")
+_OPERATIONS = st.sampled_from(["join", "meet", "conv", "imp"])
+_EXPRS = st.recursive(
+    st.one_of(
+        st.builds("step({},{})".format, _SCALARS, _SCALARS),
+        _STEPS,
+        _LINEAR,
+        _OPERATIONS.map("{}()".format),  # join(), meet() and two arity errors
+    ),
+    lambda kids: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(["join", "meet"]), kids),
+        st.builds("{}({},{})".format, _OPERATIONS, kids, kids),
+        st.builds("{}({},{},{})".format, _OPERATIONS, kids, kids, kids),
+    ),
+    max_leaves=6,
+)
+# Mostly valid t-norms; one in eight is an unknown name, one in eight an
+# ordinal sum of random pieces.
+_NAMED = st.sampled_from(["min", "prod", "luk", "ordinal[(0,1/2,luk),(1/2,1,prod)]"])
+_ORDINALS = st.lists(
+    st.tuples(_SCALARS, _SCALARS, st.sampled_from(["min", "prod", "luk", "nil"])),
+    max_size=3,
+).map(lambda ps: "ordinal[" + ",".join(f"({a},{b},{k})" for a, b, k in ps) + "]")
+_TNORMS = st.integers(0, 7).flatmap(
+    lambda k: _ORDINALS if k == 0 else st.just("drastic") if k == 1 else _NAMED
+)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["eval", "diag", "certify", "export-samples"]))
+    argv = [command, "--tnorm", draw(_TNORMS)]
+    if command in ("eval", "export-samples"):
+        return argv + [draw(_EXPRS)]
+    phi = draw(_LINEAR if command == "certify" else _EXPRS)
+    return argv + ["--xi", draw(_EXPRS), "--phi", phi]
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_fuzz_argv())
+def test_fuzzed_commands_keep_the_exit_contract(argv):
+    # capsys is per test, not per example, so each example captures its own
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:  # a definite negative comes with its verdict
+        assert out.startswith("not divisible\n") and err == ""
+    elif code == 2 and out != "inconclusive\n":  # certify's verdict, no error
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and "internal error" not in err
+    else:
+        assert err == ""

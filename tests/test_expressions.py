@@ -12,17 +12,11 @@ from ddquant import (
     evaluate,
     one_step,
     parse_expression,
+    parse_linear,
+    parse_staircase,
     to_text,
 )
-from ddquant.expressions import (
-    ConvNode,
-    ImpNode,
-    JoinNode,
-    LinearNode,
-    StaircaseNode,
-    StepNode,
-    _MAX_DEPTH,
-)
+from ddquant.expressions import _MAX_DEPTH, Node
 
 from util import LUK, MIN, PROD
 
@@ -50,16 +44,26 @@ def test_parse_is_whitespace_insensitive():
 
 def test_step_parses_to_node():
     node = parse_expression("step(1,1/2)")
-    assert node == StepNode(Fraction(1), Fraction(1, 2))
+    assert node == Node("step", (Fraction(1), Fraction(1, 2)))
     assert evaluate(node, MIN) == one_step(1, Fraction(1, 2))
 
 
 def test_node_shapes():
-    assert isinstance(parse_expression("conv(step(0,1),step(0,1))"), ConvNode)
-    assert isinstance(parse_expression("imp(step(0,1),step(0,1))"), ImpNode)
-    assert isinstance(parse_expression("join(step(0,1))"), JoinNode)
-    assert isinstance(parse_expression("steps[(1,1)]"), StaircaseNode)
-    assert isinstance(parse_expression("linear[(0,0),(1,1)]"), LinearNode)
+    step = Node("step", (Fraction(0), Fraction(1)))
+    assert parse_expression("conv(step(0,1),step(0,1))") == Node("conv", (step, step))
+    assert parse_expression("imp(step(0,1),step(0,1))") == Node("imp", (step, step))
+    assert parse_expression("join(step(0,1))") == Node("join", (step,))
+    steps, linear = "steps[(1,1)]", "linear[(0,0),(1,1)]"
+    assert parse_expression(steps) == Node("steps", (parse_staircase(steps),))
+    assert parse_expression(linear) == Node("linear", (parse_linear(linear),))
+
+
+def test_unknown_nodes_are_type_errors():
+    for bad in (Node("bogus", ()), "step(1,1)", None):
+        with pytest.raises(TypeError, match="not an expression node"):
+            to_text(bad)
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate(bad, MIN)
 
 
 def test_evaluate_worked_values():
