@@ -3,12 +3,10 @@
 Times live on the extended half line [0, inf], values in the unit interval
 [0, 1].  Finite quantities are `fractions.Fraction` throughout; the point at
 infinity is the module constant `INF`.  Addition treats infinity as absorbing.
-Subtraction follows the conventions
+Its residuation `plus_implies` is truncated subtraction, with the conventions
 
     inf - p = inf   for finite p,
-    inf - inf = 0,
-
-and is otherwise only defined when the result is non-negative.
+    inf - inf = 0.
 
 Every text form of the package (scalars, `steps[...]`, `ordinal[...]`,
 `linear[...]` and expressions) is read with one token grammar, kept here
@@ -108,26 +106,13 @@ def time_add(a: Time, b: Time) -> Time:
     return a + b
 
 
-def time_sub(a: Time, b: Time) -> Time:
-    """a - b with the infinity conventions above; requires a >= b."""
-    if a is INF:
-        return ZERO if b is INF else INF
-    if b is INF:
-        raise DomainError("cannot subtract infinity from a finite time")
-    if a < b:
-        raise DomainError(f"negative time difference: {a} - {b}")
-    return a - b
-
-
 def plus_implies(p: Time, q: Time) -> Time:
     """Residuation of addition on [0, inf] ordered by >= (0 is the unit).
 
     plus_implies(p, q) is the least r with p + r >= q in the numeric order,
     i.e. 0 when p >= q and q - p otherwise.
     """
-    if p >= q:
-        return ZERO
-    return time_sub(q, p)
+    return ZERO if p >= q else (INF if q is INF else q - p)
 
 
 def format_scalar(v: Time) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axis import INF, _Reader, ensure_unit, format_scalar
+from .axis import INF, _Reader, format_scalar
 from .enclosure import _read_knots
 from .errors import DomainError, ParseError
 from .quantale import convolve, implication
@@ -114,11 +114,11 @@ class _Parser(_Reader):
             # out-of-domain step arguments are domain errors, not syntax errors
             if jump is INF:
                 raise DomainError(f"step jump must be finite (column {column + 1})")
-            if level is INF:
+            if level is INF or level > 1:
                 raise DomainError(
                     f"step level must be a rational in [0, 1] (column {column + 1})"
                 )
-            return Node(name, (jump, ensure_unit(level)))
+            return Node(name, (jump, level))
         if name not in _OPS:
             raise ParseError(f"unknown operation {name!r}", column)
         args = self.args()

@@ -1,11 +1,12 @@
 """Brute-force laboratory for finite commutative integral quantales.
 
 Everything here is exhaustive: lattice structure, quantale axioms,
-residuation, diagonal hom-sets, and the category laws for composing
-diagonals are all checked by direct enumeration over the (small) carrier.
-A table is a `values.ValueQuantale`, so divisibility and the composite
-formulas are the ones the staircase track uses; its arithmetic is table
-lookup, which makes it an oracle independent of the staircase machinery.
+residuation and diagonal hom-sets are enumerated over the (small) carrier.
+A table is one of the three instances of `values.ValueQuantale`, so
+divisibility, the composite formulas and the one quantaloid-law and downset
+checker are those of the staircase and numeric tracks; here the checker
+gets every hom-set, and table lookup makes it an oracle independent of the
+staircase machinery.
 
 A table computes its join and meet tables and its diagonal hom-sets once,
 and every check reads them.  Hom-set members, and so the violations the
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 from .axis import format_scalar
 from .errors import _rows_of, read_json
-from .values import ValueQuantale
+from .values import DownsetReport, QuantaloidReport, ValueQuantale
+from .values import downset_equality, quantaloid_laws
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,7 @@ class FiniteQuantale(ValueQuantale):
     leq: tuple[tuple[bool, ...], ...]
     mult: tuple[tuple[str, ...], ...]
     unit: str
+    text = staticmethod(str)
 
     def __post_init__(self):
         elements = tuple(str(e) for e in self.elements)
@@ -89,8 +92,12 @@ class FiniteQuantale(ValueQuantale):
     def below(self, a: str, b: str) -> bool:
         return self.leq[self.index[a]][self.index[b]]
 
-    def text(self, a: str) -> str:
-        return a
+    def join(self, a: str, b: str) -> str:
+        return self.elements[self.joins[self.index[a]][self.index[b]]]
+
+    @cached_property
+    def bottom(self) -> str:
+        return self.elements[self.bottom_idx]
 
     def finite(self, a: str) -> bool:
         """Whether a is not the bottom element."""
@@ -123,9 +130,6 @@ class FiniteQuantale(ValueQuantale):
         els, order = self.elements, self.index.__getitem__
         return {(p, r): tuple(sorted(diag_homset(self, p, r).members, key=order))
                 for p in els for r in els}
-
-    def downset(self, a: int) -> frozenset[int]:
-        return frozenset(k for k in range(len(self.elements)) if self.leq[k][a])
 
 
 def _least(leq, ks) -> int | None:
@@ -240,132 +244,16 @@ def diag_homset(q: FiniteQuantale, p: str, r: str) -> DiagonalHomset:
     return DiagonalHomset(p, r, members)
 
 
-@dataclass(frozen=True)
-class QuantaloidReport:
-    ok: bool
-    violations: tuple[str, ...]
-    # pairs whose hom-set is not closed under binary join, with the escaping join
-    join_gaps: tuple[str, ...]
-
-
 def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
-    """Check that diagonals compose like a category enriched in sup-lattices.
-
-    Objects are the elements, morphisms p -> r the diagonal hom-set members.
-    Checks: the two composition formulas agree; composites land in the right
-    hom-set; composition is associative; the object itself is an identity;
-    composition preserves bottom and binary joins of diagonals.  Hom-set
-    joins are computed in the ambient quantale; pairs of diagonals whose
-    join is not itself a diagonal are flagged, not failed.  Each composite
-    is computed once.
-    """
+    """`values.quantaloid_laws` on every diagonal hom-set of the table."""
     _require_lattice(q)
-    violations: list[str] = []
-    join_gaps: list[str] = []
-    els, homs, ix = q.elements, q.homs, q.index
-    # Memoised, not precomputed: where the laws fail, a composite can leave
-    # hom(mid, mid) and still be composed further.
-    composites = cache(q.composites)
-    for p in els:
-        if p not in homs[p, p]:
-            violations.append(f"identity {p} is not a diagonal on itself")
-    # composition: d in hom(p, r), e in hom(r, s)
-    for (p, r), hom in homs.items():
-        for d in hom:
-            for s in els:
-                for ee in homs[r, s]:
-                    left, right = composites(r, ee, d)
-                    if left != right:
-                        violations.append(
-                            f"composition formulas disagree for d={d}:{p}->{r}, "
-                            f"e={ee}:{r}->{s}: {left} vs {right}"
-                        )
-                    if left not in homs[p, s]:
-                        violations.append(
-                            f"composite {left} of d={d}, e={ee} escapes hom({p},{s})"
-                        )
-    for (p, r), hom in homs.items():
-        for d in hom:
-            if composites(p, d, p)[0] != d:
-                violations.append(f"identity {p} not neutral below {d}:{p}->{r}")
-            if composites(r, r, d)[0] != d:
-                violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
-    # associativity over composable triples: the composites depend on
-    # (r, s, d, e, g) alone, so each is checked once, and p and t only name
-    # a failure in its messages
-    into = {r: {d for p in els for d in homs[p, r]} for r in els}
-    out_of = {s: {g for t_ in els for g in homs[s, t_]} for s in els}
-    broken = {
-        (r, s, d, ee, g)
-        for r in els for s in els for d in into[r] for ee in homs[r, s] for g in out_of[s]
-        if composites(s, g, composites(r, ee, d)[0])[0]
-        != composites(r, composites(s, g, ee)[0], d)[0]
-    }
-    # the full loop, for its message order, only where a check failed
-    for (p, r), hom in homs.items() if broken else ():
-        for s in els:
-            for t_ in els:
-                for d in hom:
-                    for ee in homs[r, s]:
-                        for g in homs[s, t_]:
-                            if (r, s, d, ee, g) in broken:
-                                violations.append(
-                                    f"composition not associative at "
-                                    f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
-                                )
-    # join preservation inside hom-sets, and bottom preservation
-    bot = els[q.bottom_idx]
-    for (p, r), hom in homs.items():
-        if bot not in hom:
-            violations.append(f"bottom missing from hom({p},{r})")
-        for s in els:
-            for ee in homs[r, s]:
-                if composites(r, ee, bot)[0] != bot:
-                    violations.append(f"composition with bottom not bottom for e={ee}")
-        for i1, d1 in enumerate(hom):
-            for d2 in hom[i1 + 1:]:
-                jl = els[q.joins[ix[d1]][ix[d2]]]
-                if jl not in hom:
-                    join_gaps.append(
-                        f"join {jl} of diagonals {d1},{d2} in hom({p},{r}) is not a diagonal"
-                    )
-                    continue
-                for s in els:
-                    for ee in homs[r, s]:
-                        cj = composites(r, ee, jl)[0]
-                        c1 = composites(r, ee, d1)[0]
-                        c2 = composites(r, ee, d2)[0]
-                        if cj != els[q.joins[ix[c1]][ix[c2]]]:
-                            violations.append(
-                                f"composition does not preserve join of {d1},{d2} under e={ee}"
-                            )
-    return QuantaloidReport(not violations, tuple(violations), tuple(join_gaps))
-
-
-@dataclass(frozen=True)
-class DownsetReport:
-    divisible: bool
-    mismatched_pairs: tuple[tuple[str, str], ...]
-
-    @property
-    def equal_everywhere(self) -> bool:
-        return not self.mismatched_pairs
+    return quantaloid_laws(q, q.homs)
 
 
 def check_downset_equality(q: FiniteQuantale) -> DownsetReport:
-    """Compare each diagonal hom-set with the downset of the endpoint meet.
-
-    In a divisible quantale the two agree for every pair; divisibility is
-    checked exhaustively (b <= a implies a * (a -> b) = b).
-    """
+    """`values.downset_equality` over the whole carrier and every hom-set."""
     _require_lattice(q)
-    divisible = all(q.divides(a, b) for a in q.elements for b in q.elements if q.below(b, a))
-    ix = q.index
-    mismatches = tuple(
-        (p, r) for (p, r), hom in q.homs.items()
-        if {ix[d] for d in hom} != q.downset(q.meets[ix[p]][ix[r]])
-    )
-    return DownsetReport(divisible, mismatches)
+    return downset_equality(q, q.elements, q.homs)
 
 
 # ---------------------------------------------------------------------------

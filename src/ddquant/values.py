@@ -2,11 +2,13 @@
 
 A (partial) metric is a category enriched in a commutative integral
 quantale.  The validators, globalization, divisibility and diagonal
-composition are written once against this protocol of six parts:
+composition are written once against this protocol of eight parts:
 
     unit            the top element: a point's distance to itself in a metric
+    bottom          the least element
     compose(a, b)   the multiplication
     implies(a, b)   its residuation: the largest r with compose(a, r) below b
+    join(a, b)      the least upper bound
     below(a, b)     the order; `descending` is true when the printed
                     (numeric) order of the values is its reverse
     text(a)         canonical text
@@ -19,15 +21,22 @@ and `finiteq.FiniteQuantale`, a finite table.
 Divisibility is the diagonal condition: d is divisible by p when
 d = compose(p, implies(p, d)).  It matches the down set of p only in a
 divisible quantale such as [0, inf], or below a one-step staircase.
+
+Diagonals form a quantaloid: its morphisms p -> r are the values divisible
+by both p and r.  One checker, `quantaloid_laws` and `downset_equality`,
+serves all three instances.  It takes the hom-sets from its caller, all of
+them for a table or samples for the others; what it builds counts as a
+member of hom(p, r) when listed there or divisible by p and r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .axis import ONE, ZERO, format_scalar, is_infinite, plus_implies, time_add
+from .axis import INF, ONE, ZERO, format_scalar, is_infinite, plus_implies, time_add
 from .quantale import convolve, implication
-from .staircase import TOP
+from .staircase import BOTTOM, TOP, join_all
 from .tnorms import TNorm
 
 
@@ -58,8 +67,10 @@ class _Numeric(ValueQuantale):
     """[0, inf] under addition, ordered by >= so that 0 is the unit and top."""
 
     unit = ZERO
+    bottom = INF
     descending = True
     compose = staticmethod(time_add)
+    join = staticmethod(min)
     implies = staticmethod(plus_implies)
     text = staticmethod(format_scalar)
 
@@ -81,9 +92,14 @@ class Staircases(ValueQuantale):
 
     tnorm: TNorm
     unit = TOP
+    bottom = BOTTOM
+    text = staticmethod(str)
 
     def compose(self, a, b):
         return convolve(self.tnorm, a, b)
+
+    def join(self, a, b):
+        return join_all((a, b))
 
     def implies(self, a, b):
         return implication(self.tnorm, a, b)
@@ -91,9 +107,139 @@ class Staircases(ValueQuantale):
     def below(self, a, b) -> bool:
         return a.leq(b)
 
-    def text(self, a) -> str:
-        return str(a)
-
     def finite(self, a) -> bool:
         """Whether the distance is finite almost surely: level 1 at infinity."""
         return a.last_level == ONE
+
+
+# ---------------------------------------------------------------------------
+# the quantaloid of diagonals
+
+@dataclass(frozen=True)
+class QuantaloidReport:
+    ok: bool
+    violations: tuple[str, ...]
+    # pairs whose hom-set is not closed under binary join, with the escaping join
+    join_gaps: tuple[str, ...]
+
+
+def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
+    """Check that diagonals compose like a category enriched in sup-lattices.
+
+    `homs` maps every pair (p, r) of objects to its diagonals, in report
+    order.  Checks: the two composition formulas agree; composites land in
+    the right hom-set; composition is associative; the object itself is an
+    identity; composition preserves bottom and binary joins of diagonals.
+    Joins are computed in the ambient quantale; pairs of diagonals whose
+    join is not itself a diagonal are flagged, not failed.  Each composite
+    is computed once.
+    """
+    violations: list[str] = []
+    join_gaps: list[str] = []
+    els = tuple(dict.fromkeys(p for p, _ in homs))
+    # Memoised, not precomputed: where the laws fail, a composite can leave
+    # hom(mid, mid) and still be composed further.
+    composites = cache(q.composites)
+
+    # exact on a full hom-set; the divisibility test covers sampled ones
+    def member(p, r, d) -> bool:
+        return d in homs[p, r] or (q.divides(p, d) and q.divides(r, d))
+
+    for p in els:
+        if not member(p, p, p):
+            violations.append(f"identity {p} is not a diagonal on itself")
+    # composition: d in hom(p, r), e in hom(r, s)
+    for (p, r), hom in homs.items():
+        for d in hom:
+            for s in els:
+                for ee in homs[r, s]:
+                    left, right = composites(r, ee, d)
+                    if left != right:
+                        violations.append(
+                            f"composition formulas disagree for d={d}:{p}->{r}, "
+                            f"e={ee}:{r}->{s}: {left} vs {right}"
+                        )
+                    if not member(p, s, left):
+                        violations.append(
+                            f"composite {left} of d={d}, e={ee} escapes hom({p},{s})"
+                        )
+    for (p, r), hom in homs.items():
+        for d in hom:
+            if composites(p, d, p)[0] != d:
+                violations.append(f"identity {p} not neutral below {d}:{p}->{r}")
+            if composites(r, r, d)[0] != d:
+                violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
+    # associativity over composable triples: the composites depend on
+    # (r, s, d, e, g) alone, so each is checked once, and p and t only name
+    # a failure in its messages
+    into = {r: {d for p in els for d in homs[p, r]} for r in els}
+    out_of = {s: {g for t_ in els for g in homs[s, t_]} for s in els}
+    broken = {
+        (r, s, d, ee, g)
+        for r in els for s in els for d in into[r] for ee in homs[r, s] for g in out_of[s]
+        if composites(s, g, composites(r, ee, d)[0])[0]
+        != composites(r, composites(s, g, ee)[0], d)[0]
+    }
+    # the full loop, for its message order, only where a check failed
+    for (p, r), hom in homs.items() if broken else ():
+        for s in els:
+            for t_ in els:
+                for d in hom:
+                    for ee in homs[r, s]:
+                        for g in homs[s, t_]:
+                            if (r, s, d, ee, g) in broken:
+                                violations.append(
+                                    f"composition not associative at "
+                                    f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
+                                )
+    # join preservation inside hom-sets, and bottom preservation
+    bot = q.bottom
+    for (p, r), hom in homs.items():
+        if not member(p, r, bot):
+            violations.append(f"bottom missing from hom({p},{r})")
+        for s in els:
+            for ee in homs[r, s]:
+                if composites(r, ee, bot)[0] != bot:
+                    violations.append(f"composition with bottom not bottom for e={ee}")
+        for i1, d1 in enumerate(hom):
+            for d2 in hom[i1 + 1:]:
+                jl = q.join(d1, d2)
+                if not member(p, r, jl):
+                    join_gaps.append(
+                        f"join {jl} of diagonals {d1},{d2} in hom({p},{r}) is not a diagonal"
+                    )
+                    continue
+                for s in els:
+                    for ee in homs[r, s]:
+                        cj = composites(r, ee, jl)[0]
+                        c1 = composites(r, ee, d1)[0]
+                        c2 = composites(r, ee, d2)[0]
+                        if cj != q.join(c1, c2):
+                            violations.append(
+                                f"composition does not preserve join of {d1},{d2} under e={ee}"
+                            )
+    return QuantaloidReport(not violations, tuple(violations), tuple(join_gaps))
+
+
+@dataclass(frozen=True)
+class DownsetReport:
+    divisible: bool
+    mismatched_pairs: tuple[tuple, ...]
+
+    @property
+    def equal_everywhere(self) -> bool:
+        return not self.mismatched_pairs
+
+
+def downset_equality(q: ValueQuantale, values, homs: dict) -> DownsetReport:
+    """Compare each hom-set with the values below both its endpoints.
+
+    In a divisible quantale the two agree for every pair; divisibility is
+    checked over `values` (b below a implies compose(a, implies(a, b)) = b).
+    """
+    divisible = all(q.divides(a, b) for a in values for b in values if q.below(b, a))
+    mismatches = tuple(
+        (p, r) for (p, r), hom in homs.items()
+        if set(hom) != {d for d in values if q.below(d, p) and q.below(d, r)}
+    )
+    return DownsetReport(divisible, mismatches)

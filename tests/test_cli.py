@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,19 @@ def test_quantale_check_drastic_chain(capsys):
     assert ["a", "b"] in payload["mismatched_pairs"]
 
 
+def test_quantale_check_drastic_five_chain(capsys):
+    # 0 < a < b < c < 1: only 0 and p itself are diagonals on an inner p
+    code, out, _ = run_cli(
+        capsys, "quantale-check", str(DATA / "drastic5_quantale.json")
+    )
+    assert code == 0
+    assert out == golden("quantale_check_drastic5.txt")
+    payload = json.loads(out)
+    assert payload["quantaloid_ok"] is True
+    assert payload["divisible"] is False
+    assert len(payload["mismatched_pairs"]) == 12
+
+
 def test_quantale_check_broken_table_exits_one(capsys):
     code, out, _ = run_cli(
         capsys, "quantale-check", str(DATA / "broken_quantale.json")
@@ -371,6 +385,14 @@ def test_domain_error_exits_two(capsys):
     code, _, err = run_cli(capsys, "eval", "step(inf,1)")
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize("level", ["3", "inf"])
+def test_step_level_above_one_names_its_column(capsys, level):
+    code, out, err = run_cli(capsys, "eval", f"join(step(0,1),step(1,{level}))")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("(column 16)\n")
 
 
 def test_missing_file_exits_two(capsys):
@@ -676,4 +698,87 @@ def test_fuzzed_commands_keep_the_exit_contract(argv):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err and "internal error" not in err
     else:
+        assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzz: mutated instance and table files through main, in process
+
+# Each mutation starts from a data file that its command reads.  Tables
+# keep at most 5 elements, as the exhaustive checks are cubic and worse.
+_BASES = {
+    "validate": ["two_point_instance.json", "parmet_instance.json", "bad_parmet_instance.json"],
+    "quantale-check": ["luk3_quantale.json", "drastic_quantale.json",
+                       "drastic5_quantale.json", "broken_quantale.json"],
+}
+# Strings a file holds: labels, scalars, staircases and t-norms.
+_TEXTS = st.sampled_from([
+    "0", "1", "a", "b", "c", "x", "y", "1/2", "3", "inf", "", "1e400", "min", "luk",
+    "ordinal[(0,1/2,luk)]", "steps[(0,1)]", "steps[(1,1/2),(2,1)]", "steps[(0,1/2)]",
+])
+_LEAVES = st.one_of(_TEXTS, st.integers(-1, 2), st.none(), st.just([]), st.just({}))
+
+
+def _slots(node):
+    """Every (container, key) below a decoded JSON document."""
+    keys = range(len(node)) if isinstance(node, list) else node if isinstance(node, dict) else ()
+    for k in list(keys):
+        yield node, k
+        yield from _slots(node[k])
+
+
+@st.composite
+def _mutated_file(draw):
+    """A command and a data file of its, mutated one to three times.  Three
+    mutations in four swap a string for a string, half the time one from the
+    same file, or an entry of 0/1 for 0/1, so that most files keep their
+    shape and reach the checks."""
+    command = draw(st.sampled_from(sorted(_BASES)))
+    doc = json.loads((DATA / draw(st.sampled_from(_BASES[command]))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        leaves = [(n, k) for n, k in slots if isinstance(n[k], (str, int))]
+        if draw(st.integers(0, 3)) and leaves:
+            node, key = draw(st.sampled_from(leaves))
+            own = sorted({n[k] for n, k in leaves if isinstance(n[k], str)})
+            texts = st.one_of(st.sampled_from(own), _TEXTS)
+            node[key] = draw(texts if isinstance(node[key], str) else st.integers(0, 1))
+            continue
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "copy", "delete", "repeat"]))
+        if action == "replace":
+            node[key] = draw(_LEAVES)
+        elif action == "copy":  # another part of the document, moved here
+            other, k = draw(st.sampled_from(slots))
+            node[key] = json.loads(json.dumps(other[k]))
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, list) and len(node) < 5:
+            node.insert(key, json.loads(json.dumps(node[key])))
+    argv = [command]
+    if command == "validate":
+        argv += draw(st.sampled_from([[], ["--kind", "met"], ["--kind", "probparmet"]]))
+    return argv, json.dumps(doc)
+
+
+@settings(deadline=None, max_examples=600)
+@given(_mutated_file())
+def test_fuzzed_files_keep_the_exit_contract(case):
+    argv, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "internal error" not in err
+    else:  # a report, valid or not, and no error
+        json.loads(out)
         assert err == ""

@@ -100,7 +100,8 @@ def test_drastic_chain_negative_space():
     hom = diag_homset(q, "b", "b").members
     assert hom == {"0", "b"}
     # the downset of b is strictly larger
-    assert q.downset(q.index["b"]) == {q.index["0"], q.index["a"], q.index["b"]}
+    assert {k for k, e in enumerate(q.elements) if q.below(e, "b")} == {
+        q.index["0"], q.index["a"], q.index["b"]}
     assert residuate(q, "b", "a") == "b"
 
 
