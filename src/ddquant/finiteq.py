@@ -8,18 +8,22 @@ checker are those of the staircase and numeric tracks; here the checker
 gets every hom-set, and table lookup makes it an oracle independent of the
 staircase machinery.
 
-A table computes its join and meet tables and its diagonal hom-sets once,
-and every check reads them.  Hom-set members, and so the violations the
-law check reports, come in element order.  `residuate` raises ValueError
-on a table that is not a lattice or where no r has a * r <= b, and the law
-and downset checks on a table that is not a lattice.
+A table has one working representation: its order, reversed order and
+product as rows keyed by label, built once from the `leq` and `mult`
+fields.  Joins, meets, top and bottom are labels computed from those rows,
+None where one is missing, and every check reads them and names elements
+by label.  Hom-set members, and so the violations the law check reports,
+come in element order.  `join`, `bottom`, `finite` and `residuate` raise
+ValueError ("validate first") on a table that is not a lattice, and so do
+the law and downset checks before they look anything up; `residuate` also
+raises it where no r has a * r <= b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 from .axis import format_scalar
@@ -34,9 +38,10 @@ class FiniteQuantale(ValueQuantale):
 
     `leq[i][j]` says element i is below element j; `mult[i][j]` is the label
     of the product.  Structural well-formedness (shapes, labels) is enforced
-    at construction; the mathematical axioms are checked by
-    `validate_quantale`, which reports rather than raises.  As a value
-    quantale it works on labels; `implies` residuates each pair once.
+    at construction, which also keys the rows by label; the mathematical
+    axioms are checked by `validate_quantale`, which reports rather than
+    raises.  Beyond these two fields and `index`, the position of each
+    label, every member works on labels; `implies` residuates each pair once.
     """
 
     elements: tuple[str, ...]
@@ -66,18 +71,17 @@ class FiniteQuantale(ValueQuantale):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "leq", leq)
         object.__setattr__(self, "mult", mult)
+        # the working representation: rows keyed by label, _leq[a][b] is a <= b
+        for name, table in (("_leq", leq), ("_geq", zip(*leq)), ("_mult", mult)):
+            rows = {a: dict(zip(elements, row)) for a, row in zip(elements, table)}
+            object.__setattr__(self, name, rows)
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
 
-    @cached_property
-    def mult_idx(self) -> tuple[tuple[int, ...], ...]:
-        ix = self.index
-        return tuple(tuple(ix[v] for v in row) for row in self.mult)
-
     def compose(self, a: str, b: str) -> str:
-        return self.mult[self.index[a]][self.index[b]]
+        return self._mult[a][b]
 
     def implies(self, a: str, b: str) -> str:
         memo = self._implied
@@ -90,39 +94,33 @@ class FiniteQuantale(ValueQuantale):
         return {}
 
     def below(self, a: str, b: str) -> bool:
-        return self.leq[self.index[a]][self.index[b]]
+        return self._leq[a][b]
 
     def join(self, a: str, b: str) -> str:
-        return self.elements[self.joins[self.index[a]][self.index[b]]]
+        return _lattice(self.joins[a][b])
 
     @cached_property
     def bottom(self) -> str:
-        return self.elements[self.bottom_idx]
+        return _lattice(self._ends[0])
 
     def finite(self, a: str) -> bool:
         """Whether a is not the bottom element."""
-        return self.index[a] != self.bottom_idx
-
-    def times(self, a: int, b: int) -> int:
-        return self.mult_idx[a][b]
+        return a != self.bottom
 
     @cached_property
-    def joins(self) -> tuple[tuple[int | None, ...], ...]:
-        """Join of each pair of indices, None where it is missing."""
-        return _join_table(self.leq)
+    def joins(self) -> dict[str, dict[str, str | None]]:
+        """Join of each pair, None where it is missing."""
+        return _join_table(self._leq)
 
     @cached_property
-    def meets(self) -> tuple[tuple[int | None, ...], ...]:
-        """Meet of each pair of indices: the join in the reversed order."""
-        return _join_table(tuple(zip(*self.leq)))
+    def meets(self) -> dict[str, dict[str, str | None]]:
+        """Meet of each pair: the join in the reversed order."""
+        return _join_table(self._geq)
 
     @cached_property
-    def top_idx(self) -> int | None:
-        return _least(tuple(zip(*self.leq)), range(len(self.elements)))
-
-    @cached_property
-    def bottom_idx(self) -> int | None:
-        return _least(self.leq, range(len(self.elements)))
+    def _ends(self) -> tuple[str | None, str | None]:
+        """The least and the greatest element, None where one is missing."""
+        return _least(self._leq, self.elements), _least(self._geq, self.elements)
 
     @cached_property
     def homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -132,17 +130,23 @@ class FiniteQuantale(ValueQuantale):
                 for p in els for r in els}
 
 
-def _least(leq, ks) -> int | None:
+def _least(leq, ks) -> str | None:
     """The one member of ks below every member under leq, or None."""
     least = [u for u in ks if all(leq[u][v] for v in ks)]
     return least[0] if len(least) == 1 else None
 
 
-def _join_table(leq) -> tuple[tuple[int | None, ...], ...]:
+def _join_table(leq) -> dict[str, dict[str, str | None]]:
     """Least upper bound under leq of each pair, None where it is missing."""
-    r = range(len(leq))
-    return tuple(tuple(_least(leq, [k for k in r if leq[a][k] and leq[b][k]]) for b in r)
-                 for a in r)
+    return {a: {b: _least(leq, [k for k in leq if leq[a][k] and leq[b][k]]) for b in leq}
+            for a in leq}
+
+
+def _lattice(x: str | None) -> str:
+    """x, or the validate-first ValueError where a lattice lacks it."""
+    if x is None:
+        raise ValueError("carrier is not a lattice; validate first")
+    return x
 
 
 @dataclass(frozen=True)
@@ -154,56 +158,52 @@ class QuantaleReport:
 def validate_quantale(q: FiniteQuantale) -> QuantaleReport:
     """Check that the tables describe a commutative integral quantale."""
     problems: list[str] = []
-    n = len(q.elements)
-    e = q.elements
-    for a in range(n):
-        if not q.leq[a][a]:
-            problems.append(f"order not reflexive at {e[a]}")
-    for a in range(n):
-        for b in range(n):
-            if a != b and q.leq[a][b] and q.leq[b][a]:
-                problems.append(f"order not antisymmetric at ({e[a]},{e[b]})")
-            for c in range(n):
-                if q.leq[a][b] and q.leq[b][c] and not q.leq[a][c]:
-                    problems.append(f"order not transitive at ({e[a]},{e[b]},{e[c]})")
-    if q.top_idx is None:
+    els, leq, mult, joins = q.elements, q._leq, q._mult, q.joins
+    for a in els:
+        if not leq[a][a]:
+            problems.append(f"order not reflexive at {a}")
+    for a in els:
+        for b in els:
+            if a != b and leq[a][b] and leq[b][a]:
+                problems.append(f"order not antisymmetric at ({a},{b})")
+            for c in els:
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    problems.append(f"order not transitive at ({a},{b},{c})")
+    bot, top = q._ends
+    if top is None:
         problems.append("no greatest element")
-    if q.bottom_idx is None:
+    if bot is None:
         problems.append("no least element")
-    for a in range(n):
-        for b in range(n):
-            if q.joins[a][b] is None:
-                problems.append(f"join of ({e[a]},{e[b]}) missing")
+    for a in els:
+        for b in els:
+            if joins[a][b] is None:
+                problems.append(f"join of ({a},{b}) missing")
             if q.meets[a][b] is None:
-                problems.append(f"meet of ({e[a]},{e[b]}) missing")
+                problems.append(f"meet of ({a},{b}) missing")
     if problems:
         # Without a lattice the remaining axioms are not well-posed.
         return QuantaleReport(False, tuple(problems))
-    for a in range(n):
-        for b in range(n):
-            if q.times(a, b) != q.times(b, a):
-                problems.append(f"multiplication not commutative at ({e[a]},{e[b]})")
-            for c in range(n):
-                if q.times(q.times(a, b), c) != q.times(a, q.times(b, c)):
-                    problems.append(
-                        f"multiplication not associative at ({e[a]},{e[b]},{e[c]})"
-                    )
-    u = q.index[q.unit]
-    for a in range(n):
-        if q.times(a, u) != a:
-            problems.append(f"unit law fails at {e[a]}")
-    if u != q.top_idx:
+    for a in els:
+        for b in els:
+            if mult[a][b] != mult[b][a]:
+                problems.append(f"multiplication not commutative at ({a},{b})")
+            for c in els:
+                if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+                    problems.append(f"multiplication not associative at ({a},{b},{c})")
+    for a in els:
+        if mult[a][q.unit] != a:
+            problems.append(f"unit law fails at {a}")
+    if q.unit != top:
         problems.append("unit is not the top element (quantale not integral)")
-    bot = q.bottom_idx
-    for a in range(n):
-        if q.times(a, bot) != bot:
-            problems.append(f"bottom not absorbed at {e[a]}")
-        for b in range(n):
-            for c in range(n):
-                if q.times(a, q.joins[b][c]) != q.joins[q.times(a, b)][q.times(a, c)]:
+    for a in els:
+        times = mult[a]
+        if times[bot] != bot:
+            problems.append(f"bottom not absorbed at {a}")
+        for b in els:
+            for c in els:
+                if times[joins[b][c]] != joins[times[b]][times[c]]:
                     problems.append(
-                        f"multiplication does not distribute over join at "
-                        f"({e[a]},{e[b]},{e[c]})"
+                        f"multiplication does not distribute over join at ({a},{b},{c})"
                     )
     return QuantaleReport(not problems, tuple(problems))
 
@@ -211,23 +211,18 @@ def validate_quantale(q: FiniteQuantale) -> QuantaleReport:
 def residuate(q: FiniteQuantale, a: str, b: str) -> str:
     """Largest r with a * r <= b, by exhaustive join.  A table where no r
     qualifies, or whose candidates have no join, raises ValueError."""
-    ia, ib = q.index[a], q.index[b]
-    candidates = [r for r in range(len(q.elements)) if q.leq[q.times(ia, r)][ib]]
+    times, leq = q._mult[a], q._leq
+    candidates = [r for r in q.elements if leq[times[r]][b]]
     if not candidates:
         raise ValueError(f"no r has {a} * r <= {b}; validate first")
-    best = candidates[0]
-    for r in candidates[1:]:
-        j = q.joins[best][r]
-        if j is None:
-            raise ValueError("carrier is not a lattice; validate first")
-        best = j
-    return q.elements[best]
+    return reduce(q.join, candidates)
 
 
 def _require_lattice(q: FiniteQuantale) -> None:
     """Raise residuate's ValueError unless the table has a bottom and every
     join and meet."""
-    if q.bottom_idx is None or any(None in row for row in q.joins + q.meets):
+    rows = (*q.joins.values(), *q.meets.values())
+    if q._ends[0] is None or any(None in row.values() for row in rows):
         raise ValueError("carrier is not a lattice; validate first")
 
 

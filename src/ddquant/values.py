@@ -129,10 +129,11 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
     `homs` maps every pair (p, r) of objects to its diagonals, in report
     order.  Checks: the two composition formulas agree; composites land in
     the right hom-set; composition is associative; the object itself is an
-    identity; composition preserves bottom and binary joins of diagonals.
-    Joins are computed in the ambient quantale; pairs of diagonals whose
-    join is not itself a diagonal are flagged, not failed.  Each composite
-    is computed once.
+    identity; each hom-set holds bottom; composing with an arrow e: r -> s
+    sends bottom to bottom, checked once per arrow; composition preserves
+    binary joins of diagonals.  Joins are computed in the ambient quantale;
+    pairs of diagonals whose join is not itself a diagonal are flagged, not
+    failed.  Each composite is computed once.
     """
     violations: list[str] = []
     join_gaps: list[str] = []
@@ -192,15 +193,16 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
                                     f"composition not associative at "
                                     f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
                                 )
-    # join preservation inside hom-sets, and bottom preservation
+    # bottom preservation, once per arrow, then bottom and joins inside
+    # hom-sets
     bot = q.bottom
+    for (r, s), hom in homs.items():
+        for ee in hom:
+            if composites(r, ee, bot)[0] != bot:
+                violations.append(f"composition with bottom not bottom for e={ee}:{r}->{s}")
     for (p, r), hom in homs.items():
         if not member(p, r, bot):
             violations.append(f"bottom missing from hom({p},{r})")
-        for s in els:
-            for ee in homs[r, s]:
-                if composites(r, ee, bot)[0] != bot:
-                    violations.append(f"composition with bottom not bottom for e={ee}")
         for i1, d1 in enumerate(hom):
             for d2 in hom[i1 + 1:]:
                 jl = q.join(d1, d2)
@@ -216,7 +218,8 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
                         c2 = composites(r, ee, d2)[0]
                         if cj != q.join(c1, c2):
                             violations.append(
-                                f"composition does not preserve join of {d1},{d2} under e={ee}"
+                                f"composition does not preserve join of {d1},{d2} "
+                                f"in hom({p},{r}) under e={ee}:{r}->{s}"
                             )
     return QuantaloidReport(not violations, tuple(violations), tuple(join_gaps))
 

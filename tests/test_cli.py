@@ -306,9 +306,20 @@ def test_quantale_check_broken_table_exits_one(capsys):
         capsys, "quantale-check", str(DATA / "broken_quantale.json")
     )
     assert code == 1
+    assert out == golden("quantale_check_broken.txt")
     payload = json.loads(out)
     assert payload["valid"] is False
     assert payload["problems"]
+
+
+def test_quantale_check_non_lattice_table_exits_one(capsys):
+    # x and y lie below t and have no meet, so there is no bottom either
+    code, out, err = run_cli(
+        capsys, "quantale-check", str(DATA / "nonlattice_quantale.json")
+    )
+    assert code == 1
+    assert out == golden("quantale_check_nonlattice.txt")
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
