@@ -22,9 +22,10 @@ In the staircase track these are ProbM1, ProbM2, ProbPM1 and ProbPM2.
 On [0, inf] PM1 says the self-distances are at most the entry, because
 [0, inf] is divisible; for staircases it is stronger than lying below
 both self-distances.  Validators are exhaustive over the point set and
-report violations with point labels and canonical text.  The numeric
-track prints its comparisons in the ordinary numeric order of [0, inf],
-the reverse of its quantale order; its residuation is `plus_implies`.
+report violations with point labels and canonical text, building a
+composite only for a violation.  The numeric track prints its comparisons
+in the ordinary numeric order of [0, inf], the reverse of its quantale
+order; its residuation is `plus_implies`.
 """
 
 from __future__ import annotations
@@ -218,8 +219,8 @@ def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
             # the discount d(j,j) -> d(i,j) is shared by every k
             via = q.implies(d[j][j], d[i][j]) if partial else d[i][j]
             for k in range(n):
-                composite = q.compose(d[j][k], via)
-                if not q.below(composite, d[i][k]):
+                if not q.compose_below(d[j][k], via, d[i][k]):
+                    composite = q.compose(d[j][k], via)
                     sides = (d[i][k], composite) if q.descending else (composite, d[i][k])
                     violations.append(
                         Violation(axiom + "2", (pts[i], pts[j], pts[k]), *map(q.text, sides))

@@ -17,8 +17,10 @@ one-step case.  `convolve` and `implication` both rescale the integer
 images of their inputs to common denominators (`_scale`) and end in the
 canonical sweep `staircase._from_candidates`; `implication` reaches it
 through `meet_all`'s co-step sweep.  The tests compare both with `Fraction`
-reference kernels kept in `tests/util.py`.  `vertical_distance` evaluates
-the pointwise quantity
+reference kernels kept in `tests/util.py`.  `convolve_below` decides
+phi (*) psi <= xi on the same integers without building the convolution,
+and `residual` skips the kernels below a one-step phi.  `vertical_distance`
+evaluates the pointwise quantity
 
     rho(t) = inf_{q > 0} phi(q) -> xi(q + t)
 
@@ -133,6 +135,27 @@ def _convolve_int(s: _Scaled) -> Staircase:
     cands = [(p + q, apply(a, b)) for p, a in zip(s.j1, s.l1) for q, b in right]
     cands.sort()
     return _from_candidates(cands, s.jd, s.ld * s.m)
+
+
+def convolve_below(t: TNorm, phi: Staircase, psi: Staircase, xi: Staircase) -> bool:
+    """Whether convolve(t, phi, psi) <= xi: whether every step pair has
+    a * b <= xi just after p + q.  Per step of phi, one pointer walks xi's
+    jumps as q rises; the first failing pair decides."""
+    s = _scale(t, phi, psi)
+    apply = _int_apply(s)
+    jd, one = lcm(s.jd, xi.jd), lcm(s.ld * s.m, xi.ld)
+    rs, cs = xi._scaled(jd, one)
+    cs, n = [0, *cs], len(rs)  # xi is cs[k] just after its k-th jump
+    fj, fl = jd // s.jd, one // (s.ld * s.m)
+    right = [(q * fj, b) for q, b in zip(s.j2, s.l2)]
+    for p, a in zip([p * fj for p in s.j1], s.l1):
+        k = 0  # jumps of xi at or below p + q
+        for q, b in right:
+            while k < n and rs[k] <= p + q:
+                k += 1
+            if apply(a, b) * fl > cs[k]:
+                return False
+    return True
 
 
 def _convolve_fast(s: _Scaled) -> Staircase:
@@ -313,7 +336,10 @@ def vertical_distance_sup_below(t: TNorm, phi: Staircase, xi: Staircase, at: Tim
 
 
 def residual(t: TNorm, xi: Staircase, phi: Staircase) -> Staircase:
-    """The largest phi-multiple below xi: convolve(phi, implication(phi, xi))."""
+    """The largest phi-multiple below xi: convolve(phi, implication(phi, xi)),
+    which is xi itself below a phi with at most one step (one-step theorem)."""
+    if len(phi.js) <= 1 and xi.leq(phi):
+        return xi
     return convolve(t, phi, implication(t, phi, xi))
 
 

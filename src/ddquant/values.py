@@ -20,7 +20,9 @@ and `finiteq.FiniteQuantale`, a finite table.
 
 Divisibility is the diagonal condition: d is divisible by p when
 d = compose(p, implies(p, d)).  It matches the down set of p only in a
-divisible quantale such as [0, inf], or below a one-step staircase.
+divisible quantale such as [0, inf], or below a one-step staircase, where
+`Staircases.residual` returns d at once.  Like `residual`, `compose_below`
+is derived from the parts; `Staircases` decides it without the composite.
 
 Diagonals form a quantaloid: its morphisms p -> r are the values divisible
 by both p and r.  One checker, `quantaloid_laws` and `downset_equality`,
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .axis import INF, ONE, ZERO, format_scalar, is_infinite, plus_implies, time_add
-from .quantale import convolve, implication
+from .quantale import convolve, convolve_below, implication, residual
 from .staircase import BOTTOM, TOP, join_all
 from .tnorms import TNorm
 
@@ -48,6 +50,10 @@ class ValueQuantale:
     def residual(self, d, p):
         """The largest multiple of p below d: compose(p, implies(p, d))."""
         return self.compose(p, self.implies(p, d))
+
+    def compose_below(self, a, b, c) -> bool:
+        """Whether compose(a, b) lies below c."""
+        return self.below(self.compose(a, b), c)
 
     def divides(self, p, d) -> bool:
         """Whether d is divisible by p, that is, d is its own residual."""
@@ -103,6 +109,12 @@ class Staircases(ValueQuantale):
 
     def implies(self, a, b):
         return implication(self.tnorm, a, b)
+
+    def compose_below(self, a, b, c) -> bool:
+        return convolve_below(self.tnorm, a, b, c)
+
+    def residual(self, d, p):
+        return residual(self.tnorm, d, p)
 
     def below(self, a, b) -> bool:
         return a.leq(b)
@@ -162,7 +174,8 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
                         )
                     if not member(p, s, left):
                         violations.append(
-                            f"composite {left} of d={d}, e={ee} escapes hom({p},{s})"
+                            f"composite {left} of d={d}:{p}->{r}, e={ee}:{r}->{s} "
+                            f"escapes hom({p},{s})"
                         )
     for (p, r), hom in homs.items():
         for d in hom:

@@ -155,6 +155,16 @@ def test_validate_two_point_golden(capsys):
     assert out == golden("validate_two_point.txt")
 
 
+def test_validate_bad_probparmet_golden(capsys):
+    # one-step and multi-step self-distances: both ProbPM1 paths and the
+    # ProbPM2 composites printed only for a violation
+    code, out, _ = run_cli(
+        capsys, "validate", str(DATA / "bad_probparmet_instance.json")
+    )
+    assert code == 1
+    assert out == golden("validate_bad_probparmet.txt")
+
+
 def test_validate_numeric_instance(capsys):
     code, out, _ = run_cli(capsys, "validate", str(DATA / "parmet_instance.json"))
     assert code == 0

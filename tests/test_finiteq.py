@@ -318,3 +318,19 @@ def test_associativity_violations_keep_their_messages_and_order():
     assert len(assoc) == 61
     assert assoc[0] == "composition not associative at (e0,e0,e1) over (e0,e0,e0,e0)"
     assert assoc[-1] == "composition not associative at (e0,e0,e0) over (e2,e2,e0,e2)"
+
+
+def test_escape_messages_name_both_arrows():
+    # e0 < e1 with unit e1: e1 * e0 = e1 escapes; the messages name the
+    # middle object, so no failure repeats once per r
+    q = FiniteQuantale(
+        ("e0", "e1"),
+        ((True, True), (False, True)),
+        (("e0", "e0"), ("e1", "e0")),
+        "e1",
+    )
+    report = verify_quantaloid_laws(q)
+    escapes = [v for v in report.violations if "escapes" in v]
+    assert len(escapes) == 8
+    assert "composite e1 of d=e0:e0->e1, e=e0:e1->e0 escapes hom(e0,e0)" in escapes
+    assert max(Counter(report.violations).values()) == 1

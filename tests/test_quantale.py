@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -27,11 +28,12 @@ from ddquant import (
     vertical_distance_sup_below,
 )
 from ddquant import quantale
-from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT
+from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, convolve_below
 from util import (
     NILPOTENT,
     ORDINAL,
     TNORMS,
+    conv_compare_oracle,
     conv_point_oracle,
     convolve_plain,
     imp_point_oracle,
@@ -161,6 +163,82 @@ def test_fast_path_overflow_falls_back(monkeypatch):
         assert len(sc.steps) ** 2 >= _FAST_CUTOFF
         assert convolve(t, sc, sc) == convolve_plain(t, sc, sc)
         assert numpy_calls == ([quantale._scale(t, sc, sc)] if numpy_runs else [])
+
+
+def _delay_step(sc: Staircase, rng) -> Staircase:
+    """sc with one step's jump moved later: just not above sc (bottom
+    stays itself)."""
+    steps = list(sc.steps)
+    if not steps:
+        return sc
+    k = rng.randrange(len(steps))
+    later = steps[k + 1][0] if k + 1 < len(steps) else steps[k][0] + 2
+    steps[k] = ((steps[k][0] + later) / 2, steps[k][1])
+    return Staircase(tuple(steps))
+
+
+def _stairs(rng, n: int) -> Staircase:
+    """n steps, jumps in quarters and levels among _IMPLICATION_LEVELS."""
+    jumps = sorted(rng.sample([F(k, 4) for k in range(24)], n))
+    return Staircase(tuple(zip(jumps, sorted(rng.sample(_IMPLICATION_LEVELS, n)))))
+
+
+def _check_below(t, phi, psi, xi) -> bool:
+    got = convolve_below(t, phi, psi, xi)
+    assert got == convolve(t, phi, psi).leq(xi)
+    assert got == conv_compare_oracle(t, phi, psi, xi, operator.le)
+    return got
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_convolve_below_differential(name, t):
+    rng = random.Random(36)
+    answers, above_cutoff = [], set()
+    # empty factors: the convolution is bottom, below everything
+    for phi, psi in ((BOTTOM, TOP), (TOP, BOTTOM), (BOTTOM, BOTTOM)):
+        assert _check_below(t, phi, psi, BOTTOM)
+    # equal jump sums 0 + 2 = 1 + 1, and xi jumping at 0
+    phi = Staircase(((F(0), F(1, 4)), (F(1), F(7, 10))))
+    psi = Staircase(((F(1), F(1, 2)), (F(2), F(1))))
+    conv = convolve(t, phi, psi)
+    for xi in (conv, one_step(F(0), F(1)), one_step(F(0), conv.last_level),
+               one_step(F(0), F(1, 10)), _delay_step(conv, rng)):
+        answers.append(_check_below(t, phi, psi, xi))
+    for sizes in ((1, 3), (2, 8), (3, 1), (4, 5), (5, 2), (6, 8), (7, 7), (8, 6), (1, 1), (3, 3)):
+        phi, psi = (_stairs(rng, n) for n in sizes)
+        above_cutoff.add(len(phi.js) * len(psi.js) >= _FAST_CUTOFF)
+        conv = convolve(t, phi, psi)
+        other = _staircase_over(rng, _IMPLICATION_LEVELS, 6)
+        for xi in (BOTTOM, conv, _delay_step(conv, rng), conv.join(other), conv.meet(other)):
+            answers.append(_check_below(t, phi, psi, xi))
+    assert above_cutoff == {False, True}
+    # levels so fine that convolve leaves numpy for Python ints
+    big = 2**34
+    sc = Staircase(tuple((F(k), F(k, big)) for k in range(1, 8)) + ((F(8), F(1)),))
+    s = quantale._scale(t, sc, sc)
+    assert name in ("min", "luk") or 2 * s.ld * s.m >= _INT64_LIMIT
+    conv = convolve(t, sc, sc)
+    for xi in (conv, _delay_step(conv, rng), conv.join(one_step(F(0), F(1, big)))):
+        answers.append(_check_below(t, sc, sc, xi))
+    assert set(answers) == {False, True}
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_one_step_residual_shortcut_matches_kernels(name, t):
+    # below a phi with at most one step every xi is its own residual; above
+    # it, or for a phi with two steps, the residual is built by the kernels
+    rng = random.Random(37)
+    phis = [BOTTOM, TOP, one_step(F(0), F(1, 2)), one_step(F(3, 2), F(7, 10)),
+            one_step(F(2), F(1)), Staircase(((F(1), F(1, 2)), (F(2), F(1))))]
+    for k in range(120):
+        phi = phis[k % len(phis)]
+        xi = _staircase_over(rng, _IMPLICATION_LEVELS, 6)
+        for x in (xi, xi.meet(phi), xi.join(phi)):
+            full = convolve(t, phi, implication(t, phi, x))
+            assert residual(t, x, phi) == full
+            assert len(phi.js) > 1 or (full == x) == x.leq(phi)
+            if k < 20:
+                assert full == convolve_plain(t, phi, implication_plain(t, phi, x))
 
 
 @pytest.mark.parametrize("name,t", TNORMS)
