@@ -90,7 +90,10 @@ def parse_linear(text: str) -> PiecewiseLinear:
 
 def _read_knots(r: _Reader) -> PiecewiseLinear:
     """The `[(t,v),...]` body of a piecewise-linear literal."""
-    return r.tuples(PiecewiseLinear, "piecewise-linear map", r.rational, r.rational)
+    return r.pairs(
+        lambda knots: PiecewiseLinear(tuple((Fraction(*t), Fraction(*v)) for t, v in knots)),
+        "piecewise-linear map",
+    )
 
 
 @dataclass(frozen=True)

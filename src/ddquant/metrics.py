@@ -205,7 +205,7 @@ def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
     else:
         for i in range(n):
             for j in range(n):
-                for end in (i, j):
+                for end in dict.fromkeys((i, j)):  # once on the diagonal
                     fixed = q.residual(d[i][j], d[end][end])
                     if fixed != d[i][j]:
                         violations.append(

@@ -283,7 +283,7 @@ def parse_staircase(text: str) -> Staircase:
 
 def _read_steps(r: _Reader) -> Staircase:
     """The `[(p,a),...]` body of a staircase literal."""
-    return r.tuples(_from_ratios, "staircase", r.ratio, r.ratio)
+    return r.pairs(_from_ratios, "staircase")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,22 @@ def test_eval_golden_all_ops_ordinal(capsys):
     assert err == ""
 
 
+def test_eval_golden_spaced_literals(capsys):
+    # Spaced, unreduced and empty staircase literals inside every operation.
+    code, out, err = run_cli(
+        capsys,
+        "eval",
+        "--tnorm",
+        "prod",
+        "meet( join( steps[ ( 2/6 , 1/4 ) , (3/2,6/8) ], steps[ ] ), "
+        "conv( steps [(1/2 ,4/6), ( 4/4, 10/10 )] , "
+        "imp( steps[ (1, 3/4) ], steps[(0 ,1/2 ),( 2,1)] ) ) )",
+    )
+    assert code == 0
+    assert out == golden("eval_spaced_prod.txt")
+    assert err == ""
+
+
 def test_eval_default_tnorm_is_min(capsys):
     code, out, _ = run_cli(capsys, "eval", "conv(step(1,1/2),step(2,1/3))")
     assert code == 0
@@ -240,6 +256,23 @@ def test_certify_golden_prod_unreduced_literals(capsys):
     )
     assert code == 1
     assert out == golden("certify_prod_mixed.txt")
+
+
+def test_certify_golden_spaced_literals(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "certify",
+        "--tnorm",
+        "luk",
+        "--xi",
+        "steps[ (3/2 , 9/10) ]",
+        "--phi",
+        "linear [ ( 0 , 0 ) , (2/4, 1/3 ), ( 6/3,1) ]",
+        "--resolution",
+        "24",
+    )
+    assert code == 1
+    assert out == golden("certify_spaced_luk.txt")
 
 
 def test_certify_inconclusive_exits_two(capsys):

@@ -7,6 +7,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddquant import (
     MIN,
@@ -23,7 +25,8 @@ from ddquant import (
     parse_tnorm,
     to_text,
 )
-from util import rand_staircase
+from ddquant.axis import _lex
+from util import plain_reader, rand_staircase, read_outcome
 
 ENTRY_POINTS = {
     "scalar": parse_scalar,
@@ -239,3 +242,158 @@ def test_literals_equal_only_after_reduction_are_rejected(text, message):
     for parse in (parse_staircase, parse_expression):
         with pytest.raises(ParseError, match=re.escape(f"invalid staircase: {message} (column 6)")):
             parse(text)
+
+
+# ---------------------------------------------------------------------------
+# a well-formed ratio-pair body is one lexeme; the walk gives every error
+
+
+def _spaced(rng, text):
+    """text with random whitespace between its tokens."""
+    return "".join(tok + rng.choice(("", "", " ", "\t", "\n ")) for tok in _TOKEN.findall(text))
+
+
+def test_ratio_pair_body_is_one_lexeme():
+    # a silent fallback to the walk would pass every other reader test
+    rng = random.Random(43)
+    for _ in range(300):
+        sc = rand_staircase(rng, max_steps=12)
+        unreduced, _ = _rand_literal(rng)
+        for text in (str(sc), _spaced(rng, str(sc)), unreduced, _spaced(rng, unreduced)):
+            tokens = _lex(text)
+            assert [type(value) for value, _ in tokens] == [str, list, type(None)], text
+            assert tokens[1][1] == text.index("[")
+            assert parse_staircase(text) == evaluate(parse_expression(text), MIN)
+    assert len(_lex("linear [ (0,0) , (1/2,1) ]")) == 3
+
+
+def _instance(text):
+    return instance_from_dict({"points": ["x"], "tnorm": "min", "dist": [[text]]})
+
+
+def _instance_tnorm(text):
+    return instance_from_dict({"points": ["x"], "tnorm": text, "dist": [["steps[(0,1)]"]]})
+
+
+READERS = (
+    parse_staircase,
+    parse_expression,
+    parse_linear,
+    parse_tnorm,
+    parse_scalar,
+    _instance,
+    _instance_tnorm,
+)
+
+
+def _texts(body):
+    return (
+        body,
+        f"steps{body}",
+        f"linear{body}",
+        f"ordinal{body}",
+        f"step{body}",
+        f"join(steps{body},step(1,1/2))",
+        f"conv(steps[(0,1/2)],steps {body} )",
+        f"linear{body} x",
+    )
+
+
+def _assert_readers_agree(body):
+    for text in _texts(body):
+        fast = [read_outcome(read, text) for read in READERS]
+        with plain_reader():
+            plain = [read_outcome(read, text) for read in READERS]
+        assert fast == plain, text
+
+
+_BIG = "7" * 4400
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[]",
+        "[ ]",
+        "[(1,2)]",
+        "[(1,1/2)]",
+        "[[(1,2)]]",
+        "[(1,2)",
+        "[(1/0,1)]",
+        "[(1,1/00)]",
+        "[(1,1/)]",
+        "[(inf,1)]",
+        "[(0,0),(inf,1)]",
+        "[(1, inf)]",
+        "[(1,1/2),(0/5,1)]",
+        f"[(1,1/2),(2,{_BIG})]",
+        f"[(1,1/2),(2,1/{_BIG})]",
+        f"[(1,1/2),(2,{_BIG}),(3,1/0)]",
+        f"[(1,{_BIG})] [(1,{_BIG})]",
+        "[(0,0),(1/3,1/2),(2,1)]",
+        "1/0",
+        "1/",
+        "inf",
+    ],
+)
+def test_readers_agree_on_pinned_bodies(body):
+    _assert_readers_agree(body)
+
+
+_WS = st.sampled_from(["", "", "", " ", "  ", "\t", "\n"])
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.integers(0, 200),
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.sampled_from([*"()[],/ 0123456789", "inf", "x", "00", "prod", "\t"]),
+    ),
+    max_size=3,
+)
+
+
+_ODD_ENTRIES = ("inf", "1/0", "3/000", "2/", "/2", "1.5", "-1", "1e3", "0/010")
+
+
+@st.composite
+def _ratio(draw, hi):
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(_ODD_ENTRIES))
+    value = draw(st.fractions(0, hi, max_denominator=12))
+    k = draw(st.sampled_from((1, 1, 1, 2, 3, 10)))
+    n, d = value.numerator * k, value.denominator * k
+    return str(n) if d == 1 and draw(st.booleans()) else f"{n}/{d}"
+
+
+def _sort_key(entry):
+    return Fraction(entry) if re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", entry) else -1
+
+
+@st.composite
+def _bodies(draw):
+    """A `[(r,r),...]` body, spaced and unreduced at random, now and then
+    with an odd entry, its pairs sorted (a staircase or knots, often) or
+    not, then mutated."""
+    n = draw(st.integers(0, 5))
+    firsts = draw(st.lists(_ratio(6), min_size=n, max_size=n))
+    seconds = draw(st.lists(_ratio(1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        firsts.sort(key=_sort_key)
+        seconds.sort(key=_sort_key)
+    ws = lambda: draw(_WS)  # noqa: E731
+    pairs = [f"{ws()}({ws()}{p}{ws()},{ws()}{a}{ws()}){ws()}" for p, a in zip(firsts, seconds)]
+    text = f"[{ws()}{','.join(pairs)}{ws()}]"
+    for at, how, piece in draw(_MUTATIONS):
+        at %= len(text) + 1
+        if how == "insert":
+            text = text[:at] + piece + text[at:]
+        elif how == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + piece + text[at + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies())
+def test_readers_agree_with_the_plain_reader(body):
+    _assert_readers_agree(body)

@@ -8,6 +8,7 @@ the partial staircase track.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,9 @@ from ddquant import (
     validate_probparmet,
     validate_slice,
 )
+from ddquant import cli
 from ddquant.axis import ZERO, time_add
+from ddquant.values import Staircases
 
 from util import MIN, TNORMS, metric_axiom_oracle, rand_staircase
 
@@ -431,6 +434,26 @@ def test_parmet_pm1_failure_report_is_pinned():
         {"axiom": "PM2", "points": [Y, X, Y], "left": "3", "right": "1"},
         {"axiom": "PM2", "points": [Z, Y, X], "left": "4", "right": "1"},
     ]
+
+
+def test_pm1_takes_one_residual_on_the_diagonal(monkeypatch, capsys):
+    # PM1 checks d(i,j) against d(i,i) and d(j,j): one residual when i == j.
+    data = Path(__file__).parent
+    calls = []
+    residual = Staircases.residual
+
+    def counted(self, d, p):
+        calls.append((d, p))
+        return residual(self, d, p)
+
+    monkeypatch.setattr(Staircases, "residual", counted)
+    report = validate_probparmet(load_instance(data / "data" / "bad_probparmet_instance.json"))
+    assert len(calls) == 12
+    assert len(report.violations) == 11
+    calls.clear()
+    assert cli.main(["validate", str(data / "data" / "bad_probparmet_instance.json")]) == 1
+    assert capsys.readouterr().out == (data / "golden" / "validate_bad_probparmet.txt").read_text()
+    assert len(calls) == 12
 
 
 # ---------------------------------------------------------------------------

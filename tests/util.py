@@ -6,12 +6,16 @@ algorithmic structure with the envelope/meet machinery they check.  The
 `step_implication_plain`, `implication_plain`, `format_oracle`) are the
 library's earlier definitions, kept as oracles for the kernels that
 replaced them: they work on the `steps` views or on cells and never call
-the kernel they check.
+the kernel they check.  The plain reader (`lex_plain`, `pairs_plain`) is
+the tokenizer and ratio-pair walk from before well-formed bodies became one
+lexeme; `plain_reader` swaps it in for a differential check of the readers.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 from ddquant import (
@@ -30,7 +34,9 @@ from ddquant import (
     meet_all,
     parse_tnorm,
 )
+from ddquant import axis
 from ddquant.axis import Time, format_scalar, is_infinite, time_add
+from ddquant.errors import DomainError, ParseError
 
 ORDINAL = parse_tnorm("ordinal[(2/10,6/10,prod),(7/10,1,luk)]")
 
@@ -342,3 +348,76 @@ def metric_axiom_oracle(m, partial: bool) -> list[tuple[str, tuple[str, ...]]]:
                 if not ok:
                     out.append((prefix + "2", (pts[i], pts[j], pts[k])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the plain reader: every text walked token by token
+
+_LEXEME_PLAIN = re.compile(r"\s*(?:([A-Za-z]+|[()\[\],])|([0-9]+)(?:/([0-9]*))?|(\S))")
+
+
+def lex_plain(text: str) -> list[tuple[object, int]]:
+    """The tokenizer without body lexemes: (value, column) pairs ending in
+    (None, len(text)), a value being a number's (numerator, denominator)
+    pair, a name or a punctuation character."""
+    tokens: list[tuple[object, int]] = []
+    for m in _LEXEME_PLAIN.finditer(text):
+        if m.lastindex == 1:
+            tokens.append((m[1], m.start(1)))
+            continue
+        num, den, bad = m.group(2, 3, 4)
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
+        if den == "":
+            raise ParseError("expected denominator digits", m.end())
+        try:
+            value = (int(num), int(den) if den else 1)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("number has too many digits", m.start(2)) from None
+        if not value[1]:
+            raise ParseError("zero denominator", m.start(2))
+        tokens.append((value, m.start(2)))
+    tokens.append((None, len(text)))
+    return tokens
+
+
+def pairs_plain(r, make, what: str):
+    """`[(r,r),...]` read token by token from the reader r: make(tuple of
+    the (numerator, denominator) pairs); its DomainError is a ParseError."""
+    r.expect("[")
+    column = r.column
+    items = []
+    while r.peek() != "]":
+        if items:
+            r.expect(",")
+        r.expect("(")
+        jump = r.ratio()
+        r.expect(",")
+        level = r.ratio()
+        r.expect(")")
+        items.append((jump, level))
+    r.take()
+    try:
+        return make(tuple(items))
+    except DomainError as exc:
+        raise ParseError(f"invalid {what}: {exc}", column) from exc
+
+
+@contextmanager
+def plain_reader():
+    """Within the block every reader of the package lexes with `lex_plain`
+    and reads ratio-pair bodies with `pairs_plain`."""
+    saved = axis._lex, axis._Reader.pairs
+    axis._lex, axis._Reader.pairs = lex_plain, pairs_plain
+    try:
+        yield
+    finally:
+        axis._lex, axis._Reader.pairs = saved
+
+
+def read_outcome(parse, text):
+    """("value", parse(text)) or ("error", type, message, position)."""
+    try:
+        return ("value", parse(text))
+    except (ValueError, ArithmeticError) as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "position", None))
