@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -238,14 +239,30 @@ def main(argv=None) -> int:
             raise ValueError("resolution must be at least 1")
         if resolution > _MAX_RESOLUTION:
             raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}")
-        return _DISPATCH[ns.command](ns)
+        code = _DISPATCH[ns.command](ns)
+        sys.stdout.flush()  # a closed pipe fails here, not after main returns
+        return code
     except (DdqError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except Exception as exc:  # a fault of ours, still never exit 0 or 1
         message = " ".join(str(exc).splitlines())
-        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _report(f"error: internal error: {type(exc).__name__}: {message}")
         return 2
+
+
+def _report(line: str) -> None:
+    """Flush stdout and print the one error line on stderr.  A stream whose
+    write failed, as on a closed pipe, is pointed at os.devnull (Python's
+    BrokenPipeError idiom), so the interpreter's last flush cannot fail."""
+    for stream, text in ((sys.stdout, ""), (sys.stderr, f"{line}\n")):
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -47,17 +47,16 @@ def flat_criterion_min(xi: Staircase, phi: Staircase) -> bool:
     """Divisibility under minimum via flat adjoints.
 
     Under the minimum t-norm, xi is divisible by phi iff the flat adjoints
-    satisfy xi^f = phi^f + psi^f for some distribution psi.  All three flat
-    adjoints are step functions of the level variable with breakpoints among
-    the levels of phi and xi, so a finite probe set decides the identity:
+    satisfy xi^f = phi^f + psi^f for some distribution psi.  All three are
+    step functions of the level, constant from each level of phi and xi up
+    to the next, so probes at 0, 1 and those levels decide the identity:
     the candidate psi^f is the pointwise difference, psi is reconstructed
     from it, and the identity is re-checked with the genuine psi.
     """
     probes = sorted({ZERO, ONE, *phi.levels, *xi.levels})
-    with_mids = sorted({*probes, *((a + b) / 2 for a, b in zip(probes, probes[1:]))})
     flats: list[tuple[Time, Time]] = []
     candidate: list[Time] = []
-    for a in with_mids:
+    for a in probes:
         f, x = phi.flat(a), xi.flat(a)
         if x < f:  # INF is above every finite time
             return False
@@ -67,14 +66,12 @@ def flat_criterion_min(xi: Staircase, phi: Staircase) -> bool:
         return False
     steps = []
     prev = candidate[0]
-    for a, v in zip(with_mids[1:], candidate[1:]):
+    for a, v in zip(probes[1:], candidate[1:]):
         if v != prev:
             steps.append((prev, a))  # psi jumps to level a at time prev
             prev = v
     psi = Staircase(tuple(steps))
-    return all(
-        x == time_add(f, psi.flat(a)) for a, (f, x) in zip(with_mids, flats)
-    )
+    return all(x == time_add(f, psi.flat(a)) for a, (f, x) in zip(probes, flats))
 
 
 def find_nondiagonal_below(t: TNorm, phi: Staircase) -> Staircase | None:

@@ -13,14 +13,15 @@ step (p + q, a * b).  The implication is the right adjoint of convolution,
 phi is the join of its steps, so the implication is the meet of the
 one-step implications, one per step of phi; `implication` computes them all
 on integers and meets them in one sweep, and `step_implication` is its
-one-step case.  `convolve` and `implication` both rescale the integer
-images of their inputs to common denominators (`_scale`) and end in the
-canonical sweep `staircase._from_candidates`; `implication` reaches it
-through `meet_all`'s co-step sweep.  The tests compare both with `Fraction`
-reference kernels kept in `tests/util.py`.  `convolve_below` decides
-phi (*) psi <= xi on the same integers without building the convolution,
-and `residual` skips the kernels below a one-step phi.  `vertical_distance`
-evaluates the pointwise quantity
+one-step case.  Every kernel here rescales the integer images of its
+inputs and the t-norm's pieces to common denominators once (`_scale`);
+`convolve` and `implication` end in the canonical sweep
+`staircase._from_candidates`, `implication` through `meet_all`'s co-step
+sweep.  The tests compare both with `Fraction` reference kernels kept in
+`tests/util.py`.  `convolve_below` decides phi (*) psi <= xi on the same
+integers without building the convolution, and `residual` skips the
+kernels below a one-step phi.  `vertical_distance` evaluates the pointwise
+quantity
 
     rho(t) = inf_{q > 0} phi(q) -> xi(q + t)
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .axis import ZERO, Time, ensure_time, is_infinite
 from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, one_step
-from .staircase import _from_candidates, _meet_costeps
+from .staircase import _common, _from_candidates, _meet_costeps
 from .tnorms import PRODUCT_KIND, TNorm
 
 _FAST_CUTOFF = 48
@@ -47,39 +48,31 @@ _INT64_LIMIT = 2**62
 
 
 class _Scaled(NamedTuple):
-    """Both factors and the t-norm's pieces as integers over common denominators.
+    """Staircases and the t-norm's pieces as integers over common denominators.
 
-    A jump p is j/jd and a level a is l/ld.  `pieces` holds (L, H, kind,
-    scale) with lo = L/ld and hi = H/ld; M is the lcm of the product-piece
-    widths H - L (1 when there are none), scale = M // (H - L) for product
-    pieces, and every t-norm value is an integer over ld * M.  The guard
-    2 * max(jumps, ld * M) < `_INT64_LIMIT` also bounds `_convolve_fast`'s
-    piece intermediates, because (a - lo)(b - lo) <= (hi - lo) M.
+    A jump p is j/jd and a level a is l/ld; `images` holds each
+    staircase's (jumps, levels).  `pieces` holds (L, H, kind, scale) with
+    lo = L/ld and hi = H/ld; M is the lcm of the product-piece widths
+    H - L (1 when there are none), scale = M // (H - L) for product pieces,
+    and every t-norm value is an integer over ld * M.  `_convolve_fast`
+    works on int64 when 2 * max(jumps, ld * M) < `_INT64_LIMIT`; that also
+    bounds its piece intermediates, because (a - lo)(b - lo) <= (hi - lo) M.
     """
 
     jd: int
     ld: int
     m: int
     pieces: tuple[tuple[int, int, str, int], ...]
-    j1: list[int]
-    l1: list[int]
-    j2: list[int]
-    l2: list[int]
+    images: list[tuple[list[int], list[int]]]
 
 
-def _scale(t: TNorm, phi: Staircase, psi: Staircase) -> _Scaled:
+def _scale(t: TNorm, *staircases: Staircase) -> _Scaled:
     td, pieces = t._int_pieces
-    jd, ld = lcm(phi.jd, psi.jd), lcm(phi.ld, psi.ld, td)
+    jd, ld, images = _common(staircases, td)
     bounds = [(lo * (ld // td), hi * (ld // td), kind) for lo, hi, kind in pieces]
-    m = lcm(*(hi - lo for lo, hi, kind in bounds if kind == PRODUCT_KIND))
-    return _Scaled(
-        jd,
-        ld,
-        m,
-        tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds),
-        *phi._scaled(jd, ld),
-        *psi._scaled(jd, ld),
-    )
+    m = lcm(*[hi - lo for lo, hi, kind in bounds if kind == PRODUCT_KIND])
+    pieces = tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds)
+    return _Scaled(jd, ld, m, pieces, images)
 
 
 def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
@@ -87,26 +80,25 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
 
     Both kernels work on the integer images of `_scale`, which hold the
     t-norm as its piece table.  The dispatch rule: an empty factor gives
-    bottom; the numpy kernel `_convolve_fast` runs from `_FAST_CUTOFF`
-    candidate pairs when every jump sum and t-norm value it forms is below
-    `_INT64_LIMIT`; every other input runs on the Python-int kernel
-    `_convolve_int`, which cannot overflow.
+    bottom, and the number of candidate pairs alone picks the kernel.
+    Below `_FAST_CUTOFF` pairs the Python-int kernel `_convolve_int` runs;
+    from it on the numpy kernel `_convolve_fast`, which is exact on every
+    input.
 
     The cutoff is the measured crossover of the two kernels on 4-32-step
     factors (Python 3.11, numpy 2.4, one core): numpy's fixed cost of
     25-40 us a call, and about 10 us more per piece, loses to Python ints,
     at 0.7-1.5 us a pair, on fewer pairs.  min, prod and luk cross at 40-64
-    pairs, ordinal sums of two or three pieces at 80-96; one cutoff serves all.
+    pairs, ordinal sums of two or three pieces at 80-96; one cutoff serves
+    all.  Object arrays, past the int64 guard, break even near 96 pairs and
+    are 1.7-3 times as fast as Python ints at 3,400-10,000 pairs.
     """
     if not phi.js or not psi.js:
         return BOTTOM
     s = _scale(t, phi, psi)
-    if (
-        len(s.j1) * len(s.j2) >= _FAST_CUTOFF
-        and 2 * max(s.j1[-1], s.j2[-1], s.ld * s.m) < _INT64_LIMIT
-    ):
-        return _convolve_fast(s)
-    return _convolve_int(s)
+    if len(phi.js) * len(psi.js) < _FAST_CUTOFF:
+        return _convolve_int(s)
+    return _convolve_fast(s)
 
 
 def _int_apply(s: _Scaled):
@@ -131,8 +123,9 @@ def _int_apply(s: _Scaled):
 def _convolve_int(s: _Scaled) -> Staircase:
     """Envelope of the candidate steps, on Python ints."""
     apply = _int_apply(s)
-    right = list(zip(s.j2, s.l2))
-    cands = [(p + q, apply(a, b)) for p, a in zip(s.j1, s.l1) for q, b in right]
+    (j1, l1), (j2, l2) = s.images
+    right = list(zip(j2, l2))
+    cands = [(p + q, apply(a, b)) for p, a in zip(j1, l1) for q, b in right]
     cands.sort()
     return _from_candidates(cands, s.jd, s.ld * s.m)
 
@@ -141,42 +134,41 @@ def convolve_below(t: TNorm, phi: Staircase, psi: Staircase, xi: Staircase) -> b
     """Whether convolve(t, phi, psi) <= xi: whether every step pair has
     a * b <= xi just after p + q.  Per step of phi, one pointer walks xi's
     jumps as q rises; the first failing pair decides."""
-    s = _scale(t, phi, psi)
+    s = _scale(t, phi, psi, xi)
     apply = _int_apply(s)
-    jd, one = lcm(s.jd, xi.jd), lcm(s.ld * s.m, xi.ld)
-    rs, cs = xi._scaled(jd, one)
-    cs, n = [0, *cs], len(rs)  # xi is cs[k] just after its k-th jump
-    fj, fl = jd // s.jd, one // (s.ld * s.m)
-    right = [(q * fj, b) for q, b in zip(s.j2, s.l2)]
-    for p, a in zip([p * fj for p in s.j1], s.l1):
+    (j1, l1), (j2, l2), (rs, cs) = s.images
+    cs, n = [0, *[c * s.m for c in cs]], len(rs)  # xi is cs[k] just after its k-th jump
+    right = list(zip(j2, l2))
+    for p, a in zip(j1, l1):
         k = 0  # jumps of xi at or below p + q
         for q, b in right:
             while k < n and rs[k] <= p + q:
                 k += 1
-            if apply(a, b) * fl > cs[k]:
+            if apply(a, b) > cs[k]:
                 return False
     return True
 
 
 def _convolve_fast(s: _Scaled) -> Staircase:
-    """Envelope of the candidate steps, on int64 numpy arrays.
+    """Envelope of the candidate steps, on numpy arrays.
 
-    The caller guarantees that every jump sum and value fits in int64.
-    Values start as min; each piece overwrites the pairs with both levels
-    in [lo, hi], one slice of each factor as levels increase strictly, and
-    pieces meet only where every formula gives min.  Only candidates above
-    the running maximum of their predecessors leave numpy;
-    `_from_candidates` settles ties between equal jump sums.
+    The arrays are int64 when every jump sum and value fits, by the guard
+    in `_Scaled`, and object arrays of Python ints otherwise, so the kernel
+    is exact on every input.  Values start as min; each piece overwrites
+    the pairs with both levels in [lo, hi], one slice of each factor as
+    levels increase strictly, and pieces meet only where every formula
+    gives min.  Only candidates above the running maximum of their
+    predecessors leave numpy; `_from_candidates` settles ties between equal
+    jump sums.
     """
-    j1 = np.array(s.j1, dtype=np.int64)
-    j2 = np.array(s.j2, dtype=np.int64)
-    l1 = np.array(s.l1, dtype=np.int64)
-    l2 = np.array(s.l2, dtype=np.int64)
+    (js1, ls1), (js2, ls2) = s.images
+    dtype = np.int64 if 2 * max(js1[-1], js2[-1], s.ld * s.m) < _INT64_LIMIT else object
+    j1, l1, j2, l2 = (np.array(v, dtype=dtype) for v in (js1, ls1, js2, ls2))
     sums = np.add.outer(j1, j2).ravel()
     vals = np.minimum.outer(l1 * s.m, l2 * s.m)
     for lo, hi, kind, scale in s.pieces:
-        r1 = slice(bisect_left(s.l1, lo), bisect_right(s.l1, hi))
-        r2 = slice(bisect_left(s.l2, lo), bisect_right(s.l2, hi))
+        r1 = slice(bisect_left(ls1, lo), bisect_right(ls1, hi))
+        r2 = slice(bisect_left(ls2, lo), bisect_right(ls2, hi))
         block = vals[r1, r2]  # a view: the formulas write into vals
         if kind == PRODUCT_KIND:
             np.multiply.outer((l1[r1] - lo) * scale, l2[r2] - lo, out=block)
@@ -185,16 +177,9 @@ def _convolve_fast(s: _Scaled) -> Staircase:
             np.add.outer((l1[r1] - hi) * s.m, l2[r2] * s.m, out=block)
             np.maximum(block, lo * s.m, out=block)
     order = np.argsort(sums, kind="stable")
-    sums = sums[order]
-    vals = vals.ravel()[order]
-    running = np.maximum.accumulate(vals)
-    shifted = np.empty_like(running)
-    shifted[0] = -1
-    shifted[1:] = running[:-1]
-    keep = vals > shifted
-    return _from_candidates(
-        zip(sums[keep].tolist(), vals[keep].tolist()), s.jd, s.ld * s.m
-    )
+    sums, vals = sums[order], vals.ravel()[order]
+    keep = vals > np.concatenate(([-1], np.maximum.accumulate(vals)[:-1]))
+    return _from_candidates(zip(sums[keep].tolist(), vals[keep].tolist()), s.jd, s.ld * s.m)
 
 
 def convolve_monotone(t: TNorm, m1: MonotoneStep, m2: MonotoneStep) -> MonotoneStep:
@@ -255,16 +240,16 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     if not phi.js:
         return TOP
     s = _scale(t, phi, xi)
+    (js, ls), (rs, cs) = s.images
     pieces = [
         next(((lo, hi, kind) for lo, hi, kind, _ in s.pieces if lo < a <= hi), None)
-        for a in s.l1
+        for a in ls
     ]
-    d = lcm(*(a - pc[0] for a, pc in zip(s.l1, pieces) if pc and pc[2] == PRODUCT_KIND))
+    d = lcm(*(a - pc[0] for a, pc in zip(ls, pieces) if pc and pc[2] == PRODUCT_KIND))
     one = s.ld * d
-    rs, cs = s.j2, s.l2
     cap = one
     costeps: list[tuple[int, int]] = []
-    for p, a, piece in zip(s.j1, s.l1, pieces):
+    for p, a, piece in zip(js, ls, pieces):
         first = bisect_right(rs, p)  # steps of xi after p: raises at r - p > 0
         full = bisect_left(cs, a)  # levels c >= a: a -> c = 1
         if first > full:

@@ -120,12 +120,6 @@ class Staircase:
         """The value at infinity."""
         return Fraction(self.ls[-1], self.ld) if self.ls else ZERO
 
-    def _scaled(self, jd: int, ld: int) -> tuple[list[int], list[int]]:
-        """The jump and level numerators over jd and ld, which must be
-        multiples of this staircase's denominators."""
-        fj, fl = jd // self.jd, ld // self.ld
-        return [j * fj for j in self.js], [a * fl for a in self.ls]
-
     def __call__(self, t: Time) -> Fraction:
         # INF lies above every jump, so it needs no case of its own
         idx = bisect_left(self.jumps, ensure_time(t))  # jumps strictly below t
@@ -143,9 +137,7 @@ class Staircase:
         """(i, k) for the first step i of self above other, where k counts
         the jumps of other at or below p_i: on the cell (p_i, p_{i+1}] other
         is least just after p_i.  None when self <= other."""
-        jd, ld = lcm(self.jd, other.jd), lcm(self.ld, other.ld)
-        js, ls = self._scaled(jd, ld)
-        jo, lo = other._scaled(jd, ld)
+        _, _, ((js, ls), (jo, lo)) = _common((self, other))
         for i, (p, a) in enumerate(zip(js, ls)):
             k = bisect_right(jo, p)  # steps of other at or below p
             if not k or lo[k - 1] < a:
@@ -191,6 +183,18 @@ def one_step(p: Time, a) -> Staircase:
     return Staircase(((p, a),))
 
 
+def _common(items: Sequence[Staircase], ld: int = 1) -> tuple[int, int, list]:
+    """(jd, ld, images): each staircase's (jump, level) numerators as two
+    lists over jd and ld, the lcms of their denominators and of ld."""
+    jd = lcm(*[sc.jd for sc in items])
+    ld = lcm(ld, *[sc.ld for sc in items])
+    images = []
+    for sc in items:
+        fj, fl = jd // sc.jd, ld // sc.ld
+        images.append(([j * fj for j in sc.js], [a * fl for a in sc.ls]))
+    return jd, ld, images
+
+
 def _from_candidates(cands: Iterable[tuple[int, int]], jd: int, ld: int) -> Staircase:
     """Canonical staircase of integer (jump, level) candidates sorted by
     jump, jumps over jd and levels over ld: one sweep keeps each candidate
@@ -223,10 +227,8 @@ def envelope(points: Iterable[Step]) -> Staircase:
 def join_all(items: Iterable[Staircase]) -> Staircase:
     """Pointwise maximum of finitely many staircases (empty join is bottom):
     the envelope of their pooled steps, rescaled to common denominators."""
-    items = list(items)
-    jd = lcm(*(sc.jd for sc in items))
-    ld = lcm(*(sc.ld for sc in items))
-    pts = sorted(pt for sc in items for pt in zip(*sc._scaled(jd, ld)))
+    jd, ld, images = _common(list(items))
+    pts = sorted(pt for js, ls in images for pt in zip(js, ls))
     return _from_candidates(pts, jd, ld)
 
 
@@ -241,11 +243,9 @@ def meet_all(items: Iterable[Staircase]) -> Staircase:
     items = list(items)
     if not items:
         return TOP
-    jd = lcm(*(sc.jd for sc in items))
-    ld = lcm(*(sc.ld for sc in items))
+    jd, ld, images = _common(items)
     cap, costeps = ld, []
-    for sc in items:
-        js, ls = sc._scaled(jd, ld)
+    for js, ls in images:
         costeps += zip(js, (0, *ls))
         cap = min(cap, ls[-1] if ls else 0)
     return _meet_costeps(costeps, cap, jd, ld)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -549,6 +550,18 @@ def test_argument_errors_and_help_return_their_codes(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the CI workflow's console-script step
+
+def test_workflow_checks_every_golden_once():
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    checked = [
+        words[2] for words in map(str.split, workflow.read_text().splitlines())
+        if words[:1] == ["check"] and words[1].isdigit()
+    ]
+    assert sorted(checked) == sorted(path.name for path in GOLDEN.iterdir())
+
+
+# ---------------------------------------------------------------------------
 # process-level entry point
 
 def test_module_entry_point_matches_golden():
@@ -571,6 +584,29 @@ def test_module_entry_point_propagates_failure_code():
     )
     assert proc.returncode == 1
     assert proc.stdout == golden("diag_min.txt")
+
+
+# A reader that is gone before the first write: the write fails whether
+# stdout is block-buffered or not, and the run still ends in exit 2, not in
+# the interpreter's 120 after a failed last flush or in the 1 of an escaped
+# BrokenPipeError.
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "steps[(1,1)]"],
+    ["diag", "--xi", "step(1,1)", "--phi", "join(step(0,1/2),step(1,1))"],
+    ["eval", "steps[(1,"],
+])
+def test_closed_output_pipe_exits_two(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddquant", *argv], stdout=write, stderr=write,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
 
 
 # Valid JSON of the wrong shape, JSON nested past the decoder's recursion

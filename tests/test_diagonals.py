@@ -135,6 +135,26 @@ def test_flat_criterion_worked_example():
     assert not flat_criterion_min(xi2, phi2)
 
 
+def test_flat_criterion_probes_each_level_once(monkeypatch):
+    # flat adjoints are constant from one level up to the next, so the
+    # criterion probes 0, 1 and the levels of phi and xi, nothing between
+    phi = Staircase(((F(0), F(1, 4)), (F(1), F(1, 2)), (F(2), F(1))))
+    xi = convolve(MIN, phi, one_step(F(1), F(3, 4)))
+    calls = []
+    real = Staircase.flat
+
+    def spy(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(Staircase, "flat", spy)
+    assert flat_criterion_min(xi, phi)
+    probes = {F(0), F(1), *phi.levels, *xi.levels}
+    # phi's and xi's flat at every probe, then psi's in the re-check
+    assert len(calls) == 3 * len(probes)
+    assert set(calls) == probes
+
+
 def test_flat_criterion_agrees_with_decision_procedure():
     rng = random.Random(46)
     for _ in range(200):

@@ -40,6 +40,17 @@ def test_piecewise_linear_validation():
         PiecewiseLinear(((F(0), F(0)), (F(1), F(2))))  # leaves the unit interval
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: PiecewiseLinear(((F(0), F(0)), (F(1), F(1, 2)), (F(2), F(1, 4)))),
+     "knot values must be non-decreasing"),
+    (lambda: bracket(RAMP, 0), "resolution must be at least 1"),
+])
+def test_input_checks_raise_their_messages(build, message):
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_piecewise_linear_eval():
     assert RAMP(F(1, 3)) == F(1, 3)
     assert RAMP(F(2)) == 1

@@ -135,6 +135,22 @@ def test_missing_fields_rejected():
         quantale_from_dict({"elements": ["a"]})
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: lukasiewicz_chain(1), "need at least two elements"),
+    (lambda: quantale_from_dict(["a"]), "quantale table must be a JSON object"),
+])
+def test_input_checks_raise_their_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_unit_below_top_is_reported():
+    # 0 < 1 with unit 0: a monoid on the chain, but not integral
+    q = FiniteQuantale(("0", "1"), ((True, True), (False, True)), (("0", "1"), ("1", "1")), "0")
+    assert "unit is not the top element (quantale not integral)" in validate_quantale(q).problems
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: lukasiewicz_chain(4), drastic_chain, lambda: chain_with_min(("0", "x", "y", "1"))],
@@ -334,3 +350,52 @@ def test_escape_messages_name_both_arrows():
     assert len(escapes) == 8
     assert "composite e1 of d=e0:e0->e1, e=e0:e1->e0 escapes hom(e0,e0)" in escapes
     assert max(Counter(report.violations).values()) == 1
+
+
+# Lattice tables that are not quantales.  quantale-check stops at
+# validate_quantale, so only the library reaches these reports of the
+# quantaloid checker.
+def _meet_table(labels, below):
+    """The lattice with its meet as product and its top as unit."""
+    r = range(len(labels))
+
+    def meet(i, j):
+        lower = [k for k in r if below(k, i) and below(k, j)]
+        return next(k for k in lower if all(below(m, k) for m in lower))
+
+    return _table(labels, below, meet, len(labels) - 1)
+
+
+def _m3(i, j):  # 0 < a, b, c < 1
+    return i == j or i == 0 or j == 4
+
+
+def _diamond_times(i, j):
+    """0 < a, b < 1 with a.a = a.b = b and b.b = a, 0 absorbing, 1 the unit."""
+    if 0 in (i, j):
+        return 0
+    if 3 in (i, j):
+        return i + j - 3  # the other factor
+    return 1 if i == j == 2 else 2
+
+
+_NOT_QUANTALES = {
+    "m3": (_meet_table("0abc1", _m3), "violations", "bottom missing from hom(0,a)"),
+    "n5": (  # 0 < a < b < 1 and 0 < c < 1
+        _meet_table("0abc1", lambda i, j: _m3(i, j) or (i, j) == (1, 2)),
+        "violations",
+        "composition does not preserve join of a,c in hom(1,1) under e=b:1->b",
+    ),
+    "diamond": (
+        _table("0ab1", lambda i, j: i == j or i == 0 or j == 3, _diamond_times, 3),
+        "join_gaps",
+        "join 1 of diagonals a,b in hom(b,b) is not a diagonal",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_QUANTALES))
+def test_lattices_that_are_not_quantales_reach_the_law_reports(name):
+    q, field, message = _NOT_QUANTALES[name]
+    assert not validate_quantale(q).ok
+    assert message in getattr(verify_quantaloid_laws(q), field)

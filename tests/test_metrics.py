@@ -662,3 +662,17 @@ def test_instance_shape_validation():
         num((X, Y), ((0, 1),))
     with pytest.raises(ValueError, match="staircases"):
         prob((X,), ((Fraction(1),),))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: instance_from_dict(["x"]), ValueError, "instance must be a JSON object"),
+    (lambda: instance_from_dict({"points": ["x"], "dist": [["0"]], "tnorm": 1}),
+     ValueError, "instance field 'tnorm' must be a string"),
+    (lambda: SlicedMetInstance(num((X, Y), ((0, 1), (1, 0))), (0,)),
+     ValueError, "one anchor per point required"),
+    (lambda: validate_met(num((X,), ((0,),))).flag("nope"), KeyError, "'nope'"),
+])
+def test_input_checks_raise_their_messages(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message

@@ -295,6 +295,17 @@ def test_monotone_validation():
         MonotoneStep((F(0),), (F(0),), (F(1, 2),), F(1, 4))  # infinity below last cell
 
 
+@pytest.mark.parametrize("args,message", [
+    (((F(0), F(1)), (F(0),), (F(0), F(1))), "breakpoints and value tuples must have equal length"),
+    (((F(0), F(0)), (F(0), F(0)), (F(0), F(0))), "breakpoints must be strictly increasing"),
+    (((F(0),), (F(0),), (F(3, 2),)), "values must lie in [0, 1]"),
+])
+def test_monotone_shape_checks_raise_their_messages(args, message):
+    with pytest.raises(DomainError) as exc:
+        MonotoneStep(*args)
+    assert str(exc.value) == message
+
+
 def test_monotone_call_semantics():
     m = MonotoneStep((F(0), F(1)), (F(1, 4), F(1, 2)), (F(1, 4), F(3, 4)), F(1))
     assert m(F(0)) == F(1, 4)
