@@ -182,6 +182,23 @@ def test_validate_bad_probparmet_golden(capsys):
     assert out == golden("validate_bad_probparmet.txt")
 
 
+def test_validate_ordinal_probparmet_golden(capsys):
+    # ProbPM2 violations under an ordinal sum, in (i, j, k) order: the
+    # staircase batch decides every triple
+    code, out, _ = run_cli(
+        capsys, "validate", str(DATA / "ordinal_probparmet_instance.json")
+    )
+    assert code == 1
+    assert out == golden("validate_ordinal_probparmet.txt")
+
+
+def test_validate_bad_parmet_golden(capsys):
+    # the numeric track: the generic batch decides every PM2 triple
+    code, out, _ = run_cli(capsys, "validate", str(DATA / "bad_parmet_instance.json"))
+    assert code == 1
+    assert out == golden("validate_bad_parmet.txt")
+
+
 def test_validate_numeric_instance(capsys):
     code, out, _ = run_cli(capsys, "validate", str(DATA / "parmet_instance.json"))
     assert code == 0
