@@ -160,6 +160,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"error: {message}\n")
 
+    def print_help(self, file=None):
+        # argparse drops a failed write; this one reaches `main`, so a
+        # closed pipe after --help exits 2 whether stdout is buffered or not
+        (file or sys.stdout).write(self.format_help())
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -230,17 +235,9 @@ _MAX_RESOLUTION = 2**16
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse leaves with 2 on an error, 0 after --help
-        return exc.code
-    try:
-        resolution = getattr(ns, "resolution", 1)
-        if resolution < 1:
-            raise ValueError("resolution must be at least 1")
-        if resolution > _MAX_RESOLUTION:
-            raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}")
-        code = _DISPATCH[ns.command](ns)
-        sys.stdout.flush()  # a closed pipe fails here, not after main returns
+        code = _run(argv)
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()  # a closed pipe fails here, not after main returns
         return code
     except (DdqError, ValueError, OSError) as exc:
         _report(f"error: {exc}")
@@ -249,6 +246,19 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         _report(f"error: internal error: {type(exc).__name__}: {message}")
         return 2
+
+
+def _run(argv) -> int:
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse leaves with 2 on an error, 0 after --help
+        return exc.code
+    resolution = getattr(ns, "resolution", 1)
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    if resolution > _MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}")
+    return _DISPATCH[ns.command](ns)
 
 
 def _report(line: str) -> None:

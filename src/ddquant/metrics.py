@@ -22,8 +22,10 @@ In the staircase track these are ProbM1, ProbM2, ProbPM1 and ProbPM2.
 On [0, inf] PM1 says the self-distances are at most the entry, because
 [0, inf] is divisible; for staircases it is stronger than lying below
 both self-distances.  Validators are exhaustive over the point set and
-report violations with point labels and canonical text, building a
-composite only for a violation.  The numeric track prints its comparisons
+report violations with point labels and canonical text.  The n^3
+triangle checks (M2, PM2) go to the value quantale as one batch
+(`compose_below_all`), in (i, j, k) order, and a composite is built
+only for a violation.  The numeric track prints its comparisons
 in the ordinary numeric order of [0, inf], the reverse of its quantale
 order; its residuation is `plus_implies`.
 """
@@ -31,6 +33,7 @@ order; its residuation is `plus_implies`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 from .axis import Time, ensure_time, format_scalar, parse_scalar, plus_implies, time_add
@@ -214,17 +217,18 @@ def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
                             )
                         )
                         break
-    for i in range(n):
-        for j in range(n):
-            # the discount d(j,j) -> d(i,j) is shared by every k
-            via = q.implies(d[j][j], d[i][j]) if partial else d[i][j]
-            for k in range(n):
-                if not q.compose_below(d[j][k], via, d[i][k]):
-                    composite = q.compose(d[j][k], via)
-                    sides = (d[i][k], composite) if q.descending else (composite, d[i][k])
-                    violations.append(
-                        Violation(axiom + "2", (pts[i], pts[j], pts[k]), *map(q.text, sides))
-                    )
+    # the discount d(j,j) -> d(i,j) is shared by every k
+    via = [[q.implies(d[j][j], e) for j, e in enumerate(row)] for row in d] if partial else d
+    verdicts = q.compose_below_all(
+        (d[j][k], via[i][j], d[i][k]) for i, j, k in product(range(n), repeat=3)
+    )
+    for (i, j, k), ok in zip(product(range(n), repeat=3), verdicts):
+        if not ok:
+            composite = q.compose(d[j][k], via[i][j])
+            sides = (d[i][k], composite) if q.descending else (composite, d[i][k])
+            violations.append(
+                Violation(axiom + "2", (pts[i], pts[j], pts[k]), *map(q.text, sides))
+            )
     kind = m.track.lower() + ("parmet" if partial else "met")
     return Report(kind, not violations, tuple(violations), _flags(m, vanishing))
 

@@ -18,10 +18,12 @@ inputs and the t-norm's pieces to common denominators once (`_scale`);
 `convolve` and `implication` end in the canonical sweep
 `staircase._from_candidates`, `implication` through `meet_all`'s co-step
 sweep.  The tests compare both with `Fraction` reference kernels kept in
-`tests/util.py`.  `convolve_below` decides phi (*) psi <= xi on the same
-integers without building the convolution, and `residual` skips the
-kernels below a one-step phi.  `vertical_distance` evaluates the pointwise
-quantity
+`tests/util.py`.  `convolve_below_all` decides phi (*) psi <= xi for a
+batch of triples on the same integers without building the convolutions,
+on one `_scale` of all their staircases unless that is wider than the
+widest triple's own; `convolve_below` is its one-triple call.
+`residual` skips the kernels below a one-step phi.  `vertical_distance`
+evaluates the pointwise quantity
 
     rho(t) = inf_{q > 0} phi(q) -> xi(q + t)
 
@@ -31,7 +33,9 @@ test-suite uses as an independent cross-check.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -67,12 +71,17 @@ class _Scaled(NamedTuple):
 
 
 def _scale(t: TNorm, *staircases: Staircase) -> _Scaled:
+    jd, ld, images = _common(staircases, t._int_pieces[0])
+    return _Scaled(jd, ld, *_pieces(t, ld), images)
+
+
+def _pieces(t: TNorm, ld: int) -> tuple[int, tuple[tuple[int, int, str, int], ...]]:
+    """(M, pieces) of `_Scaled` for a level denominator ld, a multiple of
+    the t-norm's own."""
     td, pieces = t._int_pieces
-    jd, ld, images = _common(staircases, td)
     bounds = [(lo * (ld // td), hi * (ld // td), kind) for lo, hi, kind in pieces]
     m = lcm(*[hi - lo for lo, hi, kind in bounds if kind == PRODUCT_KIND])
-    pieces = tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds)
-    return _Scaled(jd, ld, m, pieces, images)
+    return m, tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds)
 
 
 def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
@@ -131,20 +140,134 @@ def _convolve_int(s: _Scaled) -> Staircase:
 
 
 def convolve_below(t: TNorm, phi: Staircase, psi: Staircase, xi: Staircase) -> bool:
-    """Whether convolve(t, phi, psi) <= xi: whether every step pair has
-    a * b <= xi just after p + q.  Per step of phi, one pointer walks xi's
-    jumps as q rises; the first failing pair decides."""
+    """Whether convolve(t, phi, psi) <= xi: `convolve_below_all` of one triple."""
+    return convolve_below_all(t, ((phi, psi, xi),))[0]
+
+
+def convolve_below_all(
+    t: TNorm, triples: Iterable[tuple[Staircase, Staircase, Staircase]]
+) -> list[bool]:
+    """Whether convolve(t, phi, psi) <= xi, for each triple (phi, psi, xi).
+
+    One pass over the triples numbers their distinct staircases, hashing
+    each object once, and keeps each triple as three positions.  The
+    sharing rule: the triples share one `_scale` of all distinct
+    staircases when its jump denominator and its ld * M are no wider, in
+    bits, than those of the widest per-triple `_scale`; otherwise each
+    triple is scaled on its own.  Both decide each triple by the walk
+    `_below`.
+    """
+    position: dict[Staircase, int] = {}
+    slots: dict[int, tuple[int, Staircase]] = {}  # by id, the staircase kept alive
+    keys = array("q")  # three positions a triple
+    for triple in triples:
+        for sc in triple:
+            slot = slots.get(id(sc))
+            if slot is None:
+                slot = slots[id(sc)] = (position.setdefault(sc, len(position)), sc)
+            keys.append(slot[0])
+    distinct = list(position)
+    if _shares(t, distinct, keys):
+        return _below_shared(_scale(t, *distinct), _triples(keys))
+    return [_below_one(t, *[distinct[k] for k in key]) for key in _triples(keys)]
+
+
+def _triples(keys: array):
+    return zip(*[iter(keys)] * 3)
+
+
+def _shares(t: TNorm, distinct: list[Staircase], keys: array) -> bool:
+    """The sharing rule of `convolve_below_all`."""
+    td = t._int_pieces[0]
+    jds, lds = [sc.jd for sc in distinct], [sc.ld for sc in distinct]
+    jd = max((lcm(jds[a], jds[b], jds[c]) for a, b, c in _triples(keys)), default=1)
+    ld = max((lcm(td, lds[a], lds[b], lds[c]) for a, b, c in _triples(keys)), default=td)
+    return lcm(*jds).bit_length() <= jd.bit_length() and _width(t, lcm(td, *lds)) <= _width(t, ld)
+
+
+def _width(t: TNorm, ld: int) -> int:
+    """Bits of ld * M, the denominator of t-norm values over ld."""
+    return (ld * _pieces(t, ld)[0]).bit_length()
+
+
+def _below_shared(s: _Scaled, triples) -> list[bool]:
+    """`_below` for each triple of positions in s.images.  Each staircase's
+    `_after_jumps`, and each row, is built once for all triples."""
+    apply = _int_apply(s)
+    xis = [_after_jumps(s, xi) for xi in s.images]
+    rows = [_Rows(apply, psi) for psi in s.images]
+    return [
+        _below(apply, s.images[kp], s.images[kq], xis[kx], rows[kq].__getitem__)
+        for kp, kq, kx in triples
+    ]
+
+
+class _Rows(dict):
+    """The rows of one psi by the level a, each built on first use."""
+
+    def __init__(self, apply, psi: tuple[list[int], list[int]]):
+        self.apply, self.psi = apply, psi
+
+    def __missing__(self, a: int) -> list[tuple[int, int]]:
+        row = self[a] = list(_rises(self.apply, a, self.psi))
+        return row
+
+
+def _below_one(t: TNorm, phi: Staircase, psi: Staircase, xi: Staircase) -> bool:
+    """`_below` on the triple's own `_scale`, each row read lazily once."""
     s = _scale(t, phi, psi, xi)
     apply = _int_apply(s)
-    (j1, l1), (j2, l2), (rs, cs) = s.images
-    cs, n = [0, *[c * s.m for c in cs]], len(rs)  # xi is cs[k] just after its k-th jump
-    right = list(zip(j2, l2))
-    for p, a in zip(j1, l1):
+    phi, psi, xi = s.images
+    return _below(apply, phi, psi, _after_jumps(s, xi), lambda a: _rises(apply, a, psi))
+
+
+def _after_jumps(s: _Scaled, xi: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+    """xi's scaled jumps, and its values over ld * M from 0 on: xi is
+    levels[k] just after its k-th jump."""
+    rs, cs = xi
+    return rs, [0, *[c * s.m for c in cs]]
+
+
+def _rises(apply, a: int, psi: tuple[list[int], list[int]]) -> Iterator[tuple[int, int]]:
+    """The row of a and psi: its steps (q, a * b) where a * b rises above 0."""
+    top = 0
+    for q, b in zip(*psi):
+        v = apply(a, b)
+        if v > top:
+            yield q, v
+            top = v
+
+
+def _below(apply, phi, psi, xi, row) -> bool:
+    """Whether every step pair (p, a) of phi, (q, b) of psi has a * b <= xi
+    just after p + q.  phi and psi are scaled (jumps, levels), xi is as
+    `_after_jumps` gives it.
+
+    Pairs run by rows: row(a) is `_rises` of a and psi, a later pair with
+    no larger value being below xi when its predecessor is.  A pair past
+    xi's last jump is below xi when the top pair (the last steps of phi
+    and psi) is, so the walk checks that pair first.  Then per step of
+    phi, up to the first whose pairs all lie past xi's last jump, one
+    pointer walks xi's jumps as q rises, up to that jump; the first
+    failing pair decides.
+    """
+    (js, ls), (qs, bs), (rs, cs) = phi, psi, xi
+    if not ls or not bs:
+        return True
+    n = len(rs)
+    if apply(ls[-1], bs[-1]) > cs[n]:
+        return False
+    last = rs[-1] if rs else 0
+    for p, a in zip(js, ls):
+        if p + qs[0] >= last:
+            break  # every later pair is past xi's last jump
         k = 0  # jumps of xi at or below p + q
-        for q, b in right:
+        for q, v in row(a):
             while k < n and rs[k] <= p + q:
                 k += 1
-            if apply(a, b) > cs[k]:
+            if k == n:
+                break
+            if v > cs[k]:
                 return False
     return True
 

@@ -21,8 +21,11 @@ and `finiteq.FiniteQuantale`, a finite table.
 Divisibility is the diagonal condition: d is divisible by p when
 d = compose(p, implies(p, d)).  It matches the down set of p only in a
 divisible quantale such as [0, inf], or below a one-step staircase, where
-`Staircases.residual` returns d at once.  Like `residual`, `compose_below`
-is derived from the parts; `Staircases` decides it without the composite.
+`Staircases.residual` returns d at once.  Like `residual`,
+`compose_below_all` is derived from the parts: whether compose(a, b) lies
+below c, for each of a batch of triples (a, b, c).  `Staircases` decides
+the batch without the composites, on one integer scale when that is no
+wider than the widest triple's own (`quantale.convolve_below_all`).
 
 Diagonals form a quantaloid: its morphisms p -> r are the values divisible
 by both p and r.  One checker, `quantaloid_laws` and `downset_equality`,
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .axis import INF, ONE, ZERO, format_scalar, is_infinite, plus_implies, time_add
-from .quantale import convolve, convolve_below, implication, residual
+from .quantale import convolve, convolve_below_all, implication, residual
 from .staircase import BOTTOM, TOP, join_all
 from .tnorms import TNorm
 
@@ -51,9 +54,9 @@ class ValueQuantale:
         """The largest multiple of p below d: compose(p, implies(p, d))."""
         return self.compose(p, self.implies(p, d))
 
-    def compose_below(self, a, b, c) -> bool:
-        """Whether compose(a, b) lies below c."""
-        return self.below(self.compose(a, b), c)
+    def compose_below_all(self, triples) -> list[bool]:
+        """Whether compose(a, b) lies below c, for each triple (a, b, c)."""
+        return [self.below(self.compose(a, b), c) for a, b, c in triples]
 
     def divides(self, p, d) -> bool:
         """Whether d is divisible by p, that is, d is its own residual."""
@@ -110,8 +113,8 @@ class Staircases(ValueQuantale):
     def implies(self, a, b):
         return implication(self.tnorm, a, b)
 
-    def compose_below(self, a, b, c) -> bool:
-        return convolve_below(self.tnorm, a, b, c)
+    def compose_below_all(self, triples) -> list[bool]:
+        return convolve_below_all(self.tnorm, triples)
 
     def residual(self, d, p):
         return residual(self.tnorm, d, p)

@@ -606,12 +606,15 @@ def test_module_entry_point_propagates_failure_code():
 # A reader that is gone before the first write: the write fails whether
 # stdout is block-buffered or not, and the run still ends in exit 2, not in
 # the interpreter's 120 after a failed last flush or in the 1 of an escaped
-# BrokenPipeError.
+# BrokenPipeError.  argparse's own writes, an argument error's message and
+# the --help text, end the same way.
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize("argv", [
     ["eval", "steps[(1,1)]"],
     ["diag", "--xi", "step(1,1)", "--phi", "join(step(0,1/2),step(1,1))"],
     ["eval", "steps[(1,"],
+    ["eval"],
+    ["--help"],
 ])
 def test_closed_output_pipe_exits_two(argv, unbuffered):
     read, write = os.pipe()

@@ -30,6 +30,7 @@ from ddquant import (
 )
 from ddquant import quantale
 from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, convolve_below
+from ddquant.values import Staircases
 from util import (
     NILPOTENT,
     ORDINAL,
@@ -225,6 +226,60 @@ def test_convolve_below_differential(name, t):
     for xi in (conv, _delay_step(conv, rng), conv.join(one_step(F(0), F(1, big)))):
         answers.append(_check_below(t, sc, sc, xi))
     assert set(answers) == {False, True}
+
+
+def _check_below_all(t, triples, monkeypatch) -> tuple[list[bool], list[int]]:
+    """compose_below_all against each triple alone and the oracles; also the
+    number of staircases of each `_scale` call the batch made."""
+    counts = []
+    scale = quantale._scale
+    monkeypatch.setattr(quantale, "_scale", lambda t, *scs: counts.append(len(scs)) or scale(t, *scs))
+    got = Staircases(t).compose_below_all(iter(triples))
+    monkeypatch.setattr(quantale, "_scale", scale)
+    assert got == [convolve_below(t, *triple) for triple in triples]
+    assert got == [convolve(t, phi, psi).leq(xi) for phi, psi, xi in triples]
+    assert got == [conv_compare_oracle(t, *triple, operator.le) for triple in triples]
+    return got, counts
+
+
+def _coprime_stairs(rng, jd: int, ld: int) -> Staircase:
+    """Four steps with jumps over jd and levels over ld, the last level 1."""
+    jumps = sorted(rng.sample(range(1, 3 * jd), 4))
+    levels = [*sorted(rng.sample(range(1, ld), 3)), ld]
+    return Staircase(tuple((F(j, jd), F(a, ld)) for j, a in zip(jumps, levels)))
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_convolve_below_all_differential(name, t, monkeypatch):
+    rng = random.Random(38)
+    # a pool whose staircases recur, some as equal copies: one scale serves all
+    pool = [BOTTOM, TOP, *(_stairs(rng, n) for n in (1, 2, 3, 5, 8))]
+    triples = []
+    for phi in pool:
+        for psi in (pool[1], pool[3], pool[5], Staircase(pool[5].steps)):
+            conv = convolve(t, phi, psi)
+            for xi in (conv, _delay_step(conv, rng), conv.join(rng.choice(pool)), rng.choice(pool)):
+                triples.append((phi, psi, xi))
+    got, counts = _check_below_all(t, triples, monkeypatch)
+    assert set(got) == {False, True}
+    assert counts == [len(set(pool) | {xi for _, _, xi in triples})]
+    # levels so fine that convolve's numpy kernel leaves int64 for objects
+    big = 2**34
+    sc = Staircase(tuple((F(k), F(k, big)) for k in range(1, 8)) + ((F(8), F(1)),))
+    conv = convolve(t, sc, sc)
+    xis = (conv, _delay_step(conv, rng), conv.join(one_step(F(0), F(1, big))))
+    got, counts = _check_below_all(t, [(sc, sc, xi) for xi in xis], monkeypatch)
+    assert len(counts) == 1
+    # pairwise-coprime denominators: three of them are narrower than all
+    # four, so each triple is scaled on its own
+    pool = [_coprime_stairs(rng, jd, ld) for jd, ld in ((3, 13), (5, 17), (7, 19), (11, 23))]
+    triples = [(phi, psi, xi) for phi in pool for psi in pool for xi in pool]
+    for phi, psi in zip(pool, pool[1:]):
+        conv = convolve(t, phi, psi)
+        triples += [(phi, psi, conv), (phi, psi, _delay_step(conv, rng))]
+    got, counts = _check_below_all(t, triples, monkeypatch)
+    assert set(got) == {False, True}
+    assert counts == [3] * len(triples)
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
