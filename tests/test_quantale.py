@@ -233,9 +233,9 @@ def _check_below_all(t, triples, monkeypatch) -> tuple[list[bool], list[int]]:
     number of staircases of each `_scale` call the batch made."""
     counts = []
     scale = quantale._scale
-    monkeypatch.setattr(quantale, "_scale", lambda t, *scs: counts.append(len(scs)) or scale(t, *scs))
-    got = Staircases(t).compose_below_all(iter(triples))
-    monkeypatch.setattr(quantale, "_scale", scale)
+    with monkeypatch.context() as patch:
+        patch.setattr(quantale, "_scale", lambda t, *scs: counts.append(len(scs)) or scale(t, *scs))
+        got = Staircases(t).compose_below_all(iter(triples))
     assert got == [convolve_below(t, *triple) for triple in triples]
     assert got == [convolve(t, phi, psi).leq(xi) for phi, psi, xi in triples]
     assert got == [conv_compare_oracle(t, *triple, operator.le) for triple in triples]
