@@ -153,6 +153,39 @@ def test_diag_golden_ordinal_unreduced_literals(capsys):
     assert out == golden("diag_ordinal_mixed.txt")
 
 
+# Two diags of 8-step phis and 60-step-plus xis: their implication has
+# 480 or more step pairs, past the Python-int kernel's cutoff.
+WIDE_PROD_PHI = "steps[(0,1/8),(1/2,3/16),(3/4,5/16),(5/4,3/8),(5/2,5/8),(3,3/4),(7/2,7/8),(9/2,1)]"
+WIDE_PROD_XI = (
+    "steps[(5,1/480),(11/2,1/320),(17/3,1/240),(23/4,1/192),(37/6,1/160),(77/12,1/96),(83/12,1/80),(97/12,1/64),(49/6,1/48),(26/3,1/40),(109/12,5/192),(55/6,7/240),(115/12,1/32),(61/6,1/30),(31/3,3/80),(65/6,5/96),(34/3,1/16),(71/6,7/96),(77/6,1/12),(83/6,7/80),(89/6,1/10),(50/3,9/80),(101/6,7/60),(103/6,21/160),(107/6,2/15),(109/6,3/20),(39/2,1/6),(125/6,11/60),(137/6,91/480),(139/6,1/5),(143/6,13/60),(51/2,7/32),(157/6,7/30),(53/2,1/4),(55/2,4/15),(167/6,17/60),(175/6,7/24),(181/6,1/3),(187/6,7/20),(193/6,11/30),(65/2,63/160),(197/6,203/480),(67/2,9/20),(203/6,29/60),(217/6,31/60),(221/6,8/15),(223/6,11/20),(229/6,17/30),(239/6,7/12),(81/2,3/5),(259/6,19/30),(265/6,2/3),(269/6,41/60),(95/2,7/10),(295/6,3/4),(317/6,4/5),(109/2,5/6),(341/6,13/15),(353/6,11/12),(361/6,19/20),(365/6,29/30),(137/2,59/60),(415/6,1)]"
+)
+WIDE_ORDINAL_PHI = "steps[(4/3,1/20),(3,1/10),(14/3,7/20),(6,1/2),(20/3,3/5),(22/3,7/10),(25/3,3/4),(29/3,19/20)]"
+WIDE_ORDINAL_XI = (
+    "steps[(2/3,1/120),(2,1/60),(8/3,1/24),(25/6,1/20),(26/3,3/40),(59/6,11/120),(31/3,1/10),(11,13/120),(12,2/15),(38/3,19/120),(103/6,1/6),(19,1/5),(39/2,5/24),(64/3,13/60),(22,4/15),(137/6,17/60),(25,7/24),(157/6,19/60),(203/6,41/120),(205/6,3/8),(215/6,23/60),(217/6,47/120),(73/2,2/5),(221/6,53/120),(233/6,11/24),(39,7/15),(40,19/40),(245/6,29/60),(41,59/120),(125/3,1/2),(251/6,61/120),(85/2,31/60),(128/3,21/40),(259/6,8/15),(131/3,11/20),(265/6,7/12),(89/2,3/5),(134/3,5/8),(93/2,19/30),(140/3,79/120),(283/6,41/60),(143/3,7/10),(48,17/24),(49,89/120),(305/6,23/30),(307/6,19/24),(53,33/40),(160/3,101/120),(331/6,103/120),(335/6,13/15),(57,53/60),(343/6,11/12),(115/2,14/15),(119/2,113/120),(179/3,23/24),(60,29/30),(365/6,39/40),(367/6,59/60),(64,119/120),(196/3,1)]"
+)
+
+
+def test_diag_golden_wide_divisible(capsys):
+    code, out, _ = run_cli(capsys, "diag", "--tnorm", "prod", "--xi", WIDE_PROD_XI, "--phi", WIDE_PROD_PHI)
+    assert code == 0
+    assert out == golden("diag_prod_wide.txt")
+
+
+def test_diag_golden_wide_not_divisible(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "diag",
+        "--tnorm",
+        "ordinal[(0,1/2,luk),(1/2,1,prod)]",
+        "--xi",
+        WIDE_ORDINAL_XI,
+        "--phi",
+        WIDE_ORDINAL_PHI,
+    )
+    assert code == 1
+    assert out == golden("diag_ordinal_wide.txt")
+
+
 def test_diag_divisible_exits_zero(capsys):
     code, out, _ = run_cli(
         capsys, "diag", "--xi", "step(1,1/2)", "--phi", "step(0,1/2)"
