@@ -16,12 +16,16 @@ on integers and meets them in one sweep, and `step_implication` is its
 one-step case.  Every kernel here rescales the integer images of its
 inputs and the t-norm's pieces to common denominators once (`_scale`);
 `convolve` and `implication` end in the canonical sweep
-`staircase._from_candidates`, `implication` through `meet_all`'s co-step
-sweep.  The tests compare both with `Fraction` reference kernels kept in
-`tests/util.py`.  `convolve_below_all` decides phi (*) psi <= xi for a
-batch of triples on the same integers without building the convolutions,
-on one `_scale` of all their staircases unless that is wider than the
-widest triple's own; `convolve_below` is its one-triple call.
+`staircase._from_candidates`.  Both pick a Python-int kernel below
+`_FAST_CUTOFF` pairs of steps and a numpy kernel from it on; past the
+int64 guard `convolve`'s numpy kernel runs on object arrays and
+`implication` keeps its Python-int kernel, which meets the co-steps in
+`meet_all`'s sweep.  The tests compare both with `Fraction` reference
+kernels kept in `tests/util.py`.  `convolve_below_all` decides
+phi (*) psi <= xi for a batch of triples on the same integers without
+building the convolutions, on one `_scale` of all their staircases unless
+that is wider than the widest triple's own; `convolve_below` is its
+one-triple call.
 `residual` skips the kernels below a one-step phi.  `vertical_distance`
 evaluates the pointwise quantity
 
@@ -177,12 +181,21 @@ def _triples(keys: array):
 
 
 def _shares(t: TNorm, distinct: list[Staircase], keys: array) -> bool:
-    """The sharing rule of `convolve_below_all`."""
+    """The sharing rule of `convolve_below_all`.
+
+    A triple's lcms are multiples of each member's, and `_width` grows
+    under multiples, so a shared scale no wider than the widest single
+    staircase's own shares without the per-triple lcms."""
     td = t._int_pieces[0]
     jds, lds = [sc.jd for sc in distinct], [sc.ld for sc in distinct]
+    shared_jd, shared_width = lcm(*jds).bit_length(), _width(t, lcm(td, *lds))
+    if shared_jd <= max(jds, default=1).bit_length() and shared_width <= max(
+        (_width(t, lcm(td, ld)) for ld in set(lds)), default=0
+    ):
+        return True
     jd = max((lcm(jds[a], jds[b], jds[c]) for a, b, c in _triples(keys)), default=1)
     ld = max((lcm(td, lds[a], lds[b], lds[c]) for a, b, c in _triples(keys)), default=td)
-    return lcm(*jds).bit_length() <= jd.bit_length() and _width(t, lcm(td, *lds)) <= _width(t, ld)
+    return shared_jd <= jd.bit_length() and shared_width <= _width(t, ld)
 
 
 def _width(t: TNorm, ld: int) -> int:
@@ -353,12 +366,30 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     later step (r, c) of xi raises it to a -> c at r - p, up to the first
     with c >= a, where a -> c is 1.  A raise at r - p from the value v is
     the co-step "v on [0, r - p], 1 above", and a one-step implication is
-    the meet of its co-steps and its value at infinity.  `_meet_costeps`,
-    shared with `meet_all`, meets the co-steps of all steps of phi at once.
+    the meet of its co-steps and its value at infinity, a -> (xi's last
+    level).  a -> c is antitone in a, so the last step of phi alone gives
+    the meet of those values (the cap).
 
     Values are integers over ld * d, where d is the lcm of a - lo over the
     levels a of phi inside a product piece (lo, hi]: there a -> c is
     lo + (hi - lo)(c - lo)/(a - lo).  Under min and luk d is 1.
+
+    The dispatch rule, as `convolve`'s: below `_FAST_CUTOFF` pairs of
+    steps of phi and xi the Python-int kernel `_implication_int` runs, and
+    from it on the numpy kernel `_implication_fast` when every jump and
+    value fits int64 (2 * max(jumps, ld * d) < `_INT64_LIMIT`).  Past that
+    guard the Python-int kernel runs at every size: d, and so every value,
+    is wide there, and object arrays won on `diag`'s overflowing prod calls
+    (11 vs 15 ms for 21 calls) but lost on antecedent levels (p - 1)/p over
+    primes p (0.59 vs 0.53 ms at 12x60 steps, 7.9 vs 7.0 ms at 22x380).
+
+    The kernels cross near 40 co-steps: the Python-int kernel costs about
+    15 us a call and 0.7 us a co-step, the numpy kernel about 40 us and
+    0.1 us (Python 3.11, numpy 2.4, one core).  The share of pairs that are
+    co-steps depends on the input: about 40% on `diag`'s divisor-multiple
+    pairs, where the numpy kernel was ahead in every size class from 48
+    pairs on, and 10-40% on random pairs whose jumps spread as far as xi's,
+    where it breaks even between 96 and 240 pairs.
     """
     if not phi.js:
         return TOP
@@ -369,31 +400,77 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
         for a in ls
     ]
     d = lcm(*(a - pc[0] for a, pc in zip(ls, pieces) if pc and pc[2] == PRODUCT_KIND))
-    one = s.ld * d
-    cap = one
-    costeps: list[tuple[int, int]] = []
-    for p, a, piece in zip(js, ls, pieces):
-        first = bisect_right(rs, p)  # steps of xi after p: raises at r - p > 0
-        full = bisect_left(cs, a)  # levels c >= a: a -> c = 1
-        if first > full:
-            continue  # xi reaches a by p: this one-step implication is top
-        vals = _residua(piece, a, d, [cs[first - 1] if first else 0, *cs[first:full]])
-        costeps.extend(zip([r - p for r in rs[first : full + 1]], vals))
-        if full == len(cs):
-            cap = min(cap, vals[-1])
-    return _meet_costeps(costeps, cap, s.jd, one)
+    forms = [_form(piece, a, d) for a, piece in zip(ls, pieces)]
+    last = cs[-1] if cs else 0
+    cap = _residua(forms[-1], d, [last])[0] if last < ls[-1] else s.ld * d
+    if len(js) * len(rs) < _FAST_CUTOFF or 2 * max(js[-1], *rs[-1:], s.ld * d) >= _INT64_LIMIT:
+        return _implication_int(s, d, forms, cap)
+    return _implication_fast(s, d, forms, cap)
 
 
-def _residua(piece, a: int, d: int, levels: list[int]) -> list[int]:
-    """a -> c over ld * d for the scaled levels c < a; piece is the
-    (lo, hi, kind) with lo < a <= hi, or None."""
+def _form(piece, a: int, d: int) -> tuple[int, int, int]:
+    """(lo, base, slope) such that a -> c over ld * d is c * d for the
+    scaled levels c < lo and base + (c - lo) * slope for lo <= c < a;
+    piece is the (lo, hi, kind) with lo < a <= hi, or None."""
     if piece is None:
-        return [c * d for c in levels]
+        return a, 0, 0
     lo, hi, kind = piece
     if kind == PRODUCT_KIND:
-        k = (hi - lo) * (d // (a - lo))
-        return [c * d if c < lo else lo * d + (c - lo) * k for c in levels]
-    return [c * d if c < lo else (hi - a + c) * d for c in levels]
+        return lo, lo * d, (hi - lo) * (d // (a - lo))
+    return lo, (hi - a + lo) * d, d
+
+
+def _residua(form, d: int, levels: list[int]) -> list[int]:
+    """a -> c over ld * d for the scaled levels c < a, by `_form`'s form."""
+    lo, base, slope = form
+    return [c * d if c < lo else base + (c - lo) * slope for c in levels]
+
+
+def _implication_int(s: _Scaled, d: int, forms, cap: int) -> Staircase:
+    """The meet of the cap and every step's co-steps, on Python ints: a
+    step (p, a) of phi gives (r - p, a -> c) for the steps (r, _) of xi
+    after p up to the first with level >= a, c the level of xi before r
+    (none when xi reaches a by p)."""
+    (js, ls), (rs, cs) = s.images
+    levels = [0, *cs]
+    costeps: list[tuple[int, int]] = []
+    for p, a, form in zip(js, ls, forms):
+        first = bisect_right(rs, p)  # steps of xi after p: raises at r - p > 0
+        stop = bisect_left(cs, a) + 1  # up to the first level c >= a, where a -> c = 1
+        costeps += zip([r - p for r in rs[first:stop]], _residua(form, d, levels[first:stop]))
+    return _meet_costeps(costeps, cap, s.jd, s.ld * d)
+
+
+def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
+    """`_implication_int` on int64 arrays, every co-step built and met at once.
+
+    Two `searchsorted` calls bound each step's co-steps: they are the steps
+    k of xi from the first after p up to the first with level >= a (or the
+    last), at r[k] - p with the value a -> [0, *cs][k].  `repeat` and
+    `arange` lay them all out in one array.  Sorted by position, the suffix
+    minima of the values, met with the cap, give the meet just after each
+    position; only the positions where it rises leave numpy.  Every value
+    is at most ld * d (base + (c - lo) * slope < hi * d for c < a), so the
+    guard in `implication` bounds them.
+    """
+    (js, ls), (rs, cs) = s.images
+    n = len(rs)
+    r, levels = np.array(rs, dtype=np.int64), np.array([0, *cs], dtype=np.int64)
+    p, a, lo, base, slope = np.array([js, ls, *zip(*forms)], dtype=np.int64)
+    first = np.searchsorted(r, p, side="right")
+    counts = np.maximum(np.minimum(np.searchsorted(levels[1:], a) + 1, n) - first, 0)
+    step = np.repeat(np.arange(len(js)), counts)
+    k = np.arange(len(step)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    c, lo = levels[k], lo[step]
+    vals = np.where(c < lo, c * d, base[step] + np.maximum(c - lo, 0) * slope[step])
+    pos = r[k] - p[step]
+    order = np.argsort(pos)
+    pos, vals = pos[order], vals[order]
+    # the meet from each co-step on: the suffix minima, met with the cap
+    after = np.minimum.accumulate(np.append(vals, cap)[::-1])[::-1]
+    rise = vals < after[1:]
+    cands = [(0, int(after[0])), *zip(pos[rise].tolist(), after[1:][rise].tolist())]
+    return _from_candidates(cands, s.jd, s.ld * d)
 
 
 def vertical_distance(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Fraction:

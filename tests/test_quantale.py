@@ -1,5 +1,6 @@
 import operator
 import random
+from array import array
 import re
 from fractions import Fraction
 from math import isqrt, lcm
@@ -451,6 +452,113 @@ def test_implication_large_denominators(name, t):
     assert all(ORDINAL.pieces[0].lo < a < ORDINAL.pieces[0].hi for a in phi.levels)
     _check_implication(t, phi, xi)
     _check_implication(t, xi, phi)
+
+
+def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> str:
+    """implication with the given kernel cutoff against the Python sweep
+    (no cutoff reached) and implication_plain; the kernel that ran."""
+    ran = []
+    with monkeypatch.context() as patch:
+        for name in ("_implication_int", "_implication_fast"):
+            kernel = getattr(quantale, name)
+            patch.setattr(quantale, name, lambda *a, k=kernel, n=name: ran.append(n) or k(*a))
+        patch.setattr(quantale, "_FAST_CUTOFF", cutoff)
+        got = implication(t, phi, xi)
+        patch.setattr(quantale, "_FAST_CUTOFF", float("inf"))
+        assert got == implication(t, phi, xi) == implication_plain(t, phi, xi)
+    assert len(ran) == 2 and ran[1] == "_implication_int"
+    return ran[0]
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_implication_kernels_differential(name, t, monkeypatch):
+    rng = random.Random(39)
+    kernels = set()
+    for _ in range(60):
+        phi = _staircase_over(rng, _IMPLICATION_LEVELS, 8)
+        xi = _staircase_over(rng, _IMPLICATION_LEVELS, 16)
+        if phi.js:
+            kernel = _implication_kernel(t, phi, xi, monkeypatch)
+            assert (kernel == "_implication_fast") == (len(phi.js) * len(xi.js) >= _FAST_CUTOFF)
+            kernels.add(kernel)
+    assert kernels == {"_implication_int", "_implication_fast"}
+    # edge cases on the numpy kernel at every size
+    ladder = Staircase(tuple((F(k, 2), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[1::2])))
+    at_zero = Staircase(((F(0), F(1, 10)), (F(1), F(13, 20)), (F(3), F(9, 10))))
+    ends = Staircase(((F(0), F(2, 10)), (F(1), F(6, 10)), (F(2), F(7, 10)), (F(3), F(1))))
+    for phi, xi in [
+        (ends, BOTTOM),  # empty xi: the floors a -> 0
+        (ladder, BOTTOM),
+        (one_step(F(2), F(1, 2)), one_step(F(0), F(6, 10))),  # xi reaches a by p
+        (Staircase(((F(1), F(1, 4)), (F(3), F(3, 4)))), ladder),  # the first step adds none
+        (ends, ladder),  # levels at the pieces' lo and hi
+        (ladder, ends),
+        (Staircase(((F(1), F(13, 20)), (F(2), F(1)))), ladder),  # 13/20: in no piece of ORDINAL
+        (at_zero, at_zero),  # jumps at 0
+        (at_zero, ladder),
+        (ladder, at_zero),
+    ]:
+        assert _implication_kernel(t, phi, xi, monkeypatch, cutoff=0) == "_implication_fast"
+    # the int64 guard on integer jumps: a top jump of xi at 2**61 - 1 fits,
+    # one at 2**61 does not
+    phi = Staircase(tuple((F(k), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[::4])))
+    for top, kernel in ((_INT64_LIMIT // 2 - 1, "_implication_fast"), (_INT64_LIMIT // 2, "_implication_int")):
+        xi = Staircase((*((F(k), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[1:-1:2])), (F(top), F(1))))
+        assert len(phi.js) * len(xi.js) >= _FAST_CUTOFF
+        assert _implication_kernel(t, phi, xi, monkeypatch) == kernel
+
+
+@pytest.mark.parametrize("name,t", [("prod", PROD), ("ordinal", ORDINAL), ("nilpotent", NILPOTENT)])
+def test_implication_kernels_past_the_guard(name, t, monkeypatch):
+    # Antecedent levels (p - 1)/p over distinct primes p, mapped into the
+    # product piece: d, the lcm of their distances to its lo, grows with
+    # every step, and ld * d leaves int64 within nine steps.
+    lo, hi = next((pc.lo, pc.hi) for pc in t.pieces if pc.kind == "prod")
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    xi = Staircase(tuple((F(k, 2), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[::2])))
+    kernels = []
+    for m in range(1, len(primes) + 1):
+        phi = Staircase(tuple((F(k, 3), lo + (hi - lo) * F(p - 1, p)) for k, p in enumerate(primes[:m])))
+        kernels.append(_implication_kernel(t, phi, xi, monkeypatch))
+    above = [k for m, k in enumerate(kernels, 1) if m * len(xi.js) >= _FAST_CUTOFF]
+    assert set(kernels[: len(kernels) - len(above)]) == {"_implication_int"}
+    assert above[0] == "_implication_fast" and above[-1] == "_implication_int"
+
+
+def _shares_by_triples(t, distinct, keys) -> bool:
+    """The sharing rule from the per-triple lcms alone."""
+    td = t._int_pieces[0]
+    triples = list(zip(*[iter(keys)] * 3))
+    jd = max(lcm(*(distinct[k].jd for k in key)) for key in triples)
+    ld = max(lcm(td, *(distinct[k].ld for k in key)) for key in triples)
+    shared_ld = lcm(td, *(sc.ld for sc in distinct))
+    return lcm(*(sc.jd for sc in distinct)).bit_length() <= jd.bit_length() and \
+        quantale._width(t, shared_ld) <= quantale._width(t, ld)
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_shares_short_cut_keeps_the_decision(name, t, monkeypatch):
+    rng = random.Random(40)
+    coprime = [_coprime_stairs(rng, jd, ld) for jd, ld in ((3, 13), (5, 17), (7, 19), (11, 23))]
+    batches = [[(phi, psi, xi) for phi in coprime for psi in coprime for xi in coprime]]
+    for _ in range(40):
+        pool = [_stairs(rng, rng.randrange(1, 6)) for _ in range(rng.randrange(1, 5))]
+        pool += rng.sample(coprime, rng.randrange(0, 3))
+        batches.append([tuple(rng.choice(pool) for _ in range(3)) for _ in range(rng.randrange(1, 12))])
+    decisions, lcm_rounds = [], []
+    triples = quantale._triples
+    monkeypatch.setattr(quantale, "_triples", lambda keys: lcm_rounds.append(1) or triples(keys))
+    for batch in batches:
+        distinct = list(dict.fromkeys(sc for triple in batch for sc in triple))
+        keys = array("q", [distinct.index(sc) for triple in batch for sc in triple])
+        lcm_rounds.clear()
+        shares = quantale._shares(t, distinct, keys)
+        assert shares == _shares_by_triples(t, distinct, keys)
+        decisions.append((shares, bool(lcm_rounds)))
+    # pairwise coprime: each triple on its own; the short cut decides some
+    # batches, the per-triple lcms the others, either way
+    assert decisions[0] == (False, True)
+    assert set(decisions) == {(True, False), (True, True), (False, True)}
 
 
 def test_worked_implication_values():
