@@ -189,9 +189,8 @@ def _shares(t: TNorm, distinct: list[Staircase], keys: array) -> bool:
     td = t._int_pieces[0]
     jds, lds = [sc.jd for sc in distinct], [sc.ld for sc in distinct]
     shared_jd, shared_width = lcm(*jds).bit_length(), _width(t, lcm(td, *lds))
-    if shared_jd <= max(jds, default=1).bit_length() and shared_width <= max(
-        (_width(t, lcm(td, ld)) for ld in set(lds)), default=0
-    ):
+    widest = max((_width(t, lcm(td, ld)) for ld in set(lds)), default=0)
+    if shared_jd <= max(jds, default=1).bit_length() and shared_width <= widest:
         return True
     jd = max((lcm(jds[a], jds[b], jds[c]) for a, b, c in _triples(keys)), default=1)
     ld = max((lcm(td, lds[a], lds[b], lds[c]) for a, b, c in _triples(keys)), default=td)
@@ -379,13 +378,13 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     from it on the numpy kernel `_implication_fast` when every jump and
     value fits int64 (2 * max(jumps, ld * d) < `_INT64_LIMIT`).  Past that
     guard the Python-int kernel runs at every size: d, and so every value,
-    is wide there, and object arrays won on `diag`'s overflowing prod calls
+    is wide there, and object arrays won on `diag`'s overflowing calls
     (11 vs 15 ms for 21 calls) but lost on antecedent levels (p - 1)/p over
     primes p (0.59 vs 0.53 ms at 12x60 steps, 7.9 vs 7.0 ms at 22x380).
 
-    The kernels cross near 40 co-steps: the Python-int kernel costs about
-    15 us a call and 0.7 us a co-step, the numpy kernel about 40 us and
-    0.1 us (Python 3.11, numpy 2.4, one core).  The share of pairs that are
+    The kernels cross near 25 co-steps: the Python-int kernel costs about
+    16 us a call and 1.1 us a co-step, the numpy kernel about 39 us and
+    0.15 us (Python 3.11, numpy 2.4, one core).  The share of pairs that are
     co-steps depends on the input: about 40% on `diag`'s divisor-multiple
     pairs, where the numpy kernel was ahead in every size class from 48
     pairs on, and 10-40% on random pairs whose jumps spread as far as xi's,
@@ -437,6 +436,7 @@ def _implication_int(s: _Scaled, d: int, forms, cap: int) -> Staircase:
     for p, a, form in zip(js, ls, forms):
         first = bisect_right(rs, p)  # steps of xi after p: raises at r - p > 0
         stop = bisect_left(cs, a) + 1  # up to the first level c >= a, where a -> c = 1
+        # when xi stays below a, zip drops a -> (its last level): the cap
         costeps += zip([r - p for r in rs[first:stop]], _residua(form, d, levels[first:stop]))
     return _meet_costeps(costeps, cap, s.jd, s.ld * d)
 
@@ -457,17 +457,17 @@ def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
     n = len(rs)
     r, levels = np.array(rs, dtype=np.int64), np.array([0, *cs], dtype=np.int64)
     p, a, lo, base, slope = np.array([js, ls, *zip(*forms)], dtype=np.int64)
-    first = np.searchsorted(r, p, side="right")
-    counts = np.maximum(np.minimum(np.searchsorted(levels[1:], a) + 1, n) - first, 0)
-    step = np.repeat(np.arange(len(js)), counts)
-    k = np.arange(len(step)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    first = r.searchsorted(p, side="right")
+    counts = np.maximum(np.minimum(levels[1:].searchsorted(a) + 1, n) - first, 0)
+    step = np.arange(len(js)).repeat(counts)
+    k = np.arange(len(step)) + (first - counts.cumsum() + counts).repeat(counts)
     c, lo = levels[k], lo[step]
     vals = np.where(c < lo, c * d, base[step] + np.maximum(c - lo, 0) * slope[step])
     pos = r[k] - p[step]
-    order = np.argsort(pos)
+    order = pos.argsort()
     pos, vals = pos[order], vals[order]
     # the meet from each co-step on: the suffix minima, met with the cap
-    after = np.minimum.accumulate(np.append(vals, cap)[::-1])[::-1]
+    after = np.minimum.accumulate(np.concatenate((vals, [cap]))[::-1])[::-1]
     rise = vals < after[1:]
     cands = [(0, int(after[0])), *zip(pos[rise].tolist(), after[1:][rise].tolist())]
     return _from_candidates(cands, s.jd, s.ld * d)
