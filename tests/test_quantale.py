@@ -1,7 +1,7 @@
 import operator
 import random
-from array import array
 import re
+from array import array
 from fractions import Fraction
 from math import isqrt, lcm
 
