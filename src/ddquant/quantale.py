@@ -16,16 +16,14 @@ on integers and meets them in one sweep, and `step_implication` is its
 one-step case.  Every kernel here rescales the integer images of its
 inputs and the t-norm's pieces to common denominators once (`_scale`);
 `convolve` and `implication` end in the canonical sweep
-`staircase._from_candidates`.  Both pick a Python-int kernel below
-`_FAST_CUTOFF` pairs of steps and a numpy kernel from it on; past the
-int64 guard `convolve`'s numpy kernel runs on object arrays and
-`implication` keeps its Python-int kernel, which meets the co-steps in
-`meet_all`'s sweep.  The tests compare both with `Fraction` reference
-kernels kept in `tests/util.py`.  `convolve_below_all` decides
-phi (*) psi <= xi for a batch of triples on the same integers without
-building the convolutions, on one `_scale` of all their staircases unless
-that is wider than the widest triple's own; `convolve_below` is its
-one-triple call.
+`staircase._from_candidates`.  Both follow one dispatch rule: a Python-int
+kernel below `_FAST_CUTOFF` pairs of steps and a numpy kernel from it on,
+on int64 arrays when every jump and value fits and on object arrays of
+Python ints past that guard (`_dtype`).  The tests compare both with
+`Fraction` reference kernels kept in `tests/util.py`.
+`convolve_below_all` decides phi (*) psi <= xi for a batch of triples on
+one `_scale` of all their staircases, without building the convolutions;
+`convolve_below` is its one-triple call.
 `residual` skips the kernels below a one-step phi.  `vertical_distance`
 evaluates the pointwise quantity
 
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -63,8 +61,8 @@ class _Scaled(NamedTuple):
     lo = L/ld and hi = H/ld; M is the lcm of the product-piece widths
     H - L (1 when there are none), scale = M // (H - L) for product pieces,
     and every t-norm value is an integer over ld * M.  `_convolve_fast`
-    works on int64 when 2 * max(jumps, ld * M) < `_INT64_LIMIT`; that also
-    bounds its piece intermediates, because (a - lo)(b - lo) <= (hi - lo) M.
+    bounds its arrays by `_dtype(jumps, ld * M)`; that also bounds its
+    piece intermediates, because (a - lo)(b - lo) <= (hi - lo) M.
     """
 
     jd: int
@@ -76,16 +74,18 @@ class _Scaled(NamedTuple):
 
 def _scale(t: TNorm, *staircases: Staircase) -> _Scaled:
     jd, ld, images = _common(staircases, t._int_pieces[0])
-    return _Scaled(jd, ld, *_pieces(t, ld), images)
-
-
-def _pieces(t: TNorm, ld: int) -> tuple[int, tuple[tuple[int, int, str, int], ...]]:
-    """(M, pieces) of `_Scaled` for a level denominator ld, a multiple of
-    the t-norm's own."""
     td, pieces = t._int_pieces
     bounds = [(lo * (ld // td), hi * (ld // td), kind) for lo, hi, kind in pieces]
     m = lcm(*[hi - lo for lo, hi, kind in bounds if kind == PRODUCT_KIND])
-    return m, tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds)
+    pieces = tuple((lo, hi, kind, m // (hi - lo)) for lo, hi, kind in bounds)
+    return _Scaled(jd, ld, m, pieces, images)
+
+
+def _dtype(*bounds: int) -> type:
+    """The numpy kernels' guard: int64 when twice the largest jump or value
+    fits, so that every sum and difference of two does; Python ints in
+    object arrays otherwise, which keeps the kernels exact on every input."""
+    return np.int64 if 2 * max(bounds) < _INT64_LIMIT else object
 
 
 def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
@@ -154,12 +154,10 @@ def convolve_below_all(
     """Whether convolve(t, phi, psi) <= xi, for each triple (phi, psi, xi).
 
     One pass over the triples numbers their distinct staircases, hashing
-    each object once, and keeps each triple as three positions.  The
-    sharing rule: the triples share one `_scale` of all distinct
-    staircases when its jump denominator and its ld * M are no wider, in
-    bits, than those of the widest per-triple `_scale`; otherwise each
-    triple is scaled on its own.  Both decide each triple by the walk
-    `_below`.
+    each object once, and keeps each triple as three positions.  One
+    `_scale` of all distinct staircases serves the batch, and the walk
+    `_below` decides each triple on it.  Each xi's values from 0 on, and
+    each row, are built once for all triples.
     """
     position: dict[Staircase, int] = {}
     slots: dict[int, tuple[int, Staircase]] = {}  # by id, the staircase kept alive
@@ -170,98 +168,47 @@ def convolve_below_all(
             if slot is None:
                 slot = slots[id(sc)] = (position.setdefault(sc, len(position)), sc)
             keys.append(slot[0])
-    distinct = list(position)
-    if _shares(t, distinct, keys):
-        return _below_shared(_scale(t, *distinct), _triples(keys))
-    return [_below_one(t, *[distinct[k] for k in key]) for key in _triples(keys)]
-
-
-def _triples(keys: array):
-    return zip(*[iter(keys)] * 3)
-
-
-def _shares(t: TNorm, distinct: list[Staircase], keys: array) -> bool:
-    """The sharing rule of `convolve_below_all`.
-
-    A triple's lcms are multiples of each member's, and `_width` grows
-    under multiples, so a shared scale no wider than the widest single
-    staircase's own shares without the per-triple lcms."""
-    td = t._int_pieces[0]
-    jds, lds = [sc.jd for sc in distinct], [sc.ld for sc in distinct]
-    shared_jd, shared_width = lcm(*jds).bit_length(), _width(t, lcm(td, *lds))
-    widest = max((_width(t, lcm(td, ld)) for ld in set(lds)), default=0)
-    if shared_jd <= max(jds, default=1).bit_length() and shared_width <= widest:
-        return True
-    jd = max((lcm(jds[a], jds[b], jds[c]) for a, b, c in _triples(keys)), default=1)
-    ld = max((lcm(td, lds[a], lds[b], lds[c]) for a, b, c in _triples(keys)), default=td)
-    return shared_jd <= jd.bit_length() and shared_width <= _width(t, ld)
-
-
-def _width(t: TNorm, ld: int) -> int:
-    """Bits of ld * M, the denominator of t-norm values over ld."""
-    return (ld * _pieces(t, ld)[0]).bit_length()
-
-
-def _below_shared(s: _Scaled, triples) -> list[bool]:
-    """`_below` for each triple of positions in s.images.  Each staircase's
-    `_after_jumps`, and each row, is built once for all triples."""
+    s = _scale(t, *position)
     apply = _int_apply(s)
-    xis = [_after_jumps(s, xi) for xi in s.images]
+    # xi is levels[k] over ld * M just after its k-th jump
+    xis = [(rs, [0, *[c * s.m for c in cs]]) for rs, cs in s.images]
     rows = [_Rows(apply, psi) for psi in s.images]
     return [
-        _below(apply, s.images[kp], s.images[kq], xis[kx], rows[kq].__getitem__)
-        for kp, kq, kx in triples
+        _below(apply, s.images[kp], s.images[kq], xis[kx], rows[kq])
+        for kp, kq, kx in zip(*[iter(keys)] * 3)
     ]
 
 
 class _Rows(dict):
-    """The rows of one psi by the level a, each built on first use."""
+    """The rows of one psi by the level a, each built on first use: the
+    steps (q, a * b) of psi where a * b rises above 0."""
 
     def __init__(self, apply, psi: tuple[list[int], list[int]]):
         self.apply, self.psi = apply, psi
 
     def __missing__(self, a: int) -> list[tuple[int, int]]:
-        row = self[a] = list(_rises(self.apply, a, self.psi))
+        row = self[a] = []
+        top = 0
+        for q, b in zip(*self.psi):
+            v = self.apply(a, b)
+            if v > top:
+                row.append((q, v))
+                top = v
         return row
 
 
-def _below_one(t: TNorm, phi: Staircase, psi: Staircase, xi: Staircase) -> bool:
-    """`_below` on the triple's own `_scale`, each row read lazily once."""
-    s = _scale(t, phi, psi, xi)
-    apply = _int_apply(s)
-    phi, psi, xi = s.images
-    return _below(apply, phi, psi, _after_jumps(s, xi), lambda a: _rises(apply, a, psi))
-
-
-def _after_jumps(s: _Scaled, xi: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
-    """xi's scaled jumps, and its values over ld * M from 0 on: xi is
-    levels[k] just after its k-th jump."""
-    rs, cs = xi
-    return rs, [0, *[c * s.m for c in cs]]
-
-
-def _rises(apply, a: int, psi: tuple[list[int], list[int]]) -> Iterator[tuple[int, int]]:
-    """The row of a and psi: its steps (q, a * b) where a * b rises above 0."""
-    top = 0
-    for q, b in zip(*psi):
-        v = apply(a, b)
-        if v > top:
-            yield q, v
-            top = v
-
-
-def _below(apply, phi, psi, xi, row) -> bool:
+def _below(apply, phi, psi, xi, rows: _Rows) -> bool:
     """Whether every step pair (p, a) of phi, (q, b) of psi has a * b <= xi
-    just after p + q.  phi and psi are scaled (jumps, levels), xi is as
-    `_after_jumps` gives it.
+    just after p + q.  phi and psi are scaled (jumps, levels), xi is
+    (jumps, values from 0 on) as `convolve_below_all` gives it.
 
-    Pairs run by rows: row(a) is `_rises` of a and psi, a later pair with
-    no larger value being below xi when its predecessor is.  A pair past
-    xi's last jump is below xi when the top pair (the last steps of phi
-    and psi) is, so the walk checks that pair first.  Then per step of
-    phi, up to the first whose pairs all lie past xi's last jump, one
-    pointer walks xi's jumps as q rises, up to that jump; the first
-    failing pair decides.
+    Pairs run by rows: rows[a] holds the pairs of a where a * b rises, a
+    later pair with no larger value being below xi when its predecessor
+    is.  A pair past xi's last jump is below xi when the top pair (the
+    last steps of phi and psi) is, so the walk checks that pair first.
+    Then per step of phi, up to the first whose pairs all lie past xi's
+    last jump, one pointer walks xi's jumps as q rises, up to that jump;
+    the first failing pair decides.
     """
     (js, ls), (qs, bs), (rs, cs) = phi, psi, xi
     if not ls or not bs:
@@ -274,7 +221,7 @@ def _below(apply, phi, psi, xi, row) -> bool:
         if p + qs[0] >= last:
             break  # every later pair is past xi's last jump
         k = 0  # jumps of xi at or below p + q
-        for q, v in row(a):
+        for q, v in rows[a]:
             while k < n and rs[k] <= p + q:
                 k += 1
             if k == n:
@@ -287,9 +234,8 @@ def _below(apply, phi, psi, xi, row) -> bool:
 def _convolve_fast(s: _Scaled) -> Staircase:
     """Envelope of the candidate steps, on numpy arrays.
 
-    The arrays are int64 when every jump sum and value fits, by the guard
-    in `_Scaled`, and object arrays of Python ints otherwise, so the kernel
-    is exact on every input.  Values start as min; each piece overwrites
+    The arrays take `_dtype`'s guard on the jumps and ld * M (see
+    `_Scaled`).  Values start as min; each piece overwrites
     the pairs with both levels in [lo, hi], one slice of each factor as
     levels increase strictly, and pieces meet only where every formula
     gives min.  Only candidates above the running maximum of their
@@ -297,7 +243,7 @@ def _convolve_fast(s: _Scaled) -> Staircase:
     jump sums.
     """
     (js1, ls1), (js2, ls2) = s.images
-    dtype = np.int64 if 2 * max(js1[-1], js2[-1], s.ld * s.m) < _INT64_LIMIT else object
+    dtype = _dtype(js1[-1], js2[-1], s.ld * s.m)
     j1, l1, j2, l2 = (np.array(v, dtype=dtype) for v in (js1, ls1, js2, ls2))
     sums = np.add.outer(j1, j2).ravel()
     vals = np.minimum.outer(l1 * s.m, l2 * s.m)
@@ -373,14 +319,9 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     levels a of phi inside a product piece (lo, hi]: there a -> c is
     lo + (hi - lo)(c - lo)/(a - lo).  Under min and luk d is 1.
 
-    The dispatch rule, as `convolve`'s: below `_FAST_CUTOFF` pairs of
-    steps of phi and xi the Python-int kernel `_implication_int` runs, and
-    from it on the numpy kernel `_implication_fast` when every jump and
-    value fits int64 (2 * max(jumps, ld * d) < `_INT64_LIMIT`).  Past that
-    guard the Python-int kernel runs at every size: d, and so every value,
-    is wide there, and object arrays won on `diag`'s overflowing calls
-    (11 vs 15 ms for 21 calls) but lost on antecedent levels (p - 1)/p over
-    primes p (0.59 vs 0.53 ms at 12x60 steps, 7.9 vs 7.0 ms at 22x380).
+    The dispatch rule is `convolve`'s: below `_FAST_CUTOFF` pairs of steps
+    of phi and xi the Python-int kernel `_implication_int` runs, and from
+    it on the numpy kernel `_implication_fast`, on `_dtype`'s guard.
 
     The kernels cross near 25 co-steps: the Python-int kernel costs about
     16 us a call and 1.1 us a co-step, the numpy kernel about 39 us and
@@ -402,7 +343,7 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     forms = [_form(piece, a, d) for a, piece in zip(ls, pieces)]
     last = cs[-1] if cs else 0
     cap = _residua(forms[-1], d, [last])[0] if last < ls[-1] else s.ld * d
-    if len(js) * len(rs) < _FAST_CUTOFF or 2 * max(js[-1], *rs[-1:], s.ld * d) >= _INT64_LIMIT:
+    if len(js) * len(rs) < _FAST_CUTOFF:
         return _implication_int(s, d, forms, cap)
     return _implication_fast(s, d, forms, cap)
 
@@ -442,7 +383,7 @@ def _implication_int(s: _Scaled, d: int, forms, cap: int) -> Staircase:
 
 
 def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
-    """`_implication_int` on int64 arrays, every co-step built and met at once.
+    """`_implication_int` on numpy arrays, every co-step built and met at once.
 
     Two `searchsorted` calls bound each step's co-steps: they are the steps
     k of xi from the first after p up to the first with level >= a (or the
@@ -450,13 +391,14 @@ def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
     `arange` lay them all out in one array.  Sorted by position, the suffix
     minima of the values, met with the cap, give the meet just after each
     position; only the positions where it rises leave numpy.  Every value
-    is at most ld * d (base + (c - lo) * slope < hi * d for c < a), so the
-    guard in `implication` bounds them.
+    is at most ld * d (base + (c - lo) * slope < hi * d for c < a), so
+    `_dtype` of the jumps and ld * d bounds them.
     """
     (js, ls), (rs, cs) = s.images
     n = len(rs)
-    r, levels = np.array(rs, dtype=np.int64), np.array([0, *cs], dtype=np.int64)
-    p, a, lo, base, slope = np.array([js, ls, *zip(*forms)], dtype=np.int64)
+    dtype = _dtype(js[-1], *rs[-1:], s.ld * d)
+    r, levels = np.array(rs, dtype=dtype), np.array([0, *cs], dtype=dtype)
+    p, a, lo, base, slope = np.array([js, ls, *zip(*forms)], dtype=dtype)
     first = r.searchsorted(p, side="right")
     counts = np.maximum(np.minimum(levels[1:].searchsorted(a) + 1, n) - first, 0)
     step = np.arange(len(js)).repeat(counts)

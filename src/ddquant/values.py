@@ -24,8 +24,8 @@ divisible quantale such as [0, inf], or below a one-step staircase, where
 `Staircases.residual` returns d at once.  Like `residual`,
 `compose_below_all` is derived from the parts: whether compose(a, b) lies
 below c, for each of a batch of triples (a, b, c).  `Staircases` decides
-the batch without the composites, on one integer scale when that is no
-wider than the widest triple's own (`quantale.convolve_below_all`).
+the batch without the composites, on one integer scale of all its
+staircases (`quantale.convolve_below_all`).
 
 Diagonals form a quantaloid: its morphisms p -> r are the values divisible
 by both p and r.  One checker, `quantaloid_laws` and `downset_equality`,

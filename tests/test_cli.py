@@ -186,6 +186,19 @@ def test_diag_golden_wide_not_divisible(capsys):
     assert out == golden("diag_ordinal_wide.txt")
 
 
+# A prime ladder under prod: the antecedent levels (p - 1)/p put ld * d
+# past the int64 guard, so the implication's 9 x 8 step pairs take the
+# numpy kernel on object arrays.
+PRIME_PHI = "steps[(0/3,1/2),(1/3,2/3),(2/3,4/5),(3/3,6/7),(4/3,10/11),(5/3,12/13),(6/3,16/17),(7/3,18/19),(8/3,22/23)]"
+PRIME_XI = "steps[(1/2,1/8),(2/2,2/8),(3/2,3/8),(4/2,4/8),(5/2,5/8),(6/2,6/8),(7/2,7/8),(8/2,8/8)]"
+
+
+def test_diag_golden_prime_ladder(capsys):
+    code, out, _ = run_cli(capsys, "diag", "--tnorm", "prod", "--xi", PRIME_XI, "--phi", PRIME_PHI)
+    assert code == 1
+    assert out == golden("diag_prod_primes.txt")
+
+
 def test_diag_divisible_exits_zero(capsys):
     code, out, _ = run_cli(
         capsys, "diag", "--xi", "step(1,1/2)", "--phi", "step(0,1/2)"
@@ -223,6 +236,16 @@ def test_validate_ordinal_probparmet_golden(capsys):
     )
     assert code == 1
     assert out == golden("validate_ordinal_probparmet.txt")
+
+
+def test_validate_coprime_probparmet_golden(capsys):
+    # 6 points under prod, each entry with its own prime jump and level
+    # denominators: one scale of all of them decides every triple
+    code, out, _ = run_cli(
+        capsys, "validate", str(DATA / "coprime_probparmet_instance.json")
+    )
+    assert code == 1
+    assert out == golden("validate_coprime_probparmet.txt")
 
 
 def test_validate_bad_parmet_golden(capsys):

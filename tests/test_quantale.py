@@ -1,7 +1,6 @@
 import operator
 import random
 import re
-from array import array
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -272,7 +271,7 @@ def test_convolve_below_all_differential(name, t, monkeypatch):
     got, counts = _check_below_all(t, [(sc, sc, xi) for xi in xis], monkeypatch)
     assert len(counts) == 1
     # pairwise-coprime denominators: three of them are narrower than all
-    # four, so each triple is scaled on its own
+    # four, yet one scale still serves the batch
     pool = [_coprime_stairs(rng, jd, ld) for jd, ld in ((3, 13), (5, 17), (7, 19), (11, 23))]
     triples = [(phi, psi, xi) for phi in pool for psi in pool for xi in pool]
     for phi, psi in zip(pool, pool[1:]):
@@ -280,7 +279,7 @@ def test_convolve_below_all_differential(name, t, monkeypatch):
         triples += [(phi, psi, conv), (phi, psi, _delay_step(conv, rng))]
     got, counts = _check_below_all(t, triples, monkeypatch)
     assert set(got) == {False, True}
-    assert counts == [3] * len(triples)
+    assert counts == [len({sc for triple in triples for sc in triple})]
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
@@ -454,20 +453,24 @@ def test_implication_large_denominators(name, t):
     _check_implication(t, xi, phi)
 
 
-def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> str:
+def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
     """implication with the given kernel cutoff against the Python sweep
-    (no cutoff reached) and implication_plain; the kernel that ran."""
-    ran = []
+    (no cutoff reached) and implication_plain; the kernel that ran, and the
+    array dtype it took (None for the Python sweep)."""
+    ran, dtypes = [], []
     with monkeypatch.context() as patch:
         for name in ("_implication_int", "_implication_fast"):
             kernel = getattr(quantale, name)
             patch.setattr(quantale, name, lambda *a, k=kernel, n=name: ran.append(n) or k(*a))
+        dtype = quantale._dtype
+        patch.setattr(quantale, "_dtype", lambda *bounds: dtypes.append(dtype(*bounds)) or dtypes[-1])
         patch.setattr(quantale, "_FAST_CUTOFF", cutoff)
         got = implication(t, phi, xi)
         patch.setattr(quantale, "_FAST_CUTOFF", float("inf"))
         assert got == implication(t, phi, xi) == implication_plain(t, phi, xi)
     assert len(ran) == 2 and ran[1] == "_implication_int"
-    return ran[0]
+    assert len(dtypes) == (ran[0] == "_implication_fast")
+    return ran[0], (dtypes or [None])[0]
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
@@ -478,7 +481,7 @@ def test_implication_kernels_differential(name, t, monkeypatch):
         phi = _staircase_over(rng, _IMPLICATION_LEVELS, 8)
         xi = _staircase_over(rng, _IMPLICATION_LEVELS, 16)
         if phi.js:
-            kernel = _implication_kernel(t, phi, xi, monkeypatch)
+            kernel, _ = _implication_kernel(t, phi, xi, monkeypatch)
             assert (kernel == "_implication_fast") == (len(phi.js) * len(xi.js) >= _FAST_CUTOFF)
             kernels.add(kernel)
     assert kernels == {"_implication_int", "_implication_fast"}
@@ -498,14 +501,15 @@ def test_implication_kernels_differential(name, t, monkeypatch):
         (at_zero, ladder),
         (ladder, at_zero),
     ]:
-        assert _implication_kernel(t, phi, xi, monkeypatch, cutoff=0) == "_implication_fast"
+        assert _implication_kernel(t, phi, xi, monkeypatch, cutoff=0)[0] == "_implication_fast"
     # the int64 guard on integer jumps: a top jump of xi at 2**61 - 1 fits,
-    # one at 2**61 does not
+    # one at 2**61 takes object arrays; the numpy kernel runs on both
     phi = Staircase(tuple((F(k), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[::4])))
-    for top, kernel in ((_INT64_LIMIT // 2 - 1, "_implication_fast"), (_INT64_LIMIT // 2, "_implication_int")):
+    for top, dtype in ((_INT64_LIMIT // 2 - 1, np.int64), (_INT64_LIMIT // 2, object)):
+        assert quantale._dtype(top) is dtype
         xi = Staircase((*((F(k), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[1:-1:2])), (F(top), F(1))))
         assert len(phi.js) * len(xi.js) >= _FAST_CUTOFF
-        assert _implication_kernel(t, phi, xi, monkeypatch) == kernel
+        assert _implication_kernel(t, phi, xi, monkeypatch) == ("_implication_fast", dtype)
 
 
 @pytest.mark.parametrize("name,t", [("prod", PROD), ("ordinal", ORDINAL), ("nilpotent", NILPOTENT)])
@@ -521,44 +525,9 @@ def test_implication_kernels_past_the_guard(name, t, monkeypatch):
         phi = Staircase(tuple((F(k, 3), lo + (hi - lo) * F(p - 1, p)) for k, p in enumerate(primes[:m])))
         kernels.append(_implication_kernel(t, phi, xi, monkeypatch))
     above = [k for m, k in enumerate(kernels, 1) if m * len(xi.js) >= _FAST_CUTOFF]
-    assert set(kernels[: len(kernels) - len(above)]) == {"_implication_int"}
-    assert above[0] == "_implication_fast" and above[-1] == "_implication_int"
-
-
-def _shares_by_triples(t, distinct, keys) -> bool:
-    """The sharing rule from the per-triple lcms alone."""
-    td = t._int_pieces[0]
-    triples = list(zip(*[iter(keys)] * 3))
-    jd = max(lcm(*(distinct[k].jd for k in key)) for key in triples)
-    ld = max(lcm(td, *(distinct[k].ld for k in key)) for key in triples)
-    shared_ld = lcm(td, *(sc.ld for sc in distinct))
-    return lcm(*(sc.jd for sc in distinct)).bit_length() <= jd.bit_length() and \
-        quantale._width(t, shared_ld) <= quantale._width(t, ld)
-
-
-@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
-def test_shares_short_cut_keeps_the_decision(name, t, monkeypatch):
-    rng = random.Random(40)
-    coprime = [_coprime_stairs(rng, jd, ld) for jd, ld in ((3, 13), (5, 17), (7, 19), (11, 23))]
-    batches = [[(phi, psi, xi) for phi in coprime for psi in coprime for xi in coprime]]
-    for _ in range(40):
-        pool = [_stairs(rng, rng.randrange(1, 6)) for _ in range(rng.randrange(1, 5))]
-        pool += rng.sample(coprime, rng.randrange(0, 3))
-        batches.append([tuple(rng.choice(pool) for _ in range(3)) for _ in range(rng.randrange(1, 12))])
-    decisions, lcm_rounds = [], []
-    triples = quantale._triples
-    monkeypatch.setattr(quantale, "_triples", lambda keys: lcm_rounds.append(1) or triples(keys))
-    for batch in batches:
-        distinct = list(dict.fromkeys(sc for triple in batch for sc in triple))
-        keys = array("q", [distinct.index(sc) for triple in batch for sc in triple])
-        lcm_rounds.clear()
-        shares = quantale._shares(t, distinct, keys)
-        assert shares == _shares_by_triples(t, distinct, keys)
-        decisions.append((shares, bool(lcm_rounds)))
-    # pairwise coprime: each triple on its own; the short cut decides some
-    # batches, the per-triple lcms the others, either way
-    assert decisions[0] == (False, True)
-    assert set(decisions) == {(True, False), (True, True), (False, True)}
+    assert set(kernels[: len(kernels) - len(above)]) == {("_implication_int", None)}
+    assert {kernel for kernel, _ in above} == {"_implication_fast"}
+    assert above[0][1] is np.int64 and above[-1][1] is object
 
 
 def test_worked_implication_values():
