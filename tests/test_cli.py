@@ -248,6 +248,20 @@ def test_validate_coprime_probparmet_golden(capsys):
     assert out == golden("validate_coprime_probparmet.txt")
 
 
+@pytest.mark.parametrize("kind,name", [
+    ((), "validate_symmetric_prod.txt"),
+    (("--kind", "probmet"), "validate_symmetric_prod_probmet.txt"),
+])
+def test_validate_symmetric_prod_golden(capsys, kind, name):
+    # a symmetric instance under prod: its six violations come in three
+    # mirrored pairs, (i, j, k) and (k, j, i), which are one check
+    code, out, _ = run_cli(
+        capsys, "validate", *kind, str(DATA / "symmetric_prod_instance.json")
+    )
+    assert code == 1
+    assert out == golden(name)
+
+
 def test_validate_bad_parmet_golden(capsys):
     # the numeric track: the generic batch decides every PM2 triple
     code, out, _ = run_cli(capsys, "validate", str(DATA / "bad_parmet_instance.json"))
