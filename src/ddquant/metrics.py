@@ -25,7 +25,11 @@ both self-distances.  Validators are exhaustive over the point set and
 report violations with point labels and canonical text.  The n^3
 triangle checks (M2, PM2) go to the value quantale as one batch
 (`compose_below_all`), in (i, j, k) order, and a composite is built
-only for a violation.  The numeric track prints its comparisons
+only for a violation.  Each distinct piece of work is done once: an
+instance parses each distinct entry text once, to one value; the PM2
+discount d(j,j) -> d(i,j) is taken once per distinct value pair; and
+the staircase batch walks each triangle once per key ({phi, psi}, xi),
+convolution being commutative.  The numeric track prints its comparisons
 in the ordinary numeric order of [0, inf], the reverse of its quantale
 order; its residuation is `plus_implies`.
 """
@@ -33,6 +37,7 @@ order; its residuation is `plus_implies`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -195,7 +200,11 @@ def _flags(m: _Instance, vanishing: bool) -> tuple[tuple[str, bool], ...]:
 
 
 def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
-    """The metric (M1, M2) or partial metric (PM1, PM2) axioms of m."""
+    """The metric (M1, M2) or partial metric (PM1, PM2) axioms of m.
+
+    The PM2 discount is taken once per value pair (d(j,j), d(i,j)), so
+    values must be hashable, as those of every value quantale are.  PM1
+    takes its residuals entry by entry."""
     q, d, pts, n = m.values, m.dist, m.points, m.size
     axiom = m.track + ("PM" if partial else "M")
     violations: list[Violation] = []
@@ -218,7 +227,8 @@ def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
                         )
                         break
     # the discount d(j,j) -> d(i,j) is shared by every k
-    via = [[q.implies(d[j][j], e) for j, e in enumerate(row)] for row in d] if partial else d
+    discount = cache(q.implies)
+    via = [[discount(d[j][j], e) for j, e in enumerate(row)] for row in d] if partial else d
     verdicts = q.compose_below_all(
         (d[j][k], via[i][j], d[i][k]) for i, j, k in product(range(n), repeat=3)
     )
@@ -383,16 +393,22 @@ def _parsed(parse, text: str, where: str):
 
 
 def _parsed_rows(rows: list, points: tuple, parse) -> tuple[tuple, ...]:
-    """Each entry parsed; an error names the entry and, if they exist, its points."""
+    """Each entry parsed, each distinct text once, so equal texts give one
+    object; an error names the first entry with the text and, if they
+    exist, its points."""
 
     def where(i: int, j: int) -> str:
         ends = f" ({points[i]}, {points[j]})" if max(i, j) < len(points) else ""
         return f"dist[{i}][{j}]{ends}"
 
-    return tuple(
-        tuple(_parsed(parse, v, where(i, j)) for j, v in enumerate(row))
-        for i, row in enumerate(rows)
-    )
+    parsed: dict[str, object] = {}
+
+    def entry(i: int, j: int, text: str):
+        if text not in parsed:
+            parsed[text] = _parsed(parse, text, where(i, j))
+        return parsed[text]
+
+    return tuple(tuple(entry(i, j, v) for j, v in enumerate(row)) for i, row in enumerate(rows))
 
 
 def load_instance(path: str | Path) -> ParMetInstance | ProbParMetInstance:

@@ -39,6 +39,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import NamedTuple
 
@@ -158,6 +159,11 @@ def convolve_below_all(
     `_scale` of all distinct staircases serves the batch, and the walk
     `_below` decides each triple on it.  Each xi's values from 0 on, and
     each row, are built once for all triples.
+
+    The walk runs once per key (min(kp, kq), max(kp, kq), kx): a
+    continuous t-norm is commutative, so phi (*) psi = psi (*) phi and
+    the triples (phi, psi, xi) and (psi, phi, xi) have one verdict.
+    Positions go by value, so equal staircases spelled apart share a key.
     """
     position: dict[Staircase, int] = {}
     slots: dict[int, tuple[int, Staircase]] = {}  # by id, the staircase kept alive
@@ -173,10 +179,8 @@ def convolve_below_all(
     # xi is levels[k] over ld * M just after its k-th jump
     xis = [(rs, [0, *[c * s.m for c in cs]]) for rs, cs in s.images]
     rows = [_Rows(apply, psi) for psi in s.images]
-    return [
-        _below(apply, s.images[kp], s.images[kq], xis[kx], rows[kq])
-        for kp, kq, kx in zip(*[iter(keys)] * 3)
-    ]
+    below = cache(lambda kp, kq, kx: _below(apply, s.images[kp], s.images[kq], xis[kx], rows[kq]))
+    return [below(min(kp, kq), max(kp, kq), kx) for kp, kq, kx in zip(*[iter(keys)] * 3)]
 
 
 class _Rows(dict):

@@ -6,8 +6,11 @@ transitive closures for the staircase track, and anchored products for
 the partial staircase track.
 """
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -41,7 +44,7 @@ from ddquant import cli
 from ddquant.axis import ZERO, time_add
 from ddquant.values import Staircases
 
-from util import MIN, TNORMS, metric_axiom_oracle, rand_staircase
+from util import MIN, TNORMS, delay_step, metric_axiom_oracle, rand_staircase
 
 X, Y, Z = "x", "y", "z"
 
@@ -416,6 +419,32 @@ def test_staircase_validators_match_axiom_oracle(name, t):
             m = prob(tuple(f"p{i}" for i in range(n)), dist, t)
         _assert_matches_oracle(m, validate_probmet, partial=False)
         _assert_matches_oracle(m, validate_probparmet, partial=True)
+    # symmetric instances up to 5 points, mirrored entries as equal but
+    # separate objects: a valid probmet met with its transpose, some
+    # mirrored pairs delayed (up to 4 points, as the closure's entries
+    # grow), and random entries
+    mirrored = set()
+    for it in range(6):
+        if it % 2 == 0:
+            n = rng.randrange(2, 5)
+            d = rand_probmet(rng, t, n).dist
+            rows = [[d[i][j].meet(d[j][i]) for j in range(n)] for i in range(n)]
+            for i, j in rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)], n - 1):
+                rows[i][j] = delay_step(rows[i][j], rng)
+        else:
+            n = rng.randrange(3, 6)
+            rows = [[rand_staircase(rng, max_steps=3) for _ in range(n)] for _ in range(n)]
+        dist = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        dist = [
+            [Staircase(e.steps) if i > j else e for j, e in enumerate(row)]
+            for i, row in enumerate(dist)
+        ]
+        m = prob(tuple(f"p{i}" for i in range(n)), dist, t)
+        _assert_matches_oracle(m, validate_probmet, partial=False)
+        _assert_matches_oracle(m, validate_probparmet, partial=True)
+        failed = {v.points for v in validate_probmet(m).violations if v.axiom == "ProbM2"}
+        mirrored |= {(a, b, c) for a, b, c in failed if a != c and (c, b, a) in failed}
+    assert mirrored
 
 
 def test_parmet_pm1_failure_report_is_pinned():
@@ -454,6 +483,51 @@ def test_pm1_takes_one_residual_on_the_diagonal(monkeypatch, capsys):
     assert cli.main(["validate", str(data / "data" / "bad_probparmet_instance.json")]) == 1
     assert capsys.readouterr().out == (data / "golden" / "validate_bad_probparmet.txt").read_text()
     assert len(calls) == 12
+
+
+@pytest.mark.parametrize("respell", [False, True], ids=["as-written", "respelled"])
+def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp_path):
+    # One parse per distinct entry text, one discount per distinct value
+    # pair (d(j,j), d(i,j)), and one walk per key ({phi, psi}, xi): under a
+    # continuous t-norm convolution commutes, so on a symmetric instance
+    # (i, j, k) and (k, j, i) are one check.  A respelled mirrored entry is
+    # one more text but the same value.
+    import ddquant.metrics as metrics
+    import ddquant.quantale as quantale
+
+    here = Path(__file__).parent
+    data = json.loads((here / "data" / "symmetric_prod_instance.json").read_text())
+    if respell:
+        data["dist"][1][0] = "steps[(2/4,2/6),(2/2,1)]"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    m = instance_from_dict(data)
+    d, n, t = m.dist, m.size, m.tnorm
+    parses, discounts, walks = Counter(), Counter(), []
+    parse, implies, below = metrics.parse_staircase, Staircases.implies, quantale._below
+    monkeypatch.setattr(
+        metrics, "parse_staircase", lambda text: parses.update([text]) or parse(text)
+    )
+    monkeypatch.setattr(
+        Staircases, "implies", lambda q, a, b: discounts.update([(a, b)]) or implies(q, a, b)
+    )
+    monkeypatch.setattr(quantale, "_below", lambda *args: walks.append(args) or below(*args))
+    for kind, golden in (("probparmet", "validate_symmetric_prod.txt"),
+                         ("probmet", "validate_symmetric_prod_probmet.txt")):
+        parses.clear(), discounts.clear(), walks.clear()
+        assert cli.main(["validate", "--kind", kind, str(path)]) == 1
+        assert capsys.readouterr().out == (here / "golden" / golden).read_text()
+        assert parses == Counter({v for row in data["dist"] for v in row})
+        assert len(parses) == (8 if respell else 7)
+        pairs = {(d[j][j], d[i][j]) for i in range(n) for j in range(n)}
+        assert discounts == (Counter(pairs) if kind == "probparmet" else Counter())
+        via = d if kind == "probmet" else [
+            [implication(t, d[j][j], e) for j, e in enumerate(row)] for row in d
+        ]
+        keys = {
+            (frozenset((d[j][k], via[i][j])), d[i][k]) for i, j, k in product(range(n), repeat=3)
+        }
+        assert len(walks) == len(keys) < n**3
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from util import (
     conv_compare_oracle,
     conv_point_oracle,
     convolve_plain,
+    delay_step,
     imp_point_oracle,
     implication_plain,
     monotone_conv_at_plain,
@@ -170,18 +171,6 @@ def test_fast_path_overflow_falls_back(monkeypatch):
         assert dtypes == [np.int64 if fits else object]
 
 
-def _delay_step(sc: Staircase, rng) -> Staircase:
-    """sc with one step's jump moved later: just not above sc (bottom
-    stays itself)."""
-    steps = list(sc.steps)
-    if not steps:
-        return sc
-    k = rng.randrange(len(steps))
-    later = steps[k + 1][0] if k + 1 < len(steps) else steps[k][0] + 2
-    steps[k] = ((steps[k][0] + later) / 2, steps[k][1])
-    return Staircase(tuple(steps))
-
-
 def _stairs(rng, n: int) -> Staircase:
     """n steps, jumps in quarters and levels among _IMPLICATION_LEVELS."""
     jumps = sorted(rng.sample([F(k, 4) for k in range(24)], n))
@@ -207,14 +196,14 @@ def test_convolve_below_differential(name, t):
     psi = Staircase(((F(1), F(1, 2)), (F(2), F(1))))
     conv = convolve(t, phi, psi)
     for xi in (conv, one_step(F(0), F(1)), one_step(F(0), conv.last_level),
-               one_step(F(0), F(1, 10)), _delay_step(conv, rng)):
+               one_step(F(0), F(1, 10)), delay_step(conv, rng)):
         answers.append(_check_below(t, phi, psi, xi))
     for sizes in ((1, 3), (2, 8), (3, 1), (4, 5), (5, 2), (6, 8), (7, 7), (8, 6), (1, 1), (3, 3)):
         phi, psi = (_stairs(rng, n) for n in sizes)
         above_cutoff.add(len(phi.js) * len(psi.js) >= _FAST_CUTOFF)
         conv = convolve(t, phi, psi)
         other = _staircase_over(rng, _IMPLICATION_LEVELS, 6)
-        for xi in (BOTTOM, conv, _delay_step(conv, rng), conv.join(other), conv.meet(other)):
+        for xi in (BOTTOM, conv, delay_step(conv, rng), conv.join(other), conv.meet(other)):
             answers.append(_check_below(t, phi, psi, xi))
     assert above_cutoff == {False, True}
     # levels so fine that convolve's numpy kernel leaves int64 for objects
@@ -223,7 +212,7 @@ def test_convolve_below_differential(name, t):
     s = quantale._scale(t, sc, sc)
     assert name in ("min", "luk") or 2 * s.ld * s.m >= _INT64_LIMIT
     conv = convolve(t, sc, sc)
-    for xi in (conv, _delay_step(conv, rng), conv.join(one_step(F(0), F(1, big)))):
+    for xi in (conv, delay_step(conv, rng), conv.join(one_step(F(0), F(1, big)))):
         answers.append(_check_below(t, sc, sc, xi))
     assert set(answers) == {False, True}
 
@@ -249,6 +238,24 @@ def _coprime_stairs(rng, jd: int, ld: int) -> Staircase:
     return Staircase(tuple((F(j, jd), F(a, ld)) for j, a in zip(jumps, levels)))
 
 
+def _check_swaps(t, triples, monkeypatch) -> None:
+    """Each triple beside its phi/psi swap, psi as an equal copy: the batch
+    agrees with each triple alone and the oracles, the pair gets one
+    verdict, and `_below` walks once per key ({phi, psi}, xi), because
+    convolution under a continuous t-norm commutes."""
+    batch = [
+        x for phi, psi, xi in triples for x in ((phi, psi, xi), (Staircase(psi.steps), phi, xi))
+    ]
+    walks = []
+    below = quantale._below
+    with monkeypatch.context() as patch:
+        patch.setattr(quantale, "_below", lambda *args: walks.append(args) or below(*args))
+        Staircases(t).compose_below_all(batch)
+    assert len(walks) == len({(frozenset((phi, psi)), xi) for phi, psi, xi in batch})
+    got, _ = _check_below_all(t, batch, monkeypatch)
+    assert got[0::2] == got[1::2]
+
+
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
 def test_convolve_below_all_differential(name, t, monkeypatch):
     rng = random.Random(38)
@@ -258,16 +265,17 @@ def test_convolve_below_all_differential(name, t, monkeypatch):
     for phi in pool:
         for psi in (pool[1], pool[3], pool[5], Staircase(pool[5].steps)):
             conv = convolve(t, phi, psi)
-            for xi in (conv, _delay_step(conv, rng), conv.join(rng.choice(pool)), rng.choice(pool)):
+            for xi in (conv, delay_step(conv, rng), conv.join(rng.choice(pool)), rng.choice(pool)):
                 triples.append((phi, psi, xi))
     got, counts = _check_below_all(t, triples, monkeypatch)
     assert set(got) == {False, True}
     assert counts == [len(set(pool) | {xi for _, _, xi in triples})]
+    _check_swaps(t, triples, monkeypatch)
     # levels so fine that convolve's numpy kernel leaves int64 for objects
     big = 2**34
     sc = Staircase(tuple((F(k), F(k, big)) for k in range(1, 8)) + ((F(8), F(1)),))
     conv = convolve(t, sc, sc)
-    xis = (conv, _delay_step(conv, rng), conv.join(one_step(F(0), F(1, big))))
+    xis = (conv, delay_step(conv, rng), conv.join(one_step(F(0), F(1, big))))
     got, counts = _check_below_all(t, [(sc, sc, xi) for xi in xis], monkeypatch)
     assert len(counts) == 1
     # pairwise-coprime denominators: three of them are narrower than all
@@ -276,10 +284,11 @@ def test_convolve_below_all_differential(name, t, monkeypatch):
     triples = [(phi, psi, xi) for phi in pool for psi in pool for xi in pool]
     for phi, psi in zip(pool, pool[1:]):
         conv = convolve(t, phi, psi)
-        triples += [(phi, psi, conv), (phi, psi, _delay_step(conv, rng))]
+        triples += [(phi, psi, conv), (phi, psi, delay_step(conv, rng))]
     got, counts = _check_below_all(t, triples, monkeypatch)
     assert set(got) == {False, True}
     assert counts == [len({sc for triple in triples for sc in triple})]
+    _check_swaps(t, triples, monkeypatch)
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])

@@ -78,6 +78,18 @@ def rand_staircase(
     return Staircase(tuple(zip(jumps, levels)))
 
 
+def delay_step(sc: Staircase, rng: random.Random) -> Staircase:
+    """sc with one step's jump moved later: just not above sc (bottom
+    stays itself)."""
+    steps = list(sc.steps)
+    if not steps:
+        return sc
+    k = rng.randrange(len(steps))
+    later = steps[k + 1][0] if k + 1 < len(steps) else steps[k][0] + 2
+    steps[k] = ((steps[k][0] + later) / 2, steps[k][1])
+    return Staircase(tuple(steps))
+
+
 def format_oracle(sc: Staircase) -> str:
     """The canonical text from the `Fraction` views, one reduced value at a
     time, as `format_staircase` printed it before it read the images."""
