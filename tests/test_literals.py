@@ -296,6 +296,11 @@ def _texts(body):
         f"join(steps{body},step(1,1/2))",
         f"conv(steps[(0,1/2)],steps {body} )",
         f"linear{body} x",
+        f"ordinal[(0,1,steps{body})]",
+        f"ordinal[(0,1,linear {body})]",
+        f"steps{body}{body}",
+        f"join(linear{body},steps{body})",
+        f"1 {body}",
     )
 
 
