@@ -17,10 +17,11 @@ exponents and underscores are not part of it.  Numbers are read as their
 (numerator, denominator) int pairs as spelled: `_Reader.ratio` hands them
 on to the staircase builder, `scalar` and `rational` make `Fraction`s.
 
-A well-formed body of ratio pairs, `[(r,r),...]`, is one lexeme: its pairs
-come from one regex pass and go to `_Reader.pairs` whole, so a `steps[...]`
-or `linear[...]` literal costs no token per number.  Every other text is
-walked token by token, and that walk produces every message and column.
+Right after a `steps` or `linear` name, the only places the grammar reads
+ratio pairs, a well-formed body `[(r,r),...]` is one lexeme: its pairs come
+from one regex pass and go to `_Reader.pairs` whole, so a literal costs no
+token per number.  Every other text is walked token by token, and that walk
+produces every message and column.  The token list is never rewritten.
 """
 
 from __future__ import annotations
@@ -138,54 +139,54 @@ def parse_scalar(text: str) -> Time:
 
 # A well-formed `[(r,r),...]` body of ratio pairs, empty or not, with
 # whitespace only between its tokens: digits, and denominators that are not
-# all zeros.  It is one lexeme.
+# all zeros.  Right after a `steps` or `linear` name it is one lexeme.
 _RATIO = r"[0-9]+(?:/0*[1-9][0-9]*)?"
 _PAIR = rf"\(\s*{_RATIO}\s*,\s*{_RATIO}\s*\)"
-_BODY = rf"\[\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*\s*)?\]"
-# A body; names and punctuation; digits, optionally over a slash and more
-# digits; or any other character, which is an error.  The empty denominator
-# of `1/` matches so that its error names the denominator.
-_LEXEME = re.compile(rf"\s*(?:({_BODY})|([A-Za-z]+|[()\[\],])|([0-9]+)(?:/([0-9]*))?|(\S))")
+_BODY = re.compile(rf"\s*(\[\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*\s*)?\])")
+# Names and punctuation; digits, optionally over a slash and more digits; or
+# any other character, which is an error.  The empty denominator of `1/`
+# matches so that its error names the denominator.
+_LEXEME = re.compile(r"\s*(?:([A-Za-z]+|[()\[\],])|([0-9]+)(?:/([0-9]*))?|(\S))")
 _NUMBER = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
-def _lex(text: str, start: int = 0) -> list[tuple[object, int]]:
-    """(value, column) pairs for text[start:], ending in (None, len(text)).
+def _lex(text: str) -> list[tuple[object, int]]:
+    """(value, column) pairs for text, ending in (None, len(text)).
 
     A value is a number's (numerator, denominator) int pair, a name, a
     punctuation character, or the list of ((n, d), (n, d)) pairs of a body
-    lexeme, a well-formed `[(r,r),...]` whose column is that of its `[`.
-    Every other text is walked token by token, and that walk produces every
-    message and column.  A body holds no lexing error but a number with more
-    digits than int() converts; then its span is walked, which names that
-    number.
+    lexeme: a well-formed `[(r,r),...]` right after a `steps` or `linear`
+    name, whose column is that of its `[`.  Every other text is walked token
+    by token, and that walk produces every message and column.  A body that
+    holds a number with more digits than int() converts is walked too, and
+    the walk names that number.
     """
     tokens: list[tuple[object, int]] = []
-    for m in _LEXEME.finditer(text, start):
-        kind = m.lastindex
-        if kind == 1:
-            try:
-                numbers = iter([(int(n), int(d or 1)) for n, d in _NUMBER.findall(text, *m.span(1))])
-            except ValueError:  # the walk of the span raises at the long number
-                _lex(text[: m.end(1)], m.start(1) + 1)
-                raise
-            tokens.append((list(zip(numbers, numbers)), m.start(1)))
+    at = 0
+    while m := _LEXEME.match(text, at):
+        at = m.end()
+        if m.lastindex == 1:
+            tokens.append((m[1], m.start(1)))
+            if m[1] in ("steps", "linear") and (body := _BODY.match(text, at)):
+                try:
+                    numbers = iter([(int(n), int(d or 1)) for n, d in _NUMBER.findall(text, *body.span(1))])
+                except ValueError:  # left to the walk, which names the number
+                    continue
+                tokens.append((list(zip(numbers, numbers)), body.start(1)))
+                at = body.end()
             continue
-        if kind == 2:
-            tokens.append((m[2], m.start(2)))
-            continue
-        num, den, bad = m.group(3, 4, 5)
+        num, den, bad = m.group(2, 3, 4)
         if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", m.start(5))
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
         if den == "":
             raise ParseError("expected denominator digits", m.end())
         try:
             value = (int(num), int(den) if den else 1)
         except ValueError:  # more digits than int() converts
-            raise ParseError("number has too many digits", m.start(3)) from None
+            raise ParseError("number has too many digits", m.start(2)) from None
         if not value[1]:
-            raise ParseError("zero denominator", m.start(3))
-        tokens.append((value, m.start(3)))
+            raise ParseError("zero denominator", m.start(2))
+        tokens.append((value, m.start(2)))
     tokens.append((None, len(text)))
     return tokens
 
@@ -193,33 +194,27 @@ def _lex(text: str, start: int = 0) -> list[tuple[object, int]]:
 def _shown(value) -> str:
     if value is None:
         return "end of input"
+    if type(value) is list:  # a body lexeme, shown as the `[` it starts with
+        return repr("[")
     return repr(format_ratio(*value) if type(value) is tuple else value)
 
 
 class _Reader:
     """A cursor over the tokens of one text; `column` is that of the token
-    taken last, and every error names it.  Only `pairs` reads a body lexeme
-    whole: met anywhere else, the rest of the text is walked token by token
-    from its `[` on, so every other reader sees the tokens of the walk."""
+    taken last, and every error names it.  Only `pairs` reads a body lexeme;
+    any other reader that meets one fails as it would at the `[` of the
+    walk, with the same message and column."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _lex(text)
         self.at = 0
         self.column = 0
 
-    def _token(self) -> tuple[object, int]:
-        token = self.tokens[self.at]
-        if type(token[0]) is list:
-            self.tokens[self.at :] = [("[", token[1]), *_lex(self.text, token[1] + 1)]
-            token = self.tokens[self.at]
-        return token
-
     def peek(self):
-        return self._token()[0]
+        return self.tokens[self.at][0]
 
     def take(self):
-        value, self.column = self._token()
+        value, self.column = self.tokens[self.at]
         if value is not None:
             self.at += 1
         return value
@@ -257,12 +252,9 @@ class _Reader:
         """Read `[(r,r),...]` of finite rationals as (numerator, denominator)
         pairs and return make(list of the pairs); its DomainError is a
         ParseError.  A body lexeme is all of it in one token."""
-        value, column = self.tokens[self.at]
-        if type(value) is not list:
+        if type(self.peek()) is not list:
             return self.tuples(make, what, self.ratio, self.ratio)
-        self.at += 1
-        self.column = column
-        return self._made(make, what, value, column)
+        return self._made(make, what, self.take(), self.column)
 
     def tuples(self, make, what: str, *fields):
         """Read `[(f1,f2,...),...]`, each field by its reader method, and

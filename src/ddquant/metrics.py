@@ -26,9 +26,10 @@ report violations with point labels and canonical text.  The n^3
 triangle checks (M2, PM2) go to the value quantale as one batch
 (`compose_below_all`), in (i, j, k) order, and a composite is built
 only for a violation.  Each distinct piece of work is done once: an
-instance parses each distinct entry text once, to one value; the PM2
-discount d(j,j) -> d(i,j) is taken once per distinct value pair; and
-the staircase batch walks each triangle once per key ({phi, psi}, xi),
+instance parses each distinct entry text once, to one value; the PM1
+residual of d(i,j) by an endpoint self-distance and the PM2 discount
+d(j,j) -> d(i,j) are each taken once per distinct value pair; and the
+staircase batch walks each triangle once per key ({phi, psi}, xi),
 convolution being commutative.  The numeric track prints its comparisons
 in the ordinary numeric order of [0, inf], the reverse of its quantale
 order; its residuation is `plus_implies`.
@@ -202,9 +203,9 @@ def _flags(m: _Instance, vanishing: bool) -> tuple[tuple[str, bool], ...]:
 def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
     """The metric (M1, M2) or partial metric (PM1, PM2) axioms of m.
 
-    The PM2 discount is taken once per value pair (d(j,j), d(i,j)), so
-    values must be hashable, as those of every value quantale are.  PM1
-    takes its residuals entry by entry."""
+    The PM1 residual is taken once per value pair (d(i,j), d(end,end)) and
+    the PM2 discount once per value pair (d(j,j), d(i,j)), so values must
+    be hashable, as those of every value quantale are."""
     q, d, pts, n = m.values, m.dist, m.points, m.size
     axiom = m.track + ("PM" if partial else "M")
     violations: list[Violation] = []
@@ -215,10 +216,11 @@ def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
             if d[i][i] != q.unit
         ]
     else:
+        residual = cache(q.residual)
         for i in range(n):
             for j in range(n):
                 for end in dict.fromkeys((i, j)):  # once on the diagonal
-                    fixed = q.residual(d[i][j], d[end][end])
+                    fixed = residual(d[i][j], d[end][end])
                     if fixed != d[i][j]:
                         violations.append(
                             Violation(

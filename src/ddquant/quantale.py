@@ -22,8 +22,7 @@ on int64 arrays when every jump and value fits and on object arrays of
 Python ints past that guard (`_dtype`).  The tests compare both with
 `Fraction` reference kernels kept in `tests/util.py`.
 `convolve_below_all` decides phi (*) psi <= xi for a batch of triples on
-one `_scale` of all their staircases, without building the convolutions;
-`convolve_below` is its one-triple call.
+one `_scale` of all their staircases, without building the convolutions.
 `residual` skips the kernels below a one-step phi.  `vertical_distance`
 evaluates the pointwise quantity
 
@@ -142,11 +141,6 @@ def _convolve_int(s: _Scaled) -> Staircase:
     cands = [(p + q, apply(a, b)) for p, a in zip(j1, l1) for q, b in right]
     cands.sort()
     return _from_candidates(cands, s.jd, s.ld * s.m)
-
-
-def convolve_below(t: TNorm, phi: Staircase, psi: Staircase, xi: Staircase) -> bool:
-    """Whether convolve(t, phi, psi) <= xi: `convolve_below_all` of one triple."""
-    return convolve_below_all(t, ((phi, psi, xi),))[0]
 
 
 def convolve_below_all(

@@ -265,6 +265,8 @@ def test_ratio_pair_body_is_one_lexeme():
             assert tokens[1][1] == text.index("[")
             assert parse_staircase(text) == evaluate(parse_expression(text), MIN)
     assert len(_lex("linear [ (0,0) , (1/2,1) ]")) == 3
+    # only right after `steps` or `linear`: elsewhere a body is walked
+    assert len(_lex("[(0,1/2)]")) == len(_lex("step [(0,1/2)]")) - 1 == 8
 
 
 def _instance(text):

@@ -466,7 +466,8 @@ def test_parmet_pm1_failure_report_is_pinned():
 
 
 def test_pm1_takes_one_residual_on_the_diagonal(monkeypatch, capsys):
-    # PM1 checks d(i,j) against d(i,i) and d(j,j): one residual when i == j.
+    # PM1 checks d(i,j) against d(i,i) and d(j,j): one residual when i == j,
+    # and one per distinct value pair (d(i,j), d(end,end)).
     data = Path(__file__).parent
     calls = []
     residual = Staircases.residual
@@ -477,18 +478,18 @@ def test_pm1_takes_one_residual_on_the_diagonal(monkeypatch, capsys):
 
     monkeypatch.setattr(Staircases, "residual", counted)
     report = validate_probparmet(load_instance(data / "data" / "bad_probparmet_instance.json"))
-    assert len(calls) == 12
+    assert len(calls) == len(set(calls)) == 9
     assert len(report.violations) == 11
     calls.clear()
     assert cli.main(["validate", str(data / "data" / "bad_probparmet_instance.json")]) == 1
     assert capsys.readouterr().out == (data / "golden" / "validate_bad_probparmet.txt").read_text()
-    assert len(calls) == 12
+    assert len(calls) == len(set(calls)) == 9
 
 
 @pytest.mark.parametrize("respell", [False, True], ids=["as-written", "respelled"])
 def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp_path):
-    # One parse per distinct entry text, one discount per distinct value
-    # pair (d(j,j), d(i,j)), and one walk per key ({phi, psi}, xi): under a
+    # One parse per distinct entry text, one PM1 residual and one discount
+    # per distinct value pair, and one walk per key ({phi, psi}, xi): under a
     # continuous t-norm convolution commutes, so on a symmetric instance
     # (i, j, k) and (k, j, i) are one check.  A respelled mirrored entry is
     # one more text but the same value.
@@ -503,10 +504,14 @@ def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp
     path.write_text(json.dumps(data))
     m = instance_from_dict(data)
     d, n, t = m.dist, m.size, m.tnorm
-    parses, discounts, walks = Counter(), Counter(), []
-    parse, implies, below = metrics.parse_staircase, Staircases.implies, quantale._below
+    parses, residuals, discounts, walks = Counter(), Counter(), Counter(), []
+    parse, residual, implies = metrics.parse_staircase, Staircases.residual, Staircases.implies
+    below = quantale._below
     monkeypatch.setattr(
         metrics, "parse_staircase", lambda text: parses.update([text]) or parse(text)
+    )
+    monkeypatch.setattr(
+        Staircases, "residual", lambda q, a, b: residuals.update([(a, b)]) or residual(q, a, b)
     )
     monkeypatch.setattr(
         Staircases, "implies", lambda q, a, b: discounts.update([(a, b)]) or implies(q, a, b)
@@ -514,11 +519,13 @@ def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp
     monkeypatch.setattr(quantale, "_below", lambda *args: walks.append(args) or below(*args))
     for kind, golden in (("probparmet", "validate_symmetric_prod.txt"),
                          ("probmet", "validate_symmetric_prod_probmet.txt")):
-        parses.clear(), discounts.clear(), walks.clear()
+        parses.clear(), residuals.clear(), discounts.clear(), walks.clear()
         assert cli.main(["validate", "--kind", kind, str(path)]) == 1
         assert capsys.readouterr().out == (here / "golden" / golden).read_text()
         assert parses == Counter({v for row in data["dist"] for v in row})
         assert len(parses) == (8 if respell else 7)
+        assert set(residuals.values()) == ({1} if kind == "probparmet" else set())
+        assert len(residuals) == (7 if kind == "probparmet" else 0)
         pairs = {(d[j][j], d[i][j]) for i in range(n) for j in range(n)}
         assert discounts == (Counter(pairs) if kind == "probparmet" else Counter())
         via = d if kind == "probmet" else [

@@ -29,7 +29,7 @@ from ddquant import (
     vertical_distance_sup_below,
 )
 from ddquant import quantale
-from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, convolve_below
+from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, convolve_below_all
 from ddquant.values import Staircases
 from util import (
     NILPOTENT,
@@ -178,7 +178,7 @@ def _stairs(rng, n: int) -> Staircase:
 
 
 def _check_below(t, phi, psi, xi) -> bool:
-    got = convolve_below(t, phi, psi, xi)
+    got = convolve_below_all(t, [(phi, psi, xi)])[0]
     assert got == convolve(t, phi, psi).leq(xi)
     assert got == conv_compare_oracle(t, phi, psi, xi, operator.le)
     return got
@@ -225,7 +225,7 @@ def _check_below_all(t, triples, monkeypatch) -> tuple[list[bool], list[int]]:
     with monkeypatch.context() as patch:
         patch.setattr(quantale, "_scale", lambda t, *scs: counts.append(len(scs)) or scale(t, *scs))
         got = Staircases(t).compose_below_all(iter(triples))
-    assert got == [convolve_below(t, *triple) for triple in triples]
+    assert got == [convolve_below_all(t, [triple])[0] for triple in triples]
     assert got == [convolve(t, phi, psi).leq(xi) for phi, psi, xi in triples]
     assert got == [conv_compare_oracle(t, *triple, operator.le) for triple in triples]
     return got, counts
