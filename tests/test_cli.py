@@ -199,6 +199,19 @@ def test_diag_golden_prime_ladder(capsys):
     assert out == golden("diag_prod_primes.txt")
 
 
+# A luk diag of an 8-step phi and a 10-step xi spelled unreduced and spaced:
+# each literal is one body lexeme, both kernels take numpy, and their
+# candidates meet zero values and ties at equal positions.
+SPACED_LUK_PHI = "steps [ ( 0/4, 1/16 ) , (3/4 ,4/16) , ( 4/4, 5/16 ) , (5/4 ,7/16) , ( 7/4, 8/16 ) , (8/4 ,9/16) , ( 9/4, 13/16 ) , (11/4 ,15/16) ]"
+SPACED_LUK_XI = "steps[(12/4 , 2/64), (13/4,11/32), (14/4,15/32),(23/4 , 36/64), (24/4,20/32), (27/4,26/32),(32/4 , 54/64), (33/4,29/32), (36/4,31/32),(37/4 , 64/64)]"
+
+
+def test_diag_golden_spaced_luk(capsys):
+    code, out, _ = run_cli(capsys, "diag", "--tnorm", "luk", "--xi", SPACED_LUK_XI, "--phi", SPACED_LUK_PHI)
+    assert code == 1
+    assert out == golden("diag_luk_spaced.txt")
+
+
 def test_diag_divisible_exits_zero(capsys):
     code, out, _ = run_cli(
         capsys, "diag", "--xi", "step(1,1/2)", "--phi", "step(0,1/2)"
