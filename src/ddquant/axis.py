@@ -18,10 +18,12 @@ exponents and underscores are not part of it.  Numbers are read as their
 on to the staircase builder, `scalar` and `rational` make `Fraction`s.
 
 Right after a `steps` or `linear` name, the only places the grammar reads
-ratio pairs, a well-formed body `[(r,r),...]` is one lexeme: its pairs come
-from one regex pass and go to `_Reader.pairs` whole, so a literal costs no
-token per number.  Every other text is walked token by token, and that walk
-produces every message and column.  The token list is never rewritten.
+ratio pairs, a well-formed body `[(r,r),...]` is one lexeme: one regex pass
+gives its numbers as four int columns (jump numerators, jump denominators,
+level numerators, level denominators), which go to `_Reader.pairs` whole,
+so a literal costs no token per number.  Every other text is walked token
+by token, and that walk produces every message and column.  The token list
+is never rewritten.
 """
 
 from __future__ import annotations
@@ -143,23 +145,26 @@ def parse_scalar(text: str) -> Time:
 _RATIO = r"[0-9]+(?:/0*[1-9][0-9]*)?"
 _PAIR = rf"\(\s*{_RATIO}\s*,\s*{_RATIO}\s*\)"
 _BODY = re.compile(rf"\s*(\[\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*\s*)?\])")
+# The four numbers of each pair of a body, an absent denominator empty.
+_COLUMNS = re.compile(r"\(\s*([0-9]+)/?([0-9]*)\s*,\s*([0-9]+)/?([0-9]*)")
 # Names and punctuation; digits, optionally over a slash and more digits; or
 # any other character, which is an error.  The empty denominator of `1/`
 # matches so that its error names the denominator.
 _LEXEME = re.compile(r"\s*(?:([A-Za-z]+|[()\[\],])|([0-9]+)(?:/([0-9]*))?|(\S))")
-_NUMBER = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def _lex(text: str) -> list[tuple[object, int]]:
     """(value, column) pairs for text, ending in (None, len(text)).
 
     A value is a number's (numerator, denominator) int pair, a name, a
-    punctuation character, or the list of ((n, d), (n, d)) pairs of a body
+    punctuation character, or the list of the four columns of a body
     lexeme: a well-formed `[(r,r),...]` right after a `steps` or `linear`
-    name, whose column is that of its `[`.  Every other text is walked token
-    by token, and that walk produces every message and column.  A body that
-    holds a number with more digits than int() converts is walked too, and
-    the walk names that number.
+    name, whose column is that of its `[`.  One `findall` reads the body's
+    numbers; numerators go through `int` in one `map` and each distinct
+    denominator spelling once.  Every other text is walked token by token,
+    and that walk produces every message and column.  A body that holds a
+    number with more digits than int() converts is walked too, and the walk
+    names that number.
     """
     tokens: list[tuple[object, int]] = []
     at = 0
@@ -168,11 +173,13 @@ def _lex(text: str) -> list[tuple[object, int]]:
         if m.lastindex == 1:
             tokens.append((m[1], m.start(1)))
             if m[1] in ("steps", "linear") and (body := _BODY.match(text, at)):
+                jn, jd, ln, ld = [*zip(*_COLUMNS.findall(text, *body.span(1)))] or [()] * 4
                 try:
-                    numbers = iter([(int(n), int(d or 1)) for n, d in _NUMBER.findall(text, *body.span(1))])
+                    over = {spelled: int(spelled or 1) for spelled in {*jd, *ld}}.__getitem__
+                    columns = [list(map(int, jn)), list(map(over, jd)), list(map(int, ln)), list(map(over, ld))]
                 except ValueError:  # left to the walk, which names the number
                     continue
-                tokens.append((list(zip(numbers, numbers)), body.start(1)))
+                tokens.append((columns, body.start(1)))
                 at = body.end()
             continue
         num, den, bad = m.group(2, 3, 4)
@@ -189,6 +196,13 @@ def _lex(text: str) -> list[tuple[object, int]]:
         tokens.append((value, m.start(2)))
     tokens.append((None, len(text)))
     return tokens
+
+
+def _columns(pairs) -> list[list[int]]:
+    """The four columns (jump numerators, jump denominators, level
+    numerators, level denominators) of ((n, d), (n, d)) int pairs."""
+    return [[n for (n, _), _ in pairs], [d for (_, d), _ in pairs],
+            [n for _, (n, _) in pairs], [d for _, (_, d) in pairs]]
 
 
 def _shown(value) -> str:
@@ -249,11 +263,12 @@ class _Reader:
         raise ParseError(f"expected a rational or inf, got {_shown(got)}", self.column)
 
     def pairs(self, make, what: str):
-        """Read `[(r,r),...]` of finite rationals as (numerator, denominator)
-        pairs and return make(list of the pairs); its DomainError is a
+        """Read `[(r,r),...]` of finite rationals and return make(columns),
+        the four lists of its jump numerators, jump denominators, level
+        numerators and level denominators as spelled; its DomainError is a
         ParseError.  A body lexeme is all of it in one token."""
         if type(self.peek()) is not list:
-            return self.tuples(make, what, self.ratio, self.ratio)
+            return self.tuples(lambda items: make(_columns(items)), what, self.ratio, self.ratio)
         return self._made(make, what, self.take(), self.column)
 
     def tuples(self, make, what: str, *fields):

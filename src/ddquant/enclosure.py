@@ -91,7 +91,7 @@ def parse_linear(text: str) -> PiecewiseLinear:
 def _read_knots(r: _Reader) -> PiecewiseLinear:
     """The `[(t,v),...]` body of a piecewise-linear literal."""
     return r.pairs(
-        lambda knots: PiecewiseLinear(tuple((Fraction(*t), Fraction(*v)) for t, v in knots)),
+        lambda c: PiecewiseLinear(tuple(zip(map(Fraction, c[0], c[1]), map(Fraction, c[2], c[3])))),
         "piecewise-linear map",
     )
 
@@ -175,6 +175,7 @@ def certify_not_divisible(
     if (found := xi._first_above(upper)) is None:
         return None
     i, k = found
-    p, later = xi.jumps[i], xi.jumps[i + 1:i + 2] + upper.jumps[k:k + 1]
+    p = Fraction(xi.js[i], xi.jd)
+    later = [Fraction(j, xi.jd) for j in xi.js[i + 1:i + 2]] + [Fraction(j, upper.jd) for j in upper.js[k:k + 1]]
     witness = (p + min(later)) / 2 if later else p + 1
-    return Certificate(witness, xi.levels[i] - (upper.levels[k - 1] if k else ZERO))
+    return Certificate(witness, Fraction(xi.ls[i], xi.ld) - (Fraction(upper.ls[k - 1], upper.ld) if k else ZERO))

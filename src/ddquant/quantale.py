@@ -14,13 +14,16 @@ phi is the join of its steps, so the implication is the meet of the
 one-step implications, one per step of phi; `implication` computes them all
 on integers and meets them in one sweep, and `step_implication` is its
 one-step case.  Every kernel here rescales the integer images of its
-inputs and the t-norm's pieces to common denominators once (`_scale`);
-`convolve` and `implication` end in the canonical sweep
-`staircase._from_candidates`.  Both follow one dispatch rule: a Python-int
-kernel below `_FAST_CUTOFF` pairs of steps and a numpy kernel from it on,
-on int64 arrays when every jump and value fits and on object arrays of
-Python ints past that guard (`_dtype`).  The tests compare both with
-`Fraction` reference kernels kept in `tests/util.py`.
+inputs and the t-norm's pieces to common denominators once (`_scale`).
+`convolve` and `implication` follow one dispatch rule: a Python-int kernel
+below `_FAST_CUTOFF` pairs of steps, which ends in the canonical sweep
+`staircase._from_candidates`, and a numpy kernel from it on, on int64
+arrays when every jump and value fits and on object arrays of Python ints
+past that guard (`_dtype`).  The numpy kernels end in the same sweep done
+on their arrays (`_swept`), and hand its result to
+`Staircase.__post_init__`'s checks like every constructor.  The tests
+compare both kernels with `Fraction` reference kernels kept in
+`tests/util.py`.
 `convolve_below_all` decides phi (*) psi <= xi for a batch of triples on
 one `_scale` of all their staircases, without building the convolutions.
 `residual` skips the kernels below a one-step phi.  `vertical_distance`
@@ -46,7 +49,7 @@ import numpy as np
 
 from .axis import ZERO, Time, ensure_time, is_infinite
 from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, one_step
-from .staircase import _common, _from_candidates, _meet_costeps
+from .staircase import _built, _common, _from_candidates, _meet_costeps
 from .tnorms import PRODUCT_KIND, TNorm
 
 _FAST_CUTOFF = 48
@@ -86,6 +89,15 @@ def _dtype(*bounds: int) -> type:
     fits, so that every sum and difference of two does; Python ints in
     object arrays otherwise, which keeps the kernels exact on every input."""
     return np.int64 if 2 * max(bounds) < _INT64_LIMIT else object
+
+
+def _order(a: np.ndarray) -> np.ndarray:
+    """The indices that sort a, as both numpy kernels sort their candidates.
+    Ties may come in any order.  On object arrays the stable sort merges
+    the sorted runs the kernels lay out (a row of pairs, one step's
+    co-steps) with few of their Python comparisons; on int64 numpy's
+    default sort is the faster."""
+    return np.argsort(a, kind="stable" if a.dtype == object else "quicksort")
 
 
 def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
@@ -236,9 +248,8 @@ def _convolve_fast(s: _Scaled) -> Staircase:
     `_Scaled`).  Values start as min; each piece overwrites
     the pairs with both levels in [lo, hi], one slice of each factor as
     levels increase strictly, and pieces meet only where every formula
-    gives min.  Only candidates above the running maximum of their
-    predecessors leave numpy; `_from_candidates` settles ties between equal
-    jump sums.
+    gives min.  The candidates, sorted by jump sum, go to `_swept`, which
+    keeps the canonical steps in numpy.
     """
     (js1, ls1), (js2, ls2) = s.images
     dtype = _dtype(js1[-1], js2[-1], s.ld * s.m)
@@ -255,10 +266,23 @@ def _convolve_fast(s: _Scaled) -> Staircase:
         else:
             np.add.outer((l1[r1] - hi) * s.m, l2[r2] * s.m, out=block)
             np.maximum(block, lo * s.m, out=block)
-    order = np.argsort(sums, kind="stable")
-    sums, vals = sums[order], vals.ravel()[order]
-    keep = vals > np.concatenate(([-1], np.maximum.accumulate(vals)[:-1]))
-    return _from_candidates(zip(sums[keep].tolist(), vals[keep].tolist()), s.jd, s.ld * s.m)
+    order = _order(sums)
+    return _swept(sums[order], vals.ravel()[order], s.jd, s.ld * s.m)
+
+
+def _swept(pos, vals, jd: int, ld: int) -> Staircase:
+    """`_from_candidates` on numpy arrays of candidates sorted by position.
+
+    A candidate stays when its value is above 0 and above every earlier
+    one, so the values left rise strictly; of each run of equal positions
+    left, the last, the highest, stays.  The steps left, over jd and ld, go
+    through every check of `__post_init__`.  Empty arrays give bottom.
+    """
+    keep = vals > np.maximum.accumulate(np.concatenate(([0], vals[:-1])))
+    pos, vals = pos[keep], vals[keep]
+    last = np.ones(len(pos), dtype=bool)
+    last[:-1] = pos[1:] != pos[:-1]
+    return _built(jd, ld, pos[last].tolist(), vals[last].tolist())
 
 
 def convolve_monotone(t: TNorm, m1: MonotoneStep, m2: MonotoneStep) -> MonotoneStep:
@@ -388,9 +412,11 @@ def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
     last), at r[k] - p with the value a -> [0, *cs][k].  `repeat` and
     `arange` lay them all out in one array.  Sorted by position, the suffix
     minima of the values, met with the cap, give the meet just after each
-    position; only the positions where it rises leave numpy.  Every value
-    is at most ld * d (base + (c - lo) * slope < hi * d for c < a), so
-    `_dtype` of the jumps and ld * d bounds them.
+    position, and `_swept` keeps the positions where it rises.  Those rises
+    already rise strictly; the sweep drops a zero meet just after 0 and the
+    earlier co-steps of a run at one position.  Every value is at most
+    ld * d (base + (c - lo) * slope < hi * d for c < a), so `_dtype` of the
+    jumps and ld * d bounds them.
     """
     (js, ls), (rs, cs) = s.images
     n = len(rs)
@@ -404,13 +430,13 @@ def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
     c, lo = levels[k], lo[step]
     vals = np.where(c < lo, c * d, base[step] + np.maximum(c - lo, 0) * slope[step])
     pos = r[k] - p[step]
-    order = pos.argsort()
+    order = _order(pos)
     pos, vals = pos[order], vals[order]
-    # the meet from each co-step on: the suffix minima, met with the cap
+    # the meet from each co-step on: the suffix minima, met with the cap.
+    # after[0] holds just after 0, and after[k + 1] just after pos[k] when k
+    # is the last co-step at pos[k]
     after = np.minimum.accumulate(np.concatenate((vals, [cap]))[::-1])[::-1]
-    rise = vals < after[1:]
-    cands = [(0, int(after[0])), *zip(pos[rise].tolist(), after[1:][rise].tolist())]
-    return _from_candidates(cands, s.jd, s.ld * d)
+    return _swept(np.concatenate(([0], pos)), after, s.jd, s.ld * d)
 
 
 def vertical_distance(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Fraction:

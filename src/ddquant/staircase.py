@@ -13,11 +13,15 @@ level numerators over another, each image reduced, so equal functions have
 equal state.  Equality, hashing, `leq`, printing and the construction
 checks in `__post_init__`, which every constructor runs, work on them;
 `steps`, `jumps` and `levels` are `Fraction` views built when first read.
-`Staircase(steps)` and the `steps[...]` reader, whose numbers are
-(numerator, denominator) int pairs as spelled, share one image builder,
-`_from_ratios`.  The kernels, `envelope`, `join_all` and `meet_all` build
-their results in one canonical sweep over integer candidates,
-`_from_candidates`.
+Every constructor ends in one helper, `_built`, which fills a new object
+and runs `__post_init__`.  `Staircase(steps)` and the `steps[...]` reader
+share one image builder, `_from_ratios`, which takes the four int columns
+of the reader's body lexeme (jump numerators, jump denominators, level
+numerators, level denominators, as spelled) and rescales each column with
+one factor per distinct denominator.  `envelope`, `join_all`, `meet_all`,
+`bracket` and the Python-int kernels build their results in one canonical
+sweep over integer candidates, `_from_candidates`; the numpy kernels do
+the same sweep on their arrays (`quantale._swept`).
 
 `MonotoneStep` drops the normalisation: it represents an arbitrary monotone
 step map, with explicit values at breakpoints, on the open cells between
@@ -33,39 +37,49 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import lt
+from operator import lt, mul
 from typing import Iterable, Sequence
 
-from .axis import INF, ONE, ZERO, Time, _as_rational, _Reader, ensure_time, ensure_unit
+from .axis import INF, ONE, ZERO, Time, _as_rational, _columns, _Reader, ensure_time, ensure_unit
 from .axis import format_ratio, is_infinite
 from .errors import DomainError
 
 Step = tuple[Fraction, Fraction]
-Ratio = tuple[int, int]
 
 
-def _ratios(points: Iterable[Step]) -> list[tuple[Ratio, Ratio]]:
-    """(jump, level) pairs of ints or Fractions as pairs of (numerator,
-    denominator) int pairs."""
+def _ratios(points: Iterable[Step]) -> list[list[int]]:
+    """(jump, level) pairs of ints or Fractions as the four columns of
+    their numerators and denominators, as `_Reader.pairs` gives them."""
     pts = [(_as_rational(p), _as_rational(a)) for p, a in points]
-    return [((p.numerator, p.denominator), (a.numerator, a.denominator)) for p, a in pts]
+    return _columns([((p.numerator, p.denominator), (a.numerator, a.denominator)) for p, a in pts])
 
 
-def _images(points: Sequence[tuple[Ratio, Ratio]]) -> tuple[int, int, list[tuple[int, int]]]:
-    """(jd, ld, pairs): (jump, level) pairs of (numerator, denominator) int
-    pairs as integer (jump, level) pairs over common denominators jd and ld,
-    the lcms of the denominators."""
-    jd = lcm(*(d for (_, d), _ in points))
-    ld = lcm(*(d for _, (_, d) in points))
-    return jd, ld, [(p * (jd // e), a * (ld // d)) for (p, e), (a, d) in points]
+def _over(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """(d, images): the ratios nums[k] / dens[k] as integers over d, the lcm
+    of the denominators, one factor per distinct denominator."""
+    distinct = set(dens)
+    d = lcm(*distinct)
+    if len(distinct) < 2:
+        return d, nums
+    factor = {e: d // e for e in distinct}.__getitem__
+    return d, list(map(mul, nums, map(factor, dens)))
 
 
-def _from_ratios(points: Sequence[tuple[Ratio, Ratio]], sc: Staircase | None = None) -> Staircase:
-    """The staircase of (jump, level) pairs of (numerator, denominator) int
-    pairs, such as the `steps[...]` reader's; it fills sc when given."""
+def _from_ratios(columns: Sequence[Sequence[int]], sc: Staircase | None = None) -> Staircase:
+    """The staircase of the four columns of `_Reader.pairs` (jump
+    numerators, jump denominators, level numerators, level denominators);
+    it fills sc when given."""
+    jn, jdn, ln, ldn = columns
+    jd, js = _over(jn, jdn)
+    ld, ls = _over(ln, ldn)
+    return _built(jd, ld, js, ls, sc)
+
+
+def _built(jd: int, ld: int, js: Sequence[int], ls: Sequence[int], sc: Staircase | None = None) -> Staircase:
+    """The staircase with jumps js over jd and levels ls over ld, reduced and
+    checked by `__post_init__`; it fills sc when given."""
     sc = Staircase.__new__(Staircase) if sc is None else sc
-    jd, ld, pts = _images(points)
-    vars(sc).update(jd=jd, ld=ld, js=[p for p, _ in pts], ls=[a for _, a in pts])
+    vars(sc).update(jd=jd, ld=ld, js=js, ls=ls)
     sc.__post_init__()
     return sc
 
@@ -75,8 +89,9 @@ class Staircase:
     """A canonical staircase: jump k is js[k] / jd and level k is ls[k] / ld.
 
     `Staircase(steps)` takes (jump, level) pairs of ints or Fractions,
-    `_from_ratios` pairs of (numerator, denominator) int pairs and
-    `_from_candidates` integer images; all end in `__post_init__`.
+    `_from_ratios` the four columns of numerators and denominators and
+    `_from_candidates` integer images; all end in `__post_init__`, which
+    divides an image by its gcd only when that is above 1.
     """
 
     jd: int
@@ -89,9 +104,8 @@ class Staircase:
 
     def __post_init__(self):
         """Reduce both images and check the staircase conditions on them."""
-        g, h = gcd(self.jd, *self.js), gcd(self.ld, *self.ls)
-        jd, js = self.jd // g, tuple(j // g for j in self.js)
-        ld, ls = self.ld // h, tuple(a // h for a in self.ls)
+        jd, js = _reduced(self.jd, self.js)
+        ld, ls = _reduced(self.ld, self.ls)
         if js and min(js) < 0:
             raise DomainError(f"negative jump {Fraction(min(js), jd)}")
         if ls and not 0 < min(ls) <= max(ls) <= ld:
@@ -161,6 +175,14 @@ class Staircase:
         return format_staircase(self)
 
 
+def _reduced(d: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """d and nums divided by their gcd, nums as a tuple."""
+    g = gcd(d, *nums)
+    if g == 1:
+        return d, tuple(nums)
+    return d // g, tuple(map(g.__rfloordiv__, nums))
+
+
 BOTTOM = Staircase()
 TOP = Staircase(((ZERO, ONE),))
 
@@ -191,7 +213,8 @@ def _common(items: Sequence[Staircase], ld: int = 1) -> tuple[int, int, list]:
     images = []
     for sc in items:
         fj, fl = jd // sc.jd, ld // sc.ld
-        images.append(([j * fj for j in sc.js], [a * fl for a in sc.ls]))
+        js = sc.js if fj == 1 else list(map(fj.__mul__, sc.js))
+        images.append((js, sc.ls if fl == 1 else list(map(fl.__mul__, sc.ls))))
     return jd, ld, images
 
 
@@ -211,17 +234,14 @@ def _from_candidates(cands: Iterable[tuple[int, int]], jd: int, ld: int) -> Stai
         else:
             js.append(p)
             ls.append(a)
-    sc = Staircase.__new__(Staircase)
-    vars(sc).update(jd=jd, ld=ld, js=js, ls=ls)
-    sc.__post_init__()
-    return sc
+    return _built(jd, ld, js, ls)
 
 
 def envelope(points: Iterable[Step]) -> Staircase:
     """Join of one-step functions: upper envelope of (jump, level) pairs."""
-    jd, ld, pts = _images(_ratios(points))
-    pts.sort()
-    return _from_candidates(pts, jd, ld)
+    jn, jdn, ln, ldn = _ratios(points)
+    (jd, js), (ld, ls) = _over(jn, jdn), _over(ln, ldn)
+    return _from_candidates(sorted(zip(js, ls)), jd, ld)
 
 
 def join_all(items: Iterable[Staircase]) -> Staircase:

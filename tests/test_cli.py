@@ -724,6 +724,8 @@ _MALFORMED = {
     "null-entries": ("validate", '{"points": ["x", "y"], "dist": [[null, "1"], ["1", null]]}'),
     "quantale-top-level-list": ("quantale-check", '[{"elements": ["a"], "leq": [[1]], "mult": [["a"]], "unit": "a"}]'),
     "quantale-scalar-elements": ("quantale-check", '{"elements": 5, "leq": [[1]], "mult": [["a"]], "unit": "a"}'),
+    "quantale-empty-carrier": ("quantale-check", '{"elements": [], "leq": [], "mult": [], "unit": "a"}'),
+    "quantale-unit-not-string": ("quantale-check", '{"elements": ["a"], "leq": [[1]], "mult": [["a"]], "unit": 5}'),
     "deep-json-validate": ("validate", _DEEP_JSON),
     "deep-json-quantale-check": ("quantale-check", _DEEP_JSON),
     "staircase-entry-missing-comma": ("validate", '{"points": ["x"], "tnorm": "min", "dist": [["steps[(1,1/2)(2,1)]"]]}'),
@@ -768,6 +770,8 @@ _NAMED_PLACE = {
     "numeric-entry-exponent": "error: dist[0][0] (x, x): ",
     "staircase-entry-off-diagonal": "error: dist[0][1] (x, y): expected ',', got '('",
     "instance-tnorm-doubled-comma": "error: tnorm: expected '(', got ','",
+    "quantale-empty-carrier": "error: empty carrier\n",
+    "quantale-unit-not-string": "error: quantale field 'unit' must be a string\n",
     "grid-over-budget": "error: resolution must be at most 65536",
     "resolution-over-budget": "error: resolution must be at most 65536",
 }

@@ -232,6 +232,40 @@ def test_unreduced_literals_read_as_their_fraction_steps():
 
 
 @pytest.mark.parametrize(
+    "text,steps",
+    [
+        ("steps[(2/4,2/4),(4/4,3/4)]", ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(3, 4)))),
+        # one denominator per column, so no rescale
+        ("steps[ (0/4 , 1/4) , (2/4,2/4) ]", ((Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2)))),
+        ("steps [(1,2/8),(2,6/8),(3,8/8)]", ((Fraction(1), Fraction(1, 4)), (Fraction(2), Fraction(3, 4)), (Fraction(3), Fraction(1)))),
+        ("steps[(3/6,10/20),(009/06,14/20)]", ((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(7, 10)))),
+        ("steps[ ]", ()),
+    ],
+)
+def test_unreduced_spellings_agree_across_the_builders(text, steps):
+    # Staircase(steps), the columnar body lexeme and the walk of the plain
+    # reader build one state, reduced, in tuples
+    expected = Staircase(steps)
+    assert type(_lex(text)[1][0]) is list
+    with plain_reader():
+        walked = parse_staircase(text)
+    for got in (parse_staircase(text), evaluate(parse_expression(text), MIN), walked):
+        assert (got.jd, got.ld, got.js, got.ls) == (expected.jd, expected.ld, expected.js, expected.ls)
+        assert type(got.js) is type(got.ls) is tuple
+    rng = random.Random(61)
+    for _ in range(200):
+        text, steps = _rand_literal(rng)
+        with plain_reader():
+            walked = parse_staircase(text)
+        assert vars(parse_staircase(text)) == vars(walked) == vars(Staircase(steps))
+
+
+def test_body_lexeme_columns_are_the_numbers_as_spelled():
+    assert _lex("steps[(2/4,3),(1,07/8)]")[1][0] == [[2, 1], [4, 1], [3, 7], [1, 8]]
+    assert _lex("linear[ ]")[1][0] == [[], [], [], []]
+
+
+@pytest.mark.parametrize(
     "text,message",
     [
         ("steps[(1,2/4),(2,1/2)]", "levels must be strictly increasing"),

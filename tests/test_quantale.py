@@ -673,3 +673,57 @@ def test_monotone_convolution_infinity_is_applied():
     m1 = MonotoneStep((F(0),), (F(1, 2),), (F(1, 2),), F(3, 4))
     m2 = MonotoneStep((F(0),), (F(2, 3),), (F(2, 3),), F(1))
     assert convolve_monotone(PROD, m1, m2)(INF) == F(3, 4)
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels' canonical sweep
+
+
+def _sweeps(monkeypatch) -> list:
+    """Spy on `quantale._swept`, the sweep both numpy kernels end in: per
+    call, the dtype of its values, whether a zero value reaches it, and
+    whether candidates above the running maximum share a position."""
+    seen = []
+    swept = quantale._swept
+
+    def spy(pos, vals, jd, ld):
+        top, kept = 0, []
+        for p, v in zip(pos.tolist(), vals.tolist()):
+            if v > top:
+                top = v
+                kept.append(p)
+        seen.append((vals.dtype, 0 in vals.tolist(), len(set(kept)) < len(kept)))
+        return swept(pos, vals, jd, ld)
+
+    monkeypatch.setattr(quantale, "_swept", spy)
+    return seen
+
+
+@pytest.mark.parametrize("offset_den,dtype", [(2, np.int64), (_INT64_LIMIT, object)])
+def test_numpy_sweep_differential(offset_den, dtype, monkeypatch):
+    # Jumps k + 1/offset_den on a unit grid: sums and differences of jumps
+    # tie as often on both sides of the int64 guard, and past it the jump
+    # numerators alone put the arrays on objects.
+    seen = _sweeps(monkeypatch)
+
+    def stairs(levels, start=0):
+        return Staircase(tuple((F(start + k, 1) + F(1, offset_den), lv) for k, lv in enumerate(levels)))
+
+    low = stairs([F(k, 20) for k in range(1, 11)])  # up to 1/2: every luk product is 0
+    high = stairs([F(k, 20) for k in range(11, 21)])  # up to 1
+    mixed = stairs([F(k, 16) for k in range(1, 16, 2)])
+    late = stairs([F(k, 16) for k in range(1, 16, 2)], start=10)  # after every jump of high
+    calls = [(convolve, convolve_plain, LUK, low, low), (convolve, convolve_plain, LUK, low, high)]
+    for _, t in TNORMS + [("nilpotent", NILPOTENT)]:
+        calls += [
+            (convolve, convolve_plain, t, mixed, high),
+            (implication, implication_plain, t, high, late),  # 1 -> 0 at 0 under min, prod and luk
+            (implication, implication_plain, t, mixed, high),
+            (implication, implication_plain, t, high, mixed),
+        ]
+    for kernel, plain, t, phi, xi in calls:
+        before = len(seen)
+        assert kernel(t, phi, xi) == plain(t, phi, xi)
+        assert len(seen) == before + 1 and seen[-1][0] == dtype  # the numpy kernel ran
+    assert convolve(LUK, low, low) == BOTTOM
+    assert any(zero for _, zero, _ in seen) and any(tie for _, _, tie in seen)

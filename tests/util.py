@@ -394,8 +394,9 @@ def lex_plain(text: str) -> list[tuple[object, int]]:
 
 
 def pairs_plain(r, make, what: str):
-    """`[(r,r),...]` read token by token from the reader r: make(tuple of
-    the (numerator, denominator) pairs); its DomainError is a ParseError."""
+    """`[(r,r),...]` read token by token from the reader r: make(the four
+    columns of its (numerator, denominator) pairs); its DomainError is a
+    ParseError."""
     r.expect("[")
     column = r.column
     items = []
@@ -409,8 +410,11 @@ def pairs_plain(r, make, what: str):
         r.expect(")")
         items.append((jump, level))
     r.take()
+    # the four columns: jump numerators and denominators, level numerators
+    # and denominators
+    columns = [[j[0] for j, _ in items], [j[1] for j, _ in items], [a[0] for _, a in items], [a[1] for _, a in items]]
     try:
-        return make(tuple(items))
+        return make(columns)
     except DomainError as exc:
         raise ParseError(f"invalid {what}: {exc}", column) from exc
 
