@@ -14,8 +14,9 @@ next to `format_scalar`.  A rational is digits or digits/digits with a
 nonzero denominator, a scalar is a rational or `inf`, names are ASCII
 letters, and whitespace may sit between any two tokens.  Decimals, signs,
 exponents and underscores are not part of it.  Numbers are read as their
-(numerator, denominator) int pairs as spelled: `_Reader.ratio` hands them
-on to the staircase builder, `scalar` and `rational` make `Fraction`s.
+(numerator, denominator) int pairs as spelled: `_Reader.pairs` hands them
+on to the staircase builder as four columns, `scalar` and `rational` make
+`Fraction`s.
 
 Right after a `steps` or `linear` name, the only places the grammar reads
 ratio pairs, a well-formed body `[(r,r),...]` is one lexeme: one regex pass

@@ -175,7 +175,10 @@ def certify_not_divisible(
     if (found := xi._first_above(upper)) is None:
         return None
     i, k = found
+    # only the Fractions reported are built: xi's step i, the next jump of
+    # xi and of the bound after it, and the bound's level there
     p = Fraction(xi.js[i], xi.jd)
-    later = [Fraction(j, xi.jd) for j in xi.js[i + 1:i + 2]] + [Fraction(j, upper.jd) for j in upper.js[k:k + 1]]
+    later = [Fraction(j, sc.jd) for sc, at in ((xi, i + 1), (upper, k)) for j in sc.js[at:at + 1]]
     witness = (p + min(later)) / 2 if later else p + 1
-    return Certificate(witness, Fraction(xi.ls[i], xi.ld) - (Fraction(upper.ls[k - 1], upper.ld) if k else ZERO))
+    below = Fraction(upper.ls[k - 1], upper.ld) if k else ZERO
+    return Certificate(witness, Fraction(xi.ls[i], xi.ld) - below)
