@@ -252,12 +252,6 @@ def test_unreduced_spellings_agree_across_the_builders(text, steps):
     for got in (parse_staircase(text), evaluate(parse_expression(text), MIN), walked):
         assert (got.jd, got.ld, got.js, got.ls) == (expected.jd, expected.ld, expected.js, expected.ls)
         assert type(got.js) is type(got.ls) is tuple
-    rng = random.Random(61)
-    for _ in range(200):
-        text, steps = _rand_literal(rng)
-        with plain_reader():
-            walked = parse_staircase(text)
-        assert vars(parse_staircase(text)) == vars(walked) == vars(Staircase(steps))
 
 
 def test_body_lexeme_columns_are_the_numbers_as_spelled():
