@@ -493,14 +493,3 @@ def residual(t: TNorm, xi: Staircase, phi: Staircase) -> Staircase:
         return xi
     return convolve(t, phi, implication(t, phi, xi))
 
-
-__all__ = [
-    "convolve",
-    "convolve_monotone",
-    "step_implication",
-    "implication",
-    "vertical_distance",
-    "vertical_distance_grid",
-    "vertical_distance_sup_below",
-    "residual",
-]
