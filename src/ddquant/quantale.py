@@ -357,10 +357,10 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
         return TOP
     s = _scale(t, phi, xi)
     (js, ls), (rs, cs) = s.images
-    pieces = [
-        next(((lo, hi, kind) for lo, hi, kind, _ in s.pieces if lo < a <= hi), None)
-        for a in ls
-    ]
+    pieces = [None] * len(ls)
+    for lo, hi, kind, _ in s.pieces:  # the levels lo < a <= hi, a slice of ls
+        first, stop = bisect_right(ls, lo), bisect_right(ls, hi)
+        pieces[first:stop] = [(lo, hi, kind)] * (stop - first)
     d = lcm(*(a - pc[0] for a, pc in zip(ls, pieces) if pc and pc[2] == PRODUCT_KIND))
     forms = [_form(piece, a, d) for a, piece in zip(ls, pieces)]
     last = cs[-1] if cs else 0
