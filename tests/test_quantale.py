@@ -22,6 +22,7 @@ from ddquant import (
     implication,
     join_all,
     one_step,
+    parse_staircase,
     residual,
     step_implication,
     vertical_distance,
@@ -126,7 +127,7 @@ def test_fast_path_overflow_falls_back(monkeypatch):
         dtypes.append(a.dtype)
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(quantale.np, "argsort", spy)
+    monkeypatch.setattr(np, "argsort", spy)
     # level denominator so large the squared scaling would overflow int64
     big_den = 2**34
     jumps = [F(k) for k in range(1, 80)]
@@ -289,6 +290,63 @@ def test_convolve_below_all_differential(name, t, monkeypatch):
     assert set(got) == {False, True}
     assert counts == [len({sc for triple in triples for sc in triple})]
     _check_swaps(t, triples, monkeypatch)
+
+
+class _ReadRow(list):
+    """A row of `_Rows` that counts the entries a walk reads from it."""
+
+    read = 0
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.read += 1
+            yield entry
+
+
+def _rows_built(monkeypatch) -> list[_ReadRow]:
+    """Patch `quantale._Rows` to record each row it builds, one per level
+    of phi, as a row that counts its reads."""
+    built = []
+
+    class Rows(quantale._Rows):
+        def __missing__(self, a):
+            row = self[a] = _ReadRow(super().__missing__(a))
+            built.append(row)
+            return row
+
+    monkeypatch.setattr(quantale, "_Rows", Rows)
+    return built
+
+
+def _below_under_min(phi: str, psi: str, xi: str) -> bool:
+    phi, psi, xi = map(parse_staircase, (phi, psi, xi))
+    got = convolve_below_all(MIN, [(phi, psi, xi)])
+    assert got == [convolve(MIN, phi, psi).leq(xi)]
+    return got[0]
+
+
+def test_rows_keep_only_rising_values(monkeypatch):
+    # min(1/4, b) is 1/4 for every level b of psi: the row of a = 1/4
+    # holds its first pair alone
+    built = _rows_built(monkeypatch)
+    assert _below_under_min("steps[(1,1/4)]", "steps[(0,1/2),(1,3/4),(2,1)]", "steps[(1,1/4),(3,1)]")
+    assert [len(row) for row in built] == [1]
+
+
+def test_below_stops_at_the_first_step_past_the_last_jump(monkeypatch):
+    # phi's second step meets psi's first at 2 + 1 = 3, xi's last jump: no
+    # row is built for its level
+    built = _rows_built(monkeypatch)
+    assert _below_under_min("steps[(0,1/4),(2,1/2)]", "steps[(1,1/2)]", "steps[(1,1/4),(3,1)]")
+    assert len(built) == 1
+
+
+def test_below_leaves_a_row_at_the_last_jump(monkeypatch):
+    # the row of a = 1/2 reaches xi's last jump at its second pair, and
+    # the walk reads no further
+    built = _rows_built(monkeypatch)
+    assert _below_under_min("steps[(0,1/2)]", "steps[(1,1/8),(2,1/4),(3,1/2)]", "steps[(1,1/8),(2,1)]")
+    assert [row.read for row in built] == [2]
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
