@@ -413,5 +413,13 @@ def _parsed_rows(rows: list, points: tuple, parse) -> tuple[tuple, ...]:
     return tuple(tuple(entry(i, j, v) for j, v in enumerate(row)) for i, row in enumerate(rows))
 
 
+# Most points `load_instance` accepts: the triangle checks grow as n^3.  At
+# the cap, random 10-step entries under prod validate in 1.5-3 s.
+_MAX_POINTS = 32
+
+
 def load_instance(path: str | Path) -> ParMetInstance | ProbParMetInstance:
-    return instance_from_dict(read_json(path))
+    m = instance_from_dict(read_json(path))
+    if m.size > _MAX_POINTS:
+        raise ValueError(f"instance has {m.size} points; the checks are capped at {_MAX_POINTS}")
+    return m

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddquant import bracket, cli, parse_linear
+from ddquant import bracket, cli, metrics, parse_linear
 from ddquant.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -713,10 +713,11 @@ def test_closed_output_pipe_exits_two(argv, unbuffered):
 
 
 # Valid JSON of the wrong shape, JSON nested past the decoder's recursion
-# limit, and an expression nested past the parser's budget: each must end in
-# exit 2 with one error line, never a traceback.  Each file goes to the
-# command named with it.
+# limit, an instance one point past the points budget, and an expression
+# nested past the parser's budget: each must end in exit 2 with one error
+# line, never a traceback.  Each file goes to the command named with it.
 _DEEP_JSON = "[" * 100_000
+_OVER_POINTS = metrics._MAX_POINTS + 1
 _MALFORMED = {
     "integer-distances": ("validate", '{"points": ["x", "y"], "tnorm": "min", "dist": [[0, 1], [1, 0]]}'),
     "scalar-dist": ("validate", '{"points": ["x"], "dist": 5}'),
@@ -738,6 +739,10 @@ _MALFORMED = {
         '{"points": ["x"], "tnorm": "ordinal[(0,1/2,prod),,(1/2,1,luk)]", "dist": [["steps[(0,1)]"]]}',
     ),
     "numeric-entry-exponent": ("validate", '{"points": ["x"], "dist": [["1e400"]]}'),
+    "instance-points-over-budget": (
+        "validate",
+        json.dumps({"points": [f"p{i}" for i in range(_OVER_POINTS)], "dist": [["0"] * _OVER_POINTS] * _OVER_POINTS}),
+    ),
 }
 
 # Argument errors: a removed flag, an unknown subcommand, a missing option.
@@ -772,6 +777,9 @@ _NAMED_PLACE = {
     "instance-tnorm-doubled-comma": "error: tnorm: expected '(', got ','",
     "quantale-empty-carrier": "error: empty carrier\n",
     "quantale-unit-not-string": "error: quantale field 'unit' must be a string\n",
+    "instance-points-over-budget": (
+        f"error: instance has {_OVER_POINTS} points; the checks are capped at {_OVER_POINTS - 1}\n"
+    ),
     "grid-over-budget": "error: resolution must be at most 65536",
     "resolution-over-budget": "error: resolution must be at most 65536",
 }

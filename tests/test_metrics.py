@@ -40,7 +40,7 @@ from ddquant import (
     validate_probparmet,
     validate_slice,
 )
-from ddquant import cli
+from ddquant import cli, metrics
 from ddquant.axis import ZERO, time_add
 from ddquant.values import Staircases
 
@@ -729,6 +729,14 @@ def test_load_instance_from_file(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance_to_dict(m)))
     assert load_instance(path) == m
+
+
+def test_load_instance_takes_points_up_to_the_budget(tmp_path):
+    # one point more exits 2 (tests/test_cli.py)
+    n = metrics._MAX_POINTS
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"points": [f"p{i}" for i in range(n)], "dist": [["0"] * n] * n}))
+    assert load_instance(path).size == n
 
 
 def test_instance_from_dict_rejects_missing_fields():
