@@ -31,7 +31,6 @@ from .finiteq import (
     verify_quantaloid_laws,
 )
 from .metrics import (
-    ParMetInstance,
     load_instance,
     validate_met,
     validate_parmet,
@@ -75,16 +74,11 @@ _VALIDATORS = {
 
 def cmd_validate(ns: argparse.Namespace) -> int:
     m = load_instance(ns.path)
-    kind = ns.kind
-    if kind is None:
-        kind = "parmet" if isinstance(m, ParMetInstance) else "probparmet"
-    validator = _VALIDATORS[kind]
-    if (kind in ("met", "parmet")) != isinstance(m, ParMetInstance):
-        raise ValueError(
-            f"{kind} validation needs a "
-            f"{'numeric' if kind in ('met', 'parmet') else 'staircase'} instance"
-        )
-    report = validator(m)
+    kind = ns.kind or m.track.lower() + "parmet"
+    prob = kind.startswith("prob")  # each kind is named after its track
+    if prob != bool(m.track):
+        raise ValueError(f"{kind} validation needs a {'staircase' if prob else 'numeric'} instance")
+    report = _VALIDATORS[kind](m)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.ok else 1
 
@@ -229,7 +223,9 @@ _DISPATCH = {
 }
 
 
-# Largest --resolution and --grid: time and memory grow linearly with them.
+# Largest --resolution and --grid.  export-samples' time and memory grow
+# linearly with the grid.  certify's grow faster, with the resolution times
+# xi's steps and more; `quantale._MAX_PAIRS` bounds each of its operations.
 _MAX_RESOLUTION = 2**16
 
 

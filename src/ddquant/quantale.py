@@ -37,7 +37,6 @@ test-suite uses as an independent cross-check.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from fractions import Fraction
@@ -48,12 +47,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .axis import ZERO, Time, ensure_time, is_infinite
+from .errors import DomainError
 from .staircase import BOTTOM, TOP, MonotoneStep, Staircase, one_step
 from .staircase import _built, _common, _from_candidates, _meet_costeps
 from .tnorms import PRODUCT_KIND, TNorm
 
 _FAST_CUTOFF = 48
 _INT64_LIMIT = 2**62
+# The most step pairs one convolution or implication may run over; time and
+# memory grow with them.  README gives the peak memory measured at the cap.
+_MAX_PAIRS = 2**22
 
 
 class _Scaled(NamedTuple):
@@ -84,6 +87,17 @@ def _scale(t: TNorm, *staircases: Staircase) -> _Scaled:
     return _Scaled(jd, ld, m, pieces, images)
 
 
+def _pairs(phi: Staircase, other: Staircase) -> int:
+    """The step pairs a kernel of `convolve` or `implication` runs over,
+    which must stay within `_MAX_PAIRS`."""
+    pairs = len(phi.js) * len(other.js)
+    if pairs > _MAX_PAIRS:
+        raise DomainError(
+            f"{len(phi.js)} x {len(other.js)} step pairs exceed the budget of {_MAX_PAIRS}"
+        )
+    return pairs
+
+
 def _dtype(*bounds: int) -> type:
     """The numpy kernels' guard: int64 when twice the largest jump or value
     fits, so that every sum and difference of two does; Python ints in
@@ -105,7 +119,8 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
 
     Both kernels work on the integer images of `_scale`, which hold the
     t-norm as its piece table.  The dispatch rule: an empty factor gives
-    bottom, and the number of candidate pairs alone picks the kernel.
+    bottom, more than `_MAX_PAIRS` candidate pairs raise a DomainError,
+    and the number of candidate pairs alone picks the kernel.
     Below `_FAST_CUTOFF` pairs the Python-int kernel `_convolve_int` runs;
     from it on the numpy kernel `_convolve_fast`, which is exact on every
     input.
@@ -120,8 +135,9 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     """
     if not phi.js or not psi.js:
         return BOTTOM
+    pairs = _pairs(phi, psi)
     s = _scale(t, phi, psi)
-    if len(phi.js) * len(psi.js) < _FAST_CUTOFF:
+    if pairs < _FAST_CUTOFF:
         return _convolve_int(s)
     return _convolve_fast(s)
 
@@ -160,11 +176,11 @@ def convolve_below_all(
 ) -> list[bool]:
     """Whether convolve(t, phi, psi) <= xi, for each triple (phi, psi, xi).
 
-    One pass over the triples numbers their distinct staircases, hashing
-    each object once, and keeps each triple as three positions.  One
-    `_scale` of all distinct staircases serves the batch, and the walk
-    `_below` decides each triple on it.  Each xi's values from 0 on, and
-    each row, are built once for all triples.
+    One pass over the triples numbers their distinct staircases and keeps
+    each triple as three positions.  One `_scale` of all distinct
+    staircases serves the batch, and the walk `_below` decides each triple
+    on it.  Each xi's values from 0 on, and each row, are built once for
+    all triples.
 
     The walk runs once per key (min(kp, kq), max(kp, kq), kx): a
     continuous t-norm is commutative, so phi (*) psi = psi (*) phi and
@@ -172,21 +188,14 @@ def convolve_below_all(
     Positions go by value, so equal staircases spelled apart share a key.
     """
     position: dict[Staircase, int] = {}
-    slots: dict[int, tuple[int, Staircase]] = {}  # by id, the staircase kept alive
-    keys = array("q")  # three positions a triple
-    for triple in triples:
-        for sc in triple:
-            slot = slots.get(id(sc))
-            if slot is None:
-                slot = slots[id(sc)] = (position.setdefault(sc, len(position)), sc)
-            keys.append(slot[0])
+    keys = [[position.setdefault(sc, len(position)) for sc in triple] for triple in triples]
     s = _scale(t, *position)
     apply = _int_apply(s)
     # xi is levels[k] over ld * M just after its k-th jump
     xis = [(rs, [0, *[c * s.m for c in cs]]) for rs, cs in s.images]
     rows = [_Rows(apply, psi) for psi in s.images]
     below = cache(lambda kp, kq, kx: _below(apply, s.images[kp], s.images[kq], xis[kx], rows[kq]))
-    return [below(min(kp, kq), max(kp, kq), kx) for kp, kq, kx in zip(*[iter(keys)] * 3)]
+    return [below(min(kp, kq), max(kp, kq), kx) for kp, kq, kx in keys]
 
 
 class _Rows(dict):
@@ -355,6 +364,7 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     """
     if not phi.js:
         return TOP
+    pairs = _pairs(phi, xi)
     s = _scale(t, phi, xi)
     (js, ls), (rs, cs) = s.images
     pieces = [None] * len(ls)
@@ -365,7 +375,7 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     forms = [_form(piece, a, d) for a, piece in zip(ls, pieces)]
     last = cs[-1] if cs else 0
     cap = _residua(forms[-1], d, [last])[0] if last < ls[-1] else s.ld * d
-    if len(js) * len(rs) < _FAST_CUTOFF:
+    if pairs < _FAST_CUTOFF:
         return _implication_int(s, d, forms, cap)
     return _implication_fast(s, d, forms, cap)
 

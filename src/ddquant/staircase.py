@@ -91,7 +91,7 @@ class Staircase:
     `Staircase(steps)` takes (jump, level) pairs of ints or Fractions,
     `_from_ratios` the four columns of numerators and denominators and
     `_from_candidates` integer images; all end in `__post_init__`, which
-    divides an image by its gcd only when that is above 1.
+    divides an image by its gcd only when that is above 1, and hashes once.
     """
 
     jd: int
@@ -115,7 +115,10 @@ class Staircase:
             raise DomainError("jumps must be strictly increasing")
         if not all(map(lt, ls, ls[1:])):
             raise DomainError("levels must be strictly increasing")
-        vars(self).update(jd=jd, ld=ld, js=js, ls=ls)
+        vars(self).update(jd=jd, ld=ld, js=js, ls=ls, _hash=hash((jd, ld, js, ls)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def jumps(self) -> tuple[Fraction, ...]:

@@ -1,5 +1,7 @@
 """The public names of the package and the scalars they accept."""
 
+import pickle
+
 import pytest
 
 import ddquant
@@ -61,3 +63,8 @@ def test_api_scalars_are_int_or_fraction(entry, bad):
     DomainError naming the type, and a long numeric string is never read."""
     with pytest.raises(ddquant.DomainError, match=f"got {type(bad).__name__}$"):
         _SCALAR_ENTRY_POINTS[entry](bad)
+
+
+def test_infinity_survives_pickling():
+    # INF is compared by identity, so a copy must come back as INF itself
+    assert pickle.loads(pickle.dumps(ddquant.INF)) is ddquant.INF

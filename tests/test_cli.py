@@ -759,10 +759,14 @@ _BAD_LITERALS = {
     "tnorm-doubled-comma": ["eval", "--tnorm", "ordinal[(0,1/2,prod),,(1/2,1,luk)]", "step(1,1)"],
 }
 
-# Sizes past the resource budget: each would run for minutes and hold
-# gigabytes, so the budget turns them away before any work.
+# Sizes past the resource budgets, which turn them away before any work.  A
+# grid or resolution past its cap would run for minutes and hold gigabytes.
+# The two 2100-step literals give one convolution 4,410,000 step pairs, just
+# over the cap of 2**22; the argument is 67 KB.
+_WIDE = "steps[" + ",".join(f"({k},{k}/2100)" for k in range(1, 2101)) + "]"
 _OVER_BUDGET = {
     "grid-over-budget": ["export-samples", "--grid", "1000000000", "step(1,1)"],
+    "pairs-over-budget": ["eval", f"conv({_WIDE},{_WIDE})"],
     "resolution-over-budget": [
         "certify", "--xi", "step(1,1)", "--phi", "linear[(0,0),(1,1)]", "--resolution", "65537",
     ],
@@ -782,6 +786,7 @@ _NAMED_PLACE = {
     ),
     "grid-over-budget": "error: resolution must be at most 65536",
     "resolution-over-budget": "error: resolution must be at most 65536",
+    "pairs-over-budget": "error: 2100 x 2100 step pairs exceed the budget of 4194304\n",
 }
 
 

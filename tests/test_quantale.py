@@ -106,6 +106,28 @@ def test_fast_path_agrees_with_plain():
         assert convolve(t, big1, big2) == convolve_plain(t, big1, big2)
 
 
+def test_step_pairs_past_the_budget_raise_before_scaling(monkeypatch):
+    # _scale is the first step of every kernel; the spy stops both
+    # operations there, so no array is built on either side of the cap.
+    n = isqrt(quantale._MAX_PAIRS)
+    assert n * n == quantale._MAX_PAIRS
+    square = Staircase([(F(k), F(k, n + 1)) for k in range(1, n + 1)])
+    wide = Staircase([(F(k), F(k, n + 1)) for k in range(1, n + 2)])
+
+    class Scaled(Exception):
+        pass
+
+    def spy(*args):
+        raise Scaled
+
+    monkeypatch.setattr(quantale, "_scale", spy)
+    for op in (convolve, implication):
+        with pytest.raises(DomainError, match=f"^{n + 1} x {n} step pairs exceed the budget"):
+            op(MIN, wide, square)
+        with pytest.raises(Scaled):  # at the cap itself
+            op(MIN, square, square)
+
+
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
 def test_convolve_differential_around_cutoff(name, t):
     rng = random.Random(27)

@@ -1,4 +1,6 @@
+import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 
@@ -82,6 +84,7 @@ def test_state_is_reduced_and_independent_of_the_denominator():
             Staircase((F(j, sc.jd * k), F(a, sc.ld * m)) for j, a in scaled),
         ):
             assert rebuilt == sc and hash(rebuilt) == hash(sc)
+            assert hash(rebuilt) == hash((sc.jd, sc.ld, sc.js, sc.ls))
             assert str(rebuilt) == str(sc)
             assert rebuilt.steps == sc.steps
             assert rebuilt.last_level == sc.last_level
@@ -280,6 +283,16 @@ def test_equality_is_semantic():
     a = parse_staircase("steps[(1,1/2),(2,1)]")
     b = Staircase(((F(1), F(1, 2)), (F(2), F(1))))
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("text", ["steps[]", "steps[(0,1)]", "steps[(1/3,1/2),(2,1)]"])
+def test_pickle_and_deepcopy_keep_value_and_hash(text):
+    sc = parse_staircase(text)
+    sc.steps  # a cached view travels in the state too
+    for copied in (pickle.loads(pickle.dumps(sc)), deepcopy(sc)):
+        assert copied is not sc and copied == sc and hash(copied) == hash(sc)
+        assert str(copied) == text
+        assert {sc: 1, copied: 2} == {sc: 2}
 
 
 # ---------------------------------------------------------------------------
