@@ -227,6 +227,8 @@ _DISPATCH = {
 # linearly with the grid.  certify's grow faster, with the resolution times
 # xi's steps and more; `quantale._MAX_PAIRS` bounds each of its operations.
 _MAX_RESOLUTION = 2**16
+# The flag each command takes its resolution from.
+_RESOLUTION_FLAG = {"certify": "--resolution", "export-samples": "--grid"}
 
 
 def main(argv=None) -> int:
@@ -249,11 +251,11 @@ def _run(argv) -> int:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse leaves with 2 on an error, 0 after --help
         return exc.code
-    resolution = getattr(ns, "resolution", 1)
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    if resolution > _MAX_RESOLUTION:
-        raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}")
+    flag = _RESOLUTION_FLAG.get(ns.command)
+    if flag and ns.resolution < 1:
+        raise ValueError(f"{flag} must be at least 1")
+    if flag and ns.resolution > _MAX_RESOLUTION:
+        raise ValueError(f"{flag} must be at most {_MAX_RESOLUTION}")
     return _DISPATCH[ns.command](ns)
 
 

@@ -23,13 +23,14 @@ On [0, inf] PM1 says the self-distances are at most the entry, because
 [0, inf] is divisible; for staircases it is stronger than lying below
 both self-distances.  Validators are exhaustive over the point set and
 report violations with point labels and canonical text.  The n^3
-triangle checks (M2, PM2) go to the value quantale as one batch
-(`compose_below_all`), in (i, j, k) order, and a composite is built
-only for a violation.  Each distinct piece of work is done once: an
-instance parses each distinct entry text once, to one value; the PM1
-residual of d(i,j) by an endpoint self-distance and the PM2 discount
+triangle checks (M2, PM2) go to the value quantale as one batch of two
+n x n matrices, d and the discounts (`compose_below_all`), which
+answers in (i, j, k) order, and a composite is built only for a
+violation.  Each distinct piece of work is done once: an instance
+parses each distinct entry text once, to one value; the PM1 residual
+of d(i,j) by an endpoint self-distance and the PM2 discount
 d(j,j) -> d(i,j) are each taken once per distinct value pair; and the
-staircase batch walks each triangle once per key ({phi, psi}, xi),
+staircase batch decides each triangle once per key ({phi, psi}, xi),
 convolution being commutative.  The numeric track prints its comparisons
 in the ordinary numeric order of [0, inf], the reverse of its quantale
 order; its residuation is `plus_implies`.
@@ -231,9 +232,7 @@ def _validate(m: _Instance, partial: bool, vanishing: bool = False) -> Report:
     # the discount d(j,j) -> d(i,j) is shared by every k
     discount = cache(q.implies)
     via = [[discount(d[j][j], e) for j, e in enumerate(row)] for row in d] if partial else d
-    verdicts = q.compose_below_all(
-        (d[j][k], via[i][j], d[i][k]) for i, j, k in product(range(n), repeat=3)
-    )
+    verdicts = q.compose_below_all(d, via)
     for (i, j, k), ok in zip(product(range(n), repeat=3), verdicts):
         if not ok:
             composite = q.compose(d[j][k], via[i][j])

@@ -24,8 +24,10 @@ on their arrays (`_swept`), and hand its result to
 `Staircase.__post_init__`'s checks like every constructor.  The tests
 compare both kernels with `Fraction` reference kernels kept in
 `tests/util.py`.
-`convolve_below_all` decides phi (*) psi <= xi for a batch of triples on
-one `_scale` of all their staircases, without building the convolutions.
+`convolve_below_all` decides phi (*) psi <= xi for the n^3 triples of two
+n x n matrices without building the convolutions: one numpy pass over the
+step pairs of each distinct triple, on one `_scale` of all their
+staircases.
 `residual` skips the kernels below a one-step phi.  `vertical_distance`
 evaluates the pointwise quantity
 
@@ -38,9 +40,7 @@ test-suite uses as an independent cross-check.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import NamedTuple
 
@@ -171,83 +171,93 @@ def _convolve_int(s: _Scaled) -> Staircase:
     return _from_candidates(cands, s.jd, s.ld * s.m)
 
 
-def convolve_below_all(
-    t: TNorm, triples: Iterable[tuple[Staircase, Staircase, Staircase]]
-) -> list[bool]:
-    """Whether convolve(t, phi, psi) <= xi, for each triple (phi, psi, xi).
+def convolve_below_all(t: TNorm, d, via) -> list[bool]:
+    """Whether convolve(t, d[j][k], via[i][j]) <= d[i][k], for each (i, j, k)
+    of the n x n matrices d and via, in product order.
 
-    One pass over the triples numbers their distinct staircases and keeps
-    each triple as three positions.  One `_scale` of all distinct
-    staircases serves the batch, and the walk `_below` decides each triple
-    on it.  Each xi's values from 0 on, and each row, are built once for
-    all triples.
-
-    The walk runs once per key (min(kp, kq), max(kp, kq), kx): a
-    continuous t-norm is commutative, so phi (*) psi = psi (*) phi and
-    the triples (phi, psi, xi) and (psi, phi, xi) have one verdict.
-    Positions go by value, so equal staircases spelled apart share a key.
+    The 2n^2 entries are numbered by value, so equal staircases spelled
+    apart share a number, and the n^3 keys (min(kp, kq), max(kp, kq), kx)
+    come from the two matrices of numbers by index arithmetic: a
+    continuous t-norm is commutative, so phi (*) psi = psi (*) phi and the
+    triples (phi, psi, xi) and (psi, phi, xi) have one verdict.
+    `_below_keys` decides each distinct key once.
     """
+    n = len(d)
     position: dict[Staircase, int] = {}
-    keys = [[position.setdefault(sc, len(position)) for sc in triple] for triple in triples]
-    s = _scale(t, *position)
-    apply = _int_apply(s)
-    # xi is levels[k] over ld * M just after its k-th jump
-    xis = [(rs, [0, *[c * s.m for c in cs]]) for rs, cs in s.images]
-    rows = [_Rows(apply, psi) for psi in s.images]
-    below = cache(lambda kp, kq, kx: _below(apply, s.images[kp], s.images[kq], xis[kx], rows[kq]))
-    return [below(min(kp, kq), max(kp, kq), kx) for kp, kq, kx in keys]
+    numbers = [
+        position.setdefault(sc, len(position)) for mat in (d, via) for row in mat for sc in row
+    ]
+    dist, disc = np.array(numbers, dtype=np.int64).reshape(2, n, n)
+    kp, kq, kx = dist[None, :, :], disc[:, :, None], dist[:, None, :]  # [i, j, k]
+    m = len(position)
+    codes = (np.minimum(kp, kq) * m + np.maximum(kp, kq)) * m + kx
+    keys, inverse = np.unique(codes.ravel(), return_inverse=True)
+    verdicts = _below_keys(t, list(position), keys // (m * m), keys // m % m, keys % m)
+    return verdicts[inverse].tolist()
 
 
-class _Rows(dict):
-    """The rows of one psi by the level a, each built on first use: the
-    steps (q, a * b) of psi where a * b rises above 0."""
-
-    def __init__(self, apply, psi: tuple[list[int], list[int]]):
-        self.apply, self.psi = apply, psi
-
-    def __missing__(self, a: int) -> list[tuple[int, int]]:
-        row = self[a] = []
-        top = 0
-        for q, b in zip(*self.psi):
-            v = self.apply(a, b)
-            if v > top:
-                row.append((q, v))
-                top = v
-        return row
+# The most step pairs `_below_keys` holds in its arrays at once.  A batch of
+# more pairs runs in slices of this many, one key's pairs split across
+# slices where they do not fit; README gives the peak memory measured.
+_SLICE_PAIRS = 2**16
 
 
-def _below(apply, phi, psi, xi, rows: _Rows) -> bool:
-    """Whether every step pair (p, a) of phi, (q, b) of psi has a * b <= xi
-    just after p + q.  phi and psi are scaled (jumps, levels), xi is
-    (jumps, values from 0 on) as `convolve_below_all` gives it.
+def _below_keys(t: TNorm, staircases: list[Staircase], kp, kq, kx) -> np.ndarray:
+    """Whether convolve(t, phi, psi) <= xi for each key, phi, psi and xi
+    being the staircases numbered kp, kq and kx: whether a * b is at most
+    xi's value just after p + q, for every step pair (p, a) of phi and
+    (q, b) of psi.
 
-    Pairs run by rows: rows[a] holds the pairs of a where a * b rises, a
-    later pair with no larger value being below xi when its predecessor
-    is.  A pair past xi's last jump is below xi when the top pair (the
-    last steps of phi and psi) is, so the walk checks that pair first.
-    Then per step of phi, up to the first whose pairs all lie past xi's
-    last jump, one pointer walks xi's jumps as q rises, up to that jump;
-    the first failing pair decides.
+    One `_scale` of all the staircases serves every key.  Their jumps and
+    levels lie concatenated in two arrays, and the pairs of every key lie
+    end to end in one flat range, which runs in slices of at most
+    `_SLICE_PAIRS`.  Staircase x's jumps are shifted by x * width, width
+    above every jump sum, so that all of them form one sorted array: one
+    `searchsorted` of x * width + p + q counts the jumps of every xi at or
+    below its sums.  The staircases' values from 0 on lie concatenated
+    too, staircase x's from its first step's index plus x.  Jumps and
+    values each take `_dtype`'s guard: the shifted jumps stay below
+    len(staircases) * width, the values at most ld * M.
     """
-    (js, ls), (qs, bs), (rs, cs) = phi, psi, xi
-    if not ls or not bs:
-        return True
-    n = len(rs)
-    if apply(ls[-1], bs[-1]) > cs[n]:
-        return False
-    last = rs[-1] if rs else 0
-    for p, a in zip(js, ls):
-        if p + qs[0] >= last:
-            break  # every later pair is past xi's last jump
-        k = 0  # jumps of xi at or below p + q
-        for q, v in rows[a]:
-            while k < n and rs[k] <= p + q:
-                k += 1
-            if k == n:
-                break
-            if v > cs[k]:
-                return False
-    return True
+    s = _scale(t, *staircases)
+    sizes = np.array([len(js) for js, _ in s.images], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    jumps = [p for js, _ in s.images for p in js]
+    width = 2 * max(jumps, default=0) + 1
+    jtype, ltype = _dtype(len(staircases) * width), _dtype(s.ld * s.m)
+    js = np.array(jumps, dtype=jtype)
+    ls = np.array([a for _, ls in s.images for a in ls], dtype=ltype)
+    shift = np.array(range(len(staircases)), dtype=jtype) * width
+    shifted = js + shift.repeat(sizes)
+    values = np.insert(ls * s.m, first, 0)
+    counts = sizes[kp] * sizes[kq]
+    ends, total = counts.cumsum(), int(counts.sum())
+    above = np.zeros(len(counts), dtype=bool)
+    for start in range(0, total, _SLICE_PAIRS):
+        pair = np.arange(start, min(start + _SLICE_PAIRS, total))
+        key = ends.searchsorted(pair, side="right")
+        local, nq = pair - (ends - counts)[key], sizes[kq[key]]
+        sp, sq, x = first[kp[key]] + local // nq, first[kq[key]] + local % nq, kx[key]
+        after = shifted.searchsorted(js[sp] + js[sq] + shift[x], side="right") + x
+        above[key[_applied(s, ls[sp], ls[sq]) > values[after]]] = True
+    return ~above
+
+
+def _applied(s: _Scaled, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The t-norm on arrays of scaled levels, in units of 1 / (ld * M), as
+    `_int_apply` gives it on one pair: min, overwritten by each piece's
+    formula on the pairs with both levels in [lo, hi].  Pieces meet only
+    where every formula gives min."""
+    small, large = np.minimum(a, b), np.maximum(a, b)
+    vals = small * s.m
+    for lo, hi, kind, scale in s.pieces:
+        inside = np.flatnonzero((small >= lo) & (large <= hi))
+        pa, pb = a[inside], b[inside]
+        if kind == PRODUCT_KIND:
+            vals[inside] = lo * s.m + (pa - lo) * (pb - lo) * scale
+        else:
+            vals[inside] = np.maximum(pa + pb - hi, lo) * s.m
+    return vals
 
 
 def _convolve_fast(s: _Scaled) -> Staircase:

@@ -22,9 +22,10 @@ Divisibility is the diagonal condition: d is divisible by p when
 d = compose(p, implies(p, d)).  It matches the down set of p only in a
 divisible quantale such as [0, inf], or below a one-step staircase, where
 `Staircases.residual` returns d at once.  Like `residual`,
-`compose_below_all` is derived from the parts: whether compose(a, b) lies
-below c, for each of a batch of triples (a, b, c).  `Staircases` decides
-the batch without the composites, on one integer scale of all its
+`compose_below_all` is derived from the parts: whether
+compose(d[j][k], via[i][j]) lies below d[i][k], for each (i, j, k) of
+two n x n matrices d and via.  `Staircases` decides the batch without
+the composites, in one numpy pass on one integer scale of all its
 staircases (`quantale.convolve_below_all`).
 
 Diagonals form a quantaloid: its morphisms p -> r are the values divisible
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 from .axis import INF, ONE, ZERO, format_scalar, is_infinite, plus_implies, time_add
 from .quantale import convolve, convolve_below_all, implication, residual
@@ -54,9 +56,14 @@ class ValueQuantale:
         """The largest multiple of p below d: compose(p, implies(p, d))."""
         return self.compose(p, self.implies(p, d))
 
-    def compose_below_all(self, triples) -> list[bool]:
-        """Whether compose(a, b) lies below c, for each triple (a, b, c)."""
-        return [self.below(self.compose(a, b), c) for a, b, c in triples]
+    def compose_below_all(self, d, via) -> list[bool]:
+        """Whether compose(d[j][k], via[i][j]) lies below d[i][k], for each
+        (i, j, k) of the n x n matrices d and via, in product order."""
+        n = len(d)
+        return [
+            self.below(self.compose(d[j][k], via[i][j]), d[i][k])
+            for i, j, k in product(range(n), repeat=3)
+        ]
 
     def divides(self, p, d) -> bool:
         """Whether d is divisible by p, that is, d is its own residual."""
@@ -113,8 +120,8 @@ class Staircases(ValueQuantale):
     def implies(self, a, b):
         return implication(self.tnorm, a, b)
 
-    def compose_below_all(self, triples) -> list[bool]:
-        return convolve_below_all(self.tnorm, triples)
+    def compose_below_all(self, d, via) -> list[bool]:
+        return convolve_below_all(self.tnorm, d, via)
 
     def residual(self, d, p):
         return residual(self.tnorm, d, p)

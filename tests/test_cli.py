@@ -261,6 +261,17 @@ def test_validate_coprime_probparmet_golden(capsys):
     assert out == golden("validate_coprime_probparmet.txt")
 
 
+def test_validate_sixteen_point_probparmet_golden(capsys):
+    # 16 points under prod with 10-step entries, one delayed past every
+    # composite as in the benchmark's perturbed slots: the batch's step
+    # pairs span several slices, and only the delayed entry's triangles fail
+    code, out, _ = run_cli(
+        capsys, "validate", str(DATA / "sixteen_point_probparmet_instance.json")
+    )
+    assert code == 1
+    assert out == golden("validate_sixteen_point_probparmet.txt")
+
+
 @pytest.mark.parametrize("kind,name", [
     ((), "validate_symmetric_prod.txt"),
     (("--kind", "probmet"), "validate_symmetric_prod_probmet.txt"),
@@ -569,7 +580,7 @@ def test_bad_resolution_exits_two(capsys):
         capsys, "export-samples", "--grid", "0", "step(1,1)"
     )
     assert code == 2
-    assert "resolution" in err
+    assert err == "error: --grid must be at least 1\n"
 
 
 def test_unknown_tnorm_exits_two(capsys):
@@ -784,8 +795,8 @@ _NAMED_PLACE = {
     "instance-points-over-budget": (
         f"error: instance has {_OVER_POINTS} points; the checks are capped at {_OVER_POINTS - 1}\n"
     ),
-    "grid-over-budget": "error: resolution must be at most 65536",
-    "resolution-over-budget": "error: resolution must be at most 65536",
+    "grid-over-budget": "error: --grid must be at most 65536",
+    "resolution-over-budget": "error: --resolution must be at most 65536",
     "pairs-over-budget": "error: 2100 x 2100 step pairs exceed the budget of 4194304\n",
 }
 

@@ -489,10 +489,10 @@ def test_pm1_takes_one_residual_on_the_diagonal(monkeypatch, capsys):
 @pytest.mark.parametrize("respell", [False, True], ids=["as-written", "respelled"])
 def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp_path):
     # One parse per distinct entry text, one PM1 residual and one discount
-    # per distinct value pair, and one walk per key ({phi, psi}, xi): under a
-    # continuous t-norm convolution commutes, so on a symmetric instance
-    # (i, j, k) and (k, j, i) are one check.  A respelled mirrored entry is
-    # one more text but the same value.
+    # per distinct value pair, and one decision per key ({phi, psi}, xi):
+    # under a continuous t-norm convolution commutes, so on a symmetric
+    # instance (i, j, k) and (k, j, i) are one check.  A respelled mirrored
+    # entry is one more text but the same value.
     import ddquant.metrics as metrics
     import ddquant.quantale as quantale
 
@@ -504,9 +504,9 @@ def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp
     path.write_text(json.dumps(data))
     m = instance_from_dict(data)
     d, n, t = m.dist, m.size, m.tnorm
-    parses, residuals, discounts, walks = Counter(), Counter(), Counter(), []
+    parses, residuals, discounts, decided = Counter(), Counter(), Counter(), []
     parse, residual, implies = metrics.parse_staircase, Staircases.residual, Staircases.implies
-    below = quantale._below
+    below = quantale._below_keys
     monkeypatch.setattr(
         metrics, "parse_staircase", lambda text: parses.update([text]) or parse(text)
     )
@@ -516,10 +516,13 @@ def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp
     monkeypatch.setattr(
         Staircases, "implies", lambda q, a, b: discounts.update([(a, b)]) or implies(q, a, b)
     )
-    monkeypatch.setattr(quantale, "_below", lambda *args: walks.append(args) or below(*args))
+    monkeypatch.setattr(
+        quantale, "_below_keys",
+        lambda t, scs, *keys: decided.append(len(keys[0])) or below(t, scs, *keys),
+    )
     for kind, golden in (("probparmet", "validate_symmetric_prod.txt"),
                          ("probmet", "validate_symmetric_prod_probmet.txt")):
-        parses.clear(), residuals.clear(), discounts.clear(), walks.clear()
+        parses.clear(), residuals.clear(), discounts.clear(), decided.clear()
         assert cli.main(["validate", "--kind", kind, str(path)]) == 1
         assert capsys.readouterr().out == (here / "golden" / golden).read_text()
         assert parses == Counter({v for row in data["dist"] for v in row})
@@ -534,7 +537,7 @@ def test_validate_does_each_piece_of_work_once(respell, monkeypatch, capsys, tmp
         keys = {
             (frozenset((d[j][k], via[i][j])), d[i][k]) for i, j, k in product(range(n), repeat=3)
         }
-        assert len(walks) == len(keys) < n**3
+        assert decided == [len(keys)] and len(keys) < n**3
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import operator
 import random
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import isqrt, lcm
 
 import numpy as np
@@ -30,8 +32,8 @@ from ddquant import (
     vertical_distance_sup_below,
 )
 from ddquant import quantale
-from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT, convolve_below_all
-from ddquant.values import Staircases
+from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT
+from ddquant.values import Staircases, ValueQuantale
 from util import (
     NILPOTENT,
     ORDINAL,
@@ -201,10 +203,29 @@ def _stairs(rng, n: int) -> Staircase:
 
 
 def _check_below(t, phi, psi, xi) -> bool:
-    got = convolve_below_all(t, [(phi, psi, xi)])[0]
+    """The verdict on (phi, psi, xi) through compose_below_all, as triple
+    (0, 1, 0) of two-point matrices, product index 2: d[1][0] is phi,
+    via[0][1] psi and d[0][0] xi.  The batch agrees with the generic
+    default, which composes each triple, and the oracles."""
+    q = Staircases(t)
+    d, via = [[xi, xi], [phi, phi]], [[psi, psi], [psi, psi]]
+    verdicts = q.compose_below_all(d, via)
+    assert verdicts == ValueQuantale.compose_below_all(q, d, via)
+    got = verdicts[2]
     assert got == convolve(t, phi, psi).leq(xi)
     assert got == conv_compare_oracle(t, phi, psi, xi, operator.le)
     return got
+
+
+# Triples at xi's last jump: min(1/4, b) is 1/4 for every level b of psi;
+# phi's second step meets psi's first at xi's last jump; phi's step meets
+# psi's second at xi's last jump, and psi's third past it.  Every t-norm
+# lies below min, so each composite lies below xi under all of them.
+_EDGE_TRIPLES = (
+    ("steps[(1,1/4)]", "steps[(0,1/2),(1,3/4),(2,1)]", "steps[(1,1/4),(3,1)]"),
+    ("steps[(0,1/4),(2,1/2)]", "steps[(1,1/2)]", "steps[(1,1/4),(3,1)]"),
+    ("steps[(0,1/2)]", "steps[(1,1/8),(2,1/4),(3,1/2)]", "steps[(1,1/8),(2,1)]"),
+)
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
@@ -214,6 +235,14 @@ def test_convolve_below_differential(name, t):
     # empty factors: the convolution is bottom, below everything
     for phi, psi in ((BOTTOM, TOP), (TOP, BOTTOM), (BOTTOM, BOTTOM)):
         assert _check_below(t, phi, psi, BOTTOM)
+    # bottom and top in each of the three places
+    for place in range(3):
+        for extreme in (BOTTOM, TOP):
+            triple = [_stairs(rng, n) for n in (3, 2, 4)]
+            triple[place] = extreme
+            answers.append(_check_below(t, *triple))
+    for triple in _EDGE_TRIPLES:
+        assert _check_below(t, *map(parse_staircase, triple))
     # equal jump sums 0 + 2 = 1 + 1, and xi jumping at 0
     phi = Staircase(((F(0), F(1, 4)), (F(1), F(7, 10))))
     psi = Staircase(((F(1), F(1, 2)), (F(2), F(1))))
@@ -240,18 +269,59 @@ def test_convolve_below_differential(name, t):
     assert set(answers) == {False, True}
 
 
-def _check_below_all(t, triples, monkeypatch) -> tuple[list[bool], list[int]]:
-    """compose_below_all against each triple alone and the oracles; also the
-    number of staircases of each `_scale` call the batch made."""
-    counts = []
-    scale = quantale._scale
+def _key_pairs(d, via) -> dict:
+    """The step pairs of each key ({phi, psi}, xi) among the triples of d
+    and via."""
+    n = len(d)
+    return {
+        (frozenset((d[j][k], via[i][j])), d[i][k]): len(d[j][k].js) * len(via[i][j].js)
+        for i, j, k in product(range(n), repeat=3)
+    }
+
+
+def _check_below_all(t, d, via, monkeypatch) -> tuple[list[bool], list[int], list]:
+    """compose_below_all(d, via) against each triple alone, the generic
+    default and the oracle.  Also the number of staircases of each `_scale`
+    call the batch made and the dtypes its arrays took; `_below_keys`
+    decides each key ({phi, psi}, xi) once, in one call."""
+    scales, dtypes, decided = [], [], []
+    scale, dtype, below = quantale._scale, quantale._dtype, quantale._below_keys
+    q = Staircases(t)
     with monkeypatch.context() as patch:
-        patch.setattr(quantale, "_scale", lambda t, *scs: counts.append(len(scs)) or scale(t, *scs))
-        got = Staircases(t).compose_below_all(iter(triples))
-    assert got == [convolve_below_all(t, [triple])[0] for triple in triples]
-    assert got == [convolve(t, phi, psi).leq(xi) for phi, psi, xi in triples]
-    assert got == [conv_compare_oracle(t, *triple, operator.le) for triple in triples]
-    return got, counts
+        patch.setattr(quantale, "_scale", lambda t, *scs: scales.append(len(scs)) or scale(t, *scs))
+        patch.setattr(quantale, "_dtype", lambda *b: dtypes.append(dtype(*b)) or dtypes[-1])
+        patch.setattr(
+            quantale, "_below_keys",
+            lambda t, scs, *keys: decided.append(len(keys[0])) or below(t, scs, *keys),
+        )
+        got = q.compose_below_all(d, via)
+    n = len(d)
+    triples = [(d[j][k], via[i][j], d[i][k]) for i, j, k in product(range(n), repeat=3)]
+    assert got == ValueQuantale.compose_below_all(q, d, via)
+    alone = cache(lambda *triple: _check_below(t, *triple))  # also runs the oracles
+    assert got == [alone(*triple) for triple in triples]
+    assert decided == [len(_key_pairs(d, via))]
+    return got, scales, dtypes
+
+
+def _instance(t, rng, first, discounts):
+    """Matrices d and via as validate gives them to the batch, n the length
+    of `first`: d's row 0 is `first` and via's entries come from
+    `discounts`.  Row i > 0 of d holds at k the composite of d[0][k] and
+    via[i][0], in turn as it is, delayed, joined with a discount or
+    replaced by one, so the triples (i, 0, k) sit on both sides of the
+    verdict's edge."""
+    n = len(first)
+    via = [[rng.choice(discounts) for _ in range(n)] for _ in range(n)]
+    d = [list(first)]
+    for i in range(1, n):
+        convs = [convolve(t, d[0][k], via[i][0]) for k in range(n)]
+        d.append([
+            (conv, delay_step(conv, rng), conv.join(rng.choice(discounts)),
+             rng.choice(discounts))[(i + k) % 4]
+            for k, conv in enumerate(convs)
+        ])
+    return d, via
 
 
 def _coprime_stairs(rng, jd: int, ld: int) -> Staircase:
@@ -261,114 +331,95 @@ def _coprime_stairs(rng, jd: int, ld: int) -> Staircase:
     return Staircase(tuple((F(j, jd), F(a, ld)) for j, a in zip(jumps, levels)))
 
 
-def _check_swaps(t, triples, monkeypatch) -> None:
-    """Each triple beside its phi/psi swap, psi as an equal copy: the batch
+def _check_swaps(t, entries, rng, monkeypatch) -> None:
+    """A symmetric d from `entries`, each entry below the diagonal an equal
+    copy of its mirror, with via = d, as validate's ProbM2 check: the
+    triple (k, j, i) is (i, j, k) with phi and psi swapped.  The batch
     agrees with each triple alone and the oracles, the pair gets one
-    verdict, and `_below` walks once per key ({phi, psi}, xi), because
-    convolution under a continuous t-norm commutes."""
-    batch = [
-        x for phi, psi, xi in triples for x in ((phi, psi, xi), (Staircase(psi.steps), phi, xi))
-    ]
-    walks = []
-    below = quantale._below
-    with monkeypatch.context() as patch:
-        patch.setattr(quantale, "_below", lambda *args: walks.append(args) or below(*args))
-        Staircases(t).compose_below_all(batch)
-    assert len(walks) == len({(frozenset((phi, psi)), xi) for phi, psi, xi in batch})
-    got, _ = _check_below_all(t, batch, monkeypatch)
-    assert got[0::2] == got[1::2]
+    verdict, and `_below_keys` decides once per key ({phi, psi}, xi),
+    fewer than n^3, because convolution under a continuous t-norm commutes."""
+    n = len(entries)
+    d = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+    d = [[d[i][j] if i <= j else Staircase(d[j][i].steps) for j in range(n)] for i in range(n)]
+    got, _, _ = _check_below_all(t, d, d, monkeypatch)
+    verdict = dict(zip(product(range(n), repeat=3), got))
+    assert all(ok == verdict[k, j, i] for (i, j, k), ok in verdict.items())
+    assert len(_key_pairs(d, d)) < n**3
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
 def test_convolve_below_all_differential(name, t, monkeypatch):
     rng = random.Random(38)
     # a pool whose staircases recur, some as equal copies: one scale serves all
-    pool = [BOTTOM, TOP, *(_stairs(rng, n) for n in (1, 2, 3, 5, 8))]
-    triples = []
-    for phi in pool:
-        for psi in (pool[1], pool[3], pool[5], Staircase(pool[5].steps)):
-            conv = convolve(t, phi, psi)
-            for xi in (conv, delay_step(conv, rng), conv.join(rng.choice(pool)), rng.choice(pool)):
-                triples.append((phi, psi, xi))
-    got, counts = _check_below_all(t, triples, monkeypatch)
+    pool = [BOTTOM, TOP, *(_stairs(rng, n) for n in (1, 2, 3, 4, 6))]
+    discounts = [pool[1], pool[3], pool[4], Staircase(pool[4].steps)]
+    d, via = _instance(t, rng, rng.sample(pool, 5), discounts)
+    got, scales, _ = _check_below_all(t, d, via, monkeypatch)
     assert set(got) == {False, True}
-    assert counts == [len(set(pool) | {xi for _, _, xi in triples})]
-    _check_swaps(t, triples, monkeypatch)
-    # levels so fine that convolve's numpy kernel leaves int64 for objects
+    assert scales == [len({sc for rows in (d, via) for row in rows for sc in row})]
+    # in slices of 16 pairs: the batch spans many, and keys of more pairs
+    # than a slice are split across them
+    pairs = _key_pairs(d, via)
+    assert sum(pairs.values()) > 3 * 16 and max(pairs.values()) > 16
+    with monkeypatch.context() as patch:
+        patch.setattr(quantale, "_SLICE_PAIRS", 16)
+        assert _check_below_all(t, d, via, monkeypatch)[0] == got
+    _check_swaps(t, pool, rng, monkeypatch)
+    # levels so fine that convolve's numpy kernel leaves int64 for objects,
+    # and jumps so fine that the batch's jumps do under every t-norm.  via's
+    # column 0 is bottom, so the wide composites in d's row 0 meet no psi
     big = 2**34
     sc = Staircase(tuple((F(k), F(k, big)) for k in range(1, 8)) + ((F(8), F(1)),))
+    wide = Staircase(((F(1, 2**61), F(1, 2)), (F(3), F(1))))
     conv = convolve(t, sc, sc)
-    xis = (conv, delay_step(conv, rng), conv.join(one_step(F(0), F(1, big))))
-    got, counts = _check_below_all(t, [(sc, sc, xi) for xi in xis], monkeypatch)
-    assert len(counts) == 1
+    d = [[conv, delay_step(conv, rng), conv.join(one_step(F(0), F(1, big)))], [sc] * 3, [wide] * 3]
+    via = [[BOTTOM, sc, sc]] * 3
+    got, scales, dtypes = _check_below_all(t, d, via, monkeypatch)
+    # the jumps' dtype, then the values'
+    assert len(scales) == 1 and dtypes == [object, np.int64 if name in ("min", "luk") else object]
+    assert set(got) == {False, True}
     # pairwise-coprime denominators: three of them are narrower than all
     # four, yet one scale still serves the batch
     pool = [_coprime_stairs(rng, jd, ld) for jd, ld in ((3, 13), (5, 17), (7, 19), (11, 23))]
-    triples = [(phi, psi, xi) for phi in pool for psi in pool for xi in pool]
-    for phi, psi in zip(pool, pool[1:]):
-        conv = convolve(t, phi, psi)
-        triples += [(phi, psi, conv), (phi, psi, delay_step(conv, rng))]
-    got, counts = _check_below_all(t, triples, monkeypatch)
+    d, via = _instance(t, rng, pool, pool)
+    got, scales, _ = _check_below_all(t, d, via, monkeypatch)
     assert set(got) == {False, True}
-    assert counts == [len({sc for triple in triples for sc in triple})]
-    _check_swaps(t, triples, monkeypatch)
+    assert scales == [len({sc for rows in (d, via) for row in rows for sc in row})]
+    _check_swaps(t, pool, rng, monkeypatch)
 
 
-class _ReadRow(list):
-    """A row of `_Rows` that counts the entries a walk reads from it."""
-
-    read = 0
-
-    def __iter__(self):
-        for entry in super().__iter__():
-            self.read += 1
-            yield entry
-
-
-def _rows_built(monkeypatch) -> list[_ReadRow]:
-    """Patch `quantale._Rows` to record each row it builds, one per level
-    of phi, as a row that counts its reads."""
-    built = []
-
-    class Rows(quantale._Rows):
-        def __missing__(self, a):
-            row = self[a] = _ReadRow(super().__missing__(a))
-            built.append(row)
-            return row
-
-    monkeypatch.setattr(quantale, "_Rows", Rows)
-    return built
+def test_convolve_below_all_int64_guard(monkeypatch):
+    # staircase x's jumps sit at x * width + p in one array, width = 2 * top
+    # + 1 above every jump sum, so three staircases keep their jumps on
+    # int64 while twice 3 * width is below _INT64_LIMIT
+    dtypes = []
+    dtype = quantale._dtype
+    monkeypatch.setattr(quantale, "_dtype", lambda *b: dtypes.append(dtype(*b)) or dtypes[-1])
+    fits = ((_INT64_LIMIT - 1) // 6 - 1) // 2
+    for top, jumps in ((fits, np.int64), (fits + 1, object)):
+        phi = Staircase(((F(0), F(1, 2)), (F(top - 1), F(1))))
+        psi = one_step(F(1), F(1))
+        for xi, below in ((convolve(MIN, phi, psi), True),
+                          (Staircase(((F(1), F(1, 2)), (F(top), F(3, 4)))), False)):
+            dtypes.clear()
+            assert max(xi.jumps) == top and _check_below(MIN, phi, psi, xi) == below
+            assert dtypes[:2] == [jumps, np.int64]
 
 
-def _below_under_min(phi: str, psi: str, xi: str) -> bool:
-    phi, psi, xi = map(parse_staircase, (phi, psi, xi))
-    got = convolve_below_all(MIN, [(phi, psi, xi)])
-    assert got == [convolve(MIN, phi, psi).leq(xi)]
-    return got[0]
-
-
-def test_rows_keep_only_rising_values(monkeypatch):
-    # min(1/4, b) is 1/4 for every level b of psi: the row of a = 1/4
-    # holds its first pair alone
-    built = _rows_built(monkeypatch)
-    assert _below_under_min("steps[(1,1/4)]", "steps[(0,1/2),(1,3/4),(2,1)]", "steps[(1,1/4),(3,1)]")
-    assert [len(row) for row in built] == [1]
-
-
-def test_below_stops_at_the_first_step_past_the_last_jump(monkeypatch):
-    # phi's second step meets psi's first at 2 + 1 = 3, xi's last jump: no
-    # row is built for its level
-    built = _rows_built(monkeypatch)
-    assert _below_under_min("steps[(0,1/4),(2,1/2)]", "steps[(1,1/2)]", "steps[(1,1/4),(3,1)]")
-    assert len(built) == 1
-
-
-def test_below_leaves_a_row_at_the_last_jump(monkeypatch):
-    # the row of a = 1/2 reaches xi's last jump at its second pair, and
-    # the walk reads no further
-    built = _rows_built(monkeypatch)
-    assert _below_under_min("steps[(0,1/2)]", "steps[(1,1/8),(2,1/4),(3,1/2)]", "steps[(1,1/8),(2,1)]")
-    assert [row.read for row in built] == [2]
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_convolve_below_all_at_the_points_cap(name, t):
+    # a 32-point instance, validate's cap, with 1-10-step entries: its
+    # pairs span slices of the real size, and every verdict matches the
+    # generic default's composite of its triple
+    rng = random.Random(40)
+    pool = [_stairs(rng, n) for n in range(1, 11) for _ in range(2)]
+    pool += [convolve(t, phi, psi) for phi, psi in zip(pool[:10], pool[10:])]
+    d, via = ([[rng.choice(pool) for _ in range(32)] for _ in range(32)] for _ in range(2))
+    assert sum(_key_pairs(d, via).values()) > 3 * quantale._SLICE_PAIRS
+    q = Staircases(t)
+    got = q.compose_below_all(d, via)
+    assert got == ValueQuantale.compose_below_all(q, d, via)
+    assert set(got) == {False, True}
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
