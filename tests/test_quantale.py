@@ -217,17 +217,6 @@ def _check_below(t, phi, psi, xi) -> bool:
     return got
 
 
-# Triples at xi's last jump: min(1/4, b) is 1/4 for every level b of psi;
-# phi's second step meets psi's first at xi's last jump; phi's step meets
-# psi's second at xi's last jump, and psi's third past it.  Every t-norm
-# lies below min, so each composite lies below xi under all of them.
-_EDGE_TRIPLES = (
-    ("steps[(1,1/4)]", "steps[(0,1/2),(1,3/4),(2,1)]", "steps[(1,1/4),(3,1)]"),
-    ("steps[(0,1/4),(2,1/2)]", "steps[(1,1/2)]", "steps[(1,1/4),(3,1)]"),
-    ("steps[(0,1/2)]", "steps[(1,1/8),(2,1/4),(3,1/2)]", "steps[(1,1/8),(2,1)]"),
-)
-
-
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
 def test_convolve_below_differential(name, t):
     rng = random.Random(36)
@@ -241,8 +230,6 @@ def test_convolve_below_differential(name, t):
             triple = [_stairs(rng, n) for n in (3, 2, 4)]
             triple[place] = extreme
             answers.append(_check_below(t, *triple))
-    for triple in _EDGE_TRIPLES:
-        assert _check_below(t, *map(parse_staircase, triple))
     # equal jump sums 0 + 2 = 1 + 1, and xi jumping at 0
     phi = Staircase(((F(0), F(1, 4)), (F(1), F(7, 10))))
     psi = Staircase(((F(1), F(1, 2)), (F(2), F(1))))
@@ -267,6 +254,31 @@ def test_convolve_below_differential(name, t):
     for xi in (conv, delay_step(conv, rng), conv.join(one_step(F(0), F(1, big)))):
         answers.append(_check_below(t, sc, sc, xi))
     assert set(answers) == {False, True}
+
+
+def _below_at_the_last_jump(phi: str, psi: str, xi: str) -> None:
+    """A triple at xi's last jump: the composite lies below xi under min,
+    so under every t-norm, each of which lies below min."""
+    phi, psi, xi = map(parse_staircase, (phi, psi, xi))
+    for _, t in TNORMS + [("nilpotent", NILPOTENT)]:
+        assert _check_below(t, phi, psi, xi)
+
+
+def test_rows_keep_only_rising_values():
+    # min(1/4, b) is 1/4 for every level b of psi: phi's one level meets
+    # all three of psi's and rises only at the first
+    _below_at_the_last_jump("steps[(1,1/4)]", "steps[(0,1/2),(1,3/4),(2,1)]", "steps[(1,1/4),(3,1)]")
+
+
+def test_below_stops_at_the_first_step_past_the_last_jump():
+    # phi's second step meets psi's first at 2 + 1 = 3, xi's last jump
+    _below_at_the_last_jump("steps[(0,1/4),(2,1/2)]", "steps[(1,1/2)]", "steps[(1,1/4),(3,1)]")
+
+
+def test_below_leaves_a_row_at_the_last_jump():
+    # phi's step meets psi's second at 0 + 2, xi's last jump, and psi's
+    # third past it
+    _below_at_the_last_jump("steps[(0,1/2)]", "steps[(1,1/8),(2,1/4),(3,1/2)]", "steps[(1,1/8),(2,1)]")
 
 
 def _key_pairs(d, via) -> dict:
