@@ -38,7 +38,7 @@ class SearchExhausted(DdqError, RuntimeError):
 def read_json(path: str | Path):
     """Decode a JSON file.  Malformed JSON raises json.JSONDecodeError and
     nesting too deep for the decoder a ValueError, never RecursionError."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
     except RecursionError:

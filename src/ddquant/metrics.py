@@ -412,8 +412,8 @@ def _parsed_rows(rows: list, points: tuple, parse) -> tuple[tuple, ...]:
     return tuple(tuple(entry(i, j, v) for j, v in enumerate(row)) for i, row in enumerate(rows))
 
 
-# Most points `load_instance` accepts: the triangle checks grow as n^3.  At
-# the cap, random 10-step entries under prod validate in 1.5-3 s.
+# Most points `load_instance` accepts: the triangle checks grow as n^3.
+# README's table gives the time and memory measured at the cap.
 _MAX_POINTS = 32
 
 

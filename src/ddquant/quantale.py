@@ -15,19 +15,19 @@ one-step implications, one per step of phi; `implication` computes them all
 on integers and meets them in one sweep, and `step_implication` is its
 one-step case.  Every kernel here rescales the integer images of its
 inputs and the t-norm's pieces to common denominators once (`_scale`).
-`convolve` and `implication` follow one dispatch rule: a Python-int kernel
-below `_FAST_CUTOFF` pairs of steps, which ends in the canonical sweep
-`staircase._from_candidates`, and a numpy kernel from it on, on int64
-arrays when every jump and value fits and on object arrays of Python ints
-past that guard (`_dtype`).  The numpy kernels end in the same sweep done
-on their arrays (`_swept`), and hand its result to
-`Staircase.__post_init__`'s checks like every constructor.  The tests
-compare both kernels with `Fraction` reference kernels kept in
-`tests/util.py`.
+The convolution kernels and `convolve_below_all` apply the t-norm through
+one formula per piece kind (`_piece_apply`), the implication kernels its
+residuum through `_form`.  `convolve` and `implication` follow one
+dispatch rule: a Python-int kernel below `_FAST_CUTOFF` pairs of steps,
+ending in the canonical sweep `staircase._from_candidates`, and from it
+on a numpy kernel, on int64 arrays when every jump and value fits and on
+object arrays of Python ints past that guard (`_dtype`), ending in the
+same sweep on its arrays (`_swept`).  Every result goes through
+`Staircase.__post_init__`'s checks; the tests compare the kernels with
+`Fraction` reference kernels kept in `tests/util.py`.
 `convolve_below_all` decides phi (*) psi <= xi for the n^3 triples of two
 n x n matrices without building the convolutions: one numpy pass over the
-step pairs of each distinct triple, on one `_scale` of all their
-staircases.
+step pairs of each distinct triple, on one `_scale` of their staircases.
 `residual` skips the kernels below a one-step phi.  `vertical_distance`
 evaluates the pointwise quantity
 
@@ -66,9 +66,10 @@ class _Scaled(NamedTuple):
     staircase's (jumps, levels).  `pieces` holds (L, H, kind, scale) with
     lo = L/ld and hi = H/ld; M is the lcm of the product-piece widths
     H - L (1 when there are none), scale = M // (H - L) for product pieces,
-    and every t-norm value is an integer over ld * M.  `_convolve_fast`
-    bounds its arrays by `_dtype(jumps, ld * M)`; that also bounds its
-    piece intermediates, because (a - lo)(b - lo) <= (hi - lo) M.
+    and every t-norm value is an integer over ld * M.  The numpy kernels'
+    `_dtype(..., ld * M)` also bounds `_piece_apply`'s intermediates: in
+    its order (a - lo) scale <= M, times (b - lo) <= (hi - lo) M, and
+    |a - hi + b| <= ld.
     """
 
     jd: int
@@ -142,8 +143,21 @@ def convolve(t: TNorm, phi: Staircase, psi: Staircase) -> Staircase:
     return _convolve_fast(s)
 
 
+def _piece_apply(piece: tuple[int, int, str, int], a, b, m: int):
+    """The t-norm, in units of 1 / (ld * M), on scaled levels a and b that
+    lie in the piece (lo, hi, kind, scale).  a and b are Python ints,
+    arrays of one shape, or a column and a row that broadcast to a block.
+    Pieces meet only at endpoints, where every formula, min's too, gives
+    the smaller level, so each kernel may pick a piece's pairs its own way."""
+    lo, hi, kind, scale = piece
+    if kind == PRODUCT_KIND:
+        return (a - lo) * scale * (b - lo) + lo * m
+    return (max if isinstance(a, int) else np.maximum)(a - hi + b, lo) * m
+
+
 def _int_apply(s: _Scaled):
-    """The t-norm on scaled levels, valued in units of 1 / (ld * M)."""
+    """The t-norm on scaled levels: `_piece_apply` of the first piece that
+    holds both, else min.  With no pieces M is 1, so that is `min` itself."""
     if not s.pieces:
         return min
     m, pieces = s.m, s.pieces
@@ -151,11 +165,9 @@ def _int_apply(s: _Scaled):
     def apply(a: int, b: int) -> int:
         if a > b:
             a, b = b, a
-        for lo, hi, kind, scale in pieces:
-            if lo <= a and b <= hi:
-                if kind == PRODUCT_KIND:
-                    return lo * m + (a - lo) * (b - lo) * scale
-                return max(lo, a + b - hi) * m
+        for piece in pieces:
+            if piece[0] <= a and b <= piece[1]:
+                return _piece_apply(piece, a, b, m)
         return a * m
 
     return apply
@@ -245,46 +257,31 @@ def _below_keys(t: TNorm, staircases: list[Staircase], kp, kq, kx) -> np.ndarray
 
 def _applied(s: _Scaled, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The t-norm on arrays of scaled levels, in units of 1 / (ld * M), as
-    `_int_apply` gives it on one pair: min, overwritten by each piece's
-    formula on the pairs with both levels in [lo, hi].  Pieces meet only
-    where every formula gives min."""
+    `_int_apply` gives it on one pair: min, overwritten by `_piece_apply`
+    on the pairs with both levels in a piece, found by masks."""
     small, large = np.minimum(a, b), np.maximum(a, b)
     vals = small * s.m
-    for lo, hi, kind, scale in s.pieces:
-        inside = np.flatnonzero((small >= lo) & (large <= hi))
-        pa, pb = a[inside], b[inside]
-        if kind == PRODUCT_KIND:
-            vals[inside] = lo * s.m + (pa - lo) * (pb - lo) * scale
-        else:
-            vals[inside] = np.maximum(pa + pb - hi, lo) * s.m
+    for piece in s.pieces:
+        inside = np.flatnonzero((small >= piece[0]) & (large <= piece[1]))
+        vals[inside] = _piece_apply(piece, a[inside], b[inside], s.m)
     return vals
 
 
 def _convolve_fast(s: _Scaled) -> Staircase:
-    """Envelope of the candidate steps, on numpy arrays.
-
-    The arrays take `_dtype`'s guard on the jumps and ld * M (see
-    `_Scaled`).  Values start as min; each piece overwrites
-    the pairs with both levels in [lo, hi], one slice of each factor as
-    levels increase strictly, and pieces meet only where every formula
-    gives min.  The candidates, sorted by jump sum, go to `_swept`, which
-    keeps the canonical steps in numpy.
-    """
+    """Envelope of the candidate steps, on numpy arrays of `_dtype`'s guard
+    on the jumps and ld * M (see `_Scaled`).  Values start as min; each
+    piece overwrites its block, one slice of each factor as levels increase
+    strictly, with `_piece_apply` on a column and a row.  `_swept` keeps
+    the canonical steps of the candidates sorted by jump sum."""
     (js1, ls1), (js2, ls2) = s.images
     dtype = _dtype(js1[-1], js2[-1], s.ld * s.m)
     j1, l1, j2, l2 = (np.array(v, dtype=dtype) for v in (js1, ls1, js2, ls2))
     sums = np.add.outer(j1, j2).ravel()
     vals = np.minimum.outer(l1 * s.m, l2 * s.m)
-    for lo, hi, kind, scale in s.pieces:
-        r1 = slice(bisect_left(ls1, lo), bisect_right(ls1, hi))
-        r2 = slice(bisect_left(ls2, lo), bisect_right(ls2, hi))
-        block = vals[r1, r2]  # a view: the formulas write into vals
-        if kind == PRODUCT_KIND:
-            np.multiply.outer((l1[r1] - lo) * scale, l2[r2] - lo, out=block)
-            block += lo * s.m
-        else:
-            np.add.outer((l1[r1] - hi) * s.m, l2[r2] * s.m, out=block)
-            np.maximum(block, lo * s.m, out=block)
+    for piece in s.pieces:
+        r1 = slice(bisect_left(ls1, piece[0]), bisect_right(ls1, piece[1]))
+        r2 = slice(bisect_left(ls2, piece[0]), bisect_right(ls2, piece[1]))
+        vals[r1, r2] = _piece_apply(piece, l1[r1, None], l2[None, r2], s.m)
     order = _order(sums)
     return _swept(sums[order], vals.ravel()[order], s.jd, s.ld * s.m)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddquant import bracket, cli, metrics, parse_linear
+from ddquant import bracket, cli, metrics, parse_linear, quantale
 from ddquant.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -68,6 +68,26 @@ def test_eval_golden_conv_ordinal(capsys):
     assert code == 0
     assert out == golden("eval_conv_ordinal.txt")
     assert err == ""
+
+
+def test_eval_golden_conv_ordinal_touching(capsys, monkeypatch):
+    # 49 candidate pairs on the numpy kernel, under an ordinal sum whose
+    # pieces touch at 1/2, a level both factors hold.
+    kernels = []
+    fast = quantale._convolve_fast
+    monkeypatch.setattr(quantale, "_convolve_fast", lambda s: kernels.append(s) or fast(s))
+    code, out, err = run_cli(
+        capsys,
+        "eval",
+        "--tnorm",
+        "ordinal[(0,1/2,luk),(1/2,1,prod)]",
+        "conv(steps[(0,1/6),(1/2,1/4),(1,1/3),(3/2,1/2),(2,2/3),(5/2,3/4),(3,1)],"
+        "steps[(1/4,1/8),(1/3,1/4),(1,1/2),(4/3,7/12),(2,3/4),(7/3,5/6),(4,1)])",
+    )
+    assert code == 0
+    assert out == golden("eval_conv_ordinal_touching.txt")
+    assert err == ""
+    assert len(kernels) == 1
 
 
 def test_eval_golden_all_ops_ordinal(capsys):
@@ -573,6 +593,29 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(bad))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_input_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # Labels outside ASCII, read by a process whose locale encoding is ASCII.
+    instance = json.loads((DATA / "two_point_instance.json").read_text(encoding="utf-8"))
+    instance["points"] = ["café", "y"]
+    table = json.loads((DATA / "luk3_quantale.json").read_text(encoding="utf-8"))
+    table = json.loads(json.dumps(table).replace('"1/2"', '"½"'))
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    for command, data, name in [
+        ("validate", instance, "validate_two_point.txt"),
+        ("quantale-check", table, "quantale_check_luk3.txt"),
+    ]:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "ddquant", command, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden(name), "")
 
 
 def test_bad_resolution_exits_two(capsys):

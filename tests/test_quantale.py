@@ -25,6 +25,7 @@ from ddquant import (
     join_all,
     one_step,
     parse_staircase,
+    parse_tnorm,
     residual,
     step_implication,
     vertical_distance,
@@ -140,6 +141,48 @@ def test_convolve_differential_around_cutoff(name, t):
         above_cutoff.add(len(a.steps) * len(b.steps) >= _FAST_CUTOFF)
         assert convolve(t, a, b) == convolve_plain(t, a, b)
     assert above_cutoff == {False, True}
+
+
+TOUCHING = parse_tnorm("ordinal[(0,1/2,luk),(1/2,1,prod)]")
+EDGE_TNORMS = TNORMS + [("nilpotent", NILPOTENT), ("touching", TOUCHING)]
+
+
+def _edge_levels(t) -> list[F]:
+    """0, 1, every piece endpoint, and one level between each pair of
+    neighbouring ones."""
+    ends = sorted({F(0), F(1), *(e for pc in t.pieces for e in (pc.lo, pc.hi))})
+    return sorted([*ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))])
+
+
+@pytest.mark.parametrize("name,t", EDGE_TNORMS)
+def test_piece_formulas_at_their_edges(name, t, monkeypatch):
+    levels = _edge_levels(t)
+    sc = Staircase(tuple(zip(map(F, range(1, len(levels))), levels[1:])))
+    s = quantale._scale(t, sc)
+    scaled = [0, *s.images[0][1]]
+    assert scaled == [lv * s.ld for lv in levels]
+    pairs = list(product(range(len(levels)), repeat=2))
+    want = [t.apply(levels[i], levels[k]) * s.ld * s.m for i, k in pairs]
+    apply = quantale._int_apply(s)
+    assert [apply(scaled[i], scaled[k]) for i, k in pairs] == want
+    for arrays in (np.int64, object):
+        a = np.array([scaled[i] for i, _ in pairs], dtype=arrays)
+        b = np.array([scaled[k] for _, k in pairs], dtype=arrays)
+        assert quantale._applied(s, a, b).tolist() == want
+    # both kernels, on both sides of the int64 guard
+    dtypes = []
+    dtype = quantale._dtype
+    monkeypatch.setattr(quantale, "_dtype", lambda *b: dtypes.append(dtype(*b)) or dtypes[-1])
+    for top in (F(len(levels)), F(_INT64_LIMIT // 2)):
+        phi = Staircase(tuple(zip([*map(F, range(1, len(levels) - 1)), top], levels[1:])))
+        psi = Staircase(tuple(zip([F(k, 3) for k in range(len(levels) - 1)], levels[1:])))
+        want = convolve_plain(t, phi, psi)
+        fast = [np.int64 if top < _INT64_LIMIT // 2 else object]
+        for cutoff, kernel in ((float("inf"), []), (0, fast)):
+            dtypes.clear()
+            monkeypatch.setattr(quantale, "_FAST_CUTOFF", cutoff)
+            assert convolve(t, phi, psi) == want
+            assert dtypes == kernel
 
 
 def test_fast_path_overflow_falls_back(monkeypatch):
