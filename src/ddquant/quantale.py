@@ -20,9 +20,14 @@ one formula per piece kind (`_piece_apply`), the implication kernels its
 residuum through `_form`.  `convolve` and `implication` follow one
 dispatch rule: a Python-int kernel below `_FAST_CUTOFF` pairs of steps,
 ending in the canonical sweep `staircase._from_candidates`, and from it
-on a numpy kernel, on int64 arrays when every jump and value fits and on
-object arrays of Python ints past that guard (`_dtype`), ending in the
-same sweep on its arrays (`_swept`).  Every result goes through
+on a numpy kernel, ending in the same sweep on its arrays (`_swept`).  A
+numpy kernel asks the int64 guard (`_dtype`) apart for its jumps and for
+its values.  Jumps past it take object arrays of Python ints.  Values
+within it are exact on int64; past it they are Python ints, and first
+every value is taken as a float64 within a proven bound E of the exact
+one (`_float_error`), so that only the candidates within 2E of deciding
+the result are evaluated exactly (the implication filters so where its
+co-steps outnumber its levels).  Every result goes through
 `Staircase.__post_init__`'s checks; the tests compare the kernels with
 `Fraction` reference kernels kept in `tests/util.py`.
 `convolve_below_all` decides phi (*) psi <= xi for the n^3 triples of two
@@ -100,9 +105,13 @@ def _pairs(phi: Staircase, other: Staircase) -> int:
 
 
 def _dtype(*bounds: int) -> type:
-    """The numpy kernels' guard: int64 when twice the largest jump or value
-    fits, so that every sum and difference of two does; Python ints in
-    object arrays otherwise, which keeps the kernels exact on every input."""
+    """The numpy kernels' guard: int64 when twice the largest bound fits, so
+    that every sum and difference of two values below it does; object
+    otherwise.  The kernels ask it apart for the top jumps and for the
+    values' scale.  Jumps past it take object arrays of Python ints.
+    Values past it are Python ints too: `_convolve_fast` and
+    `_implication_fast` filter them through float64 first, `_below_keys`
+    holds them all.  Either way the kernels stay exact on every input."""
     return np.int64 if 2 * max(bounds) < _INT64_LIMIT else object
 
 
@@ -268,22 +277,115 @@ def _applied(s: _Scaled, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _convolve_fast(s: _Scaled) -> Staircase:
-    """Envelope of the candidate steps, on numpy arrays of `_dtype`'s guard
-    on the jumps and ld * M (see `_Scaled`).  Values start as min; each
-    piece overwrites its block, one slice of each factor as levels increase
-    strictly, with `_piece_apply` on a column and a row.  `_swept` keeps
-    the canonical steps of the candidates sorted by jump sum."""
+    """Envelope of the candidate steps on numpy arrays.  The jump sums take
+    `_dtype`'s guard on the top jumps, and sort.  The values take it on
+    ld * M (see `_Scaled`): within it they are exact on int64 (`_block`
+    with `_piece_apply`) and all swept.  Past it the float64 filter runs:
+    `_floats_block` puts every value within E of its exact value, so a
+    candidate above every earlier one, the only kind the sweep keeps, lies
+    within 2E of the floats' running maximum.  Only the candidates that do
+    are evaluated exactly, by `_applied` on object arrays of Python ints,
+    and swept; each other one lies at or below an earlier candidate, so
+    dropping it leaves the envelope as it is."""
     (js1, ls1), (js2, ls2) = s.images
-    dtype = _dtype(js1[-1], js2[-1], s.ld * s.m)
-    j1, l1, j2, l2 = (np.array(v, dtype=dtype) for v in (js1, ls1, js2, ls2))
-    sums = np.add.outer(j1, j2).ravel()
-    vals = np.minimum.outer(l1 * s.m, l2 * s.m)
+    jtype, ltype = _dtype(js1[-1], js2[-1]), _dtype(s.ld * s.m)
+    sums = np.add.outer(np.array(js1, dtype=jtype), np.array(js2, dtype=jtype)).ravel()
+    order = _order(sums)
+    l1, l2 = np.array(ls1, dtype=ltype), np.array(ls2, dtype=ltype)
+    if ltype is np.int64:
+        block = _block(
+            s, lambda r1: l1[r1] * s.m, lambda r2: l2[r2] * s.m,
+            lambda pc, r1, r2: _piece_apply(pc, l1[r1, None], l2[None, r2], s.m), np.int64,
+        )
+        return _swept(sums[order], block.ravel()[order], s.jd, s.ld * s.m)
+    f = _floats_block(s).ravel()[order]
+    near = order[f >= np.maximum.accumulate(f) - 2 * _float_error(s, 3, 3, 5)]
+    vals = _applied(s, l1[near // len(ls2)], l2[near % len(ls2)])
+    return _swept(sums[near], vals, s.jd, s.ld * s.m)
+
+
+def _block(s: _Scaled, col, row, apply, dtype: type) -> np.ndarray:
+    """The t-norm on every pair of the factors' levels, as an n1 x n2 block:
+    `apply(piece, r1, r2)` on the slices r1 and r2 of the factors' levels
+    in each piece (levels rise strictly, pieces are sorted), and min only
+    on the pairs that no piece holds, from `col(r1)` and `row(r2)`, the
+    levels on slices.  Beside a piece's block the other factor's levels
+    lie below its lo or above its hi, so min there is the row's or the
+    column's level; the rows in no piece take min throughout."""
+    (_, ls1), (_, ls2) = s.images
+    every = slice(None)
+    if not s.pieces:
+        return np.minimum.outer(col(every), row(every))
+    vals = np.empty((len(ls1), len(ls2)), dtype=dtype)
+    gap = 0  # the first row after the pieces so far
     for piece in s.pieces:
         r1 = slice(bisect_left(ls1, piece[0]), bisect_right(ls1, piece[1]))
         r2 = slice(bisect_left(ls2, piece[0]), bisect_right(ls2, piece[1]))
-        vals[r1, r2] = _piece_apply(piece, l1[r1, None], l2[None, r2], s.m)
-    order = _order(sums)
-    return _swept(sums[order], vals.ravel()[order], s.jd, s.ld * s.m)
+        if gap < r1.start:
+            vals[gap : r1.start] = np.minimum.outer(col(slice(gap, r1.start)), row(every))
+        gap = max(gap, r1.stop)
+        vals[r1, r2] = apply(piece, r1, r2)
+        if r2.start:
+            vals[r1, : r2.start] = row(slice(r2.start))
+        if r2.stop < len(ls2):
+            vals[r1, r2.stop :] = col(r1)[:, None]
+    if gap < len(ls1):
+        vals[gap:] = np.minimum.outer(col(slice(gap, None)), row(every))
+    return vals
+
+
+# Half of float64's spacing at 1: rounding a value of magnitude at most 1
+# moves it by at most this much.
+_HALF_ULP = 2.0**-54
+
+
+def _float_error(s: _Scaled, luk: int, product_at_0: int, product: int) -> float:
+    """E, a bound on how far a float64 value of a filtered kernel lies from
+    its exact value in [0, 1]: the largest, in units of `_HALF_ULP`, of
+    the bounds the kernel states for each kind of piece the t-norm has (a
+    product piece from lo = 0 apart) and of 1, min's.  `_floats_block` and
+    `_costep_floats` prove their bounds."""
+    bounds = [1]
+    for lo, _, kind, _ in s.pieces:
+        bounds.append(luk if kind != PRODUCT_KIND else product if lo else product_at_0)
+    return _HALF_ULP * max(bounds)
+
+
+def _floats_block(s: _Scaled) -> np.ndarray:
+    """`_block` of the t-norm's values in [0, 1] as float64, with the bound
+    E of `_float_error(s, 3, 3, 5)`.  Every level enters as one correctly
+    rounded quotient of Python ints in [-1, 1] (`_floats`), off by at most
+    half an ulp at 1, h = `_HALF_ULP`; a sum or product of two values in
+    [-1, 1] adds its own rounding, at most h while the result stays within
+    [-1, 1].
+    - min: a/ld, within h.
+    - Lukasiewicz piece: max((a - hi)/ld + b/ld, lo/ld), within 3h: two
+      quotients and their sum, which lies in [-1, 1]; max moves no error.
+    - product piece: lo/ld + (a - lo)/(hi - lo) * ((b - lo)/ld), within 5h:
+      the quotients are x <= 1 and y <= 1, so x y is within 2h before its
+      rounding, and lo/ld and the sum add one each.  The sum, at most
+      fl(lo/ld) + fl((hi - lo)/ld) <= 1 + 2h, rounds to at most 1, and a
+      sum above 1 only ever closer to the value, which is <= 1.
+      From lo = 0, as under prod, the sum with 0 is exact: within 3h."""
+    (_, ls1), (_, ls2) = s.images
+    ld = s.ld
+
+    def apply(piece, r1, r2):
+        lo, hi, kind, _ = piece
+        if kind == PRODUCT_KIND:
+            x, y = _floats(ls1[r1], hi - lo, lo), _floats(ls2[r2], ld, lo)
+            return lo / ld + x[:, None] * y[None, :]
+        x, y = _floats(ls1[r1], ld, hi), _floats(ls2[r2], ld)
+        return np.maximum(x[:, None] + y[None, :], lo / ld)
+
+    col, row = (lambda r1: _floats(ls1[r1], ld)), (lambda r2: _floats(ls2[r2], ld))
+    return _block(s, col, row, apply, np.float64)
+
+
+def _floats(levels: list[int], over: int, lo: int = 0) -> np.ndarray:
+    """(a - lo) / over for each a, correctly rounded to float64: Python's
+    int division rounds once, at any size of the ints."""
+    return np.array([(a - lo) / over for a in levels], dtype=np.float64)
 
 
 def _swept(pos, vals, jd: int, ld: int) -> Staircase:
@@ -431,29 +533,94 @@ def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
     minima of the values, met with the cap, give the meet just after each
     position, and `_swept` keeps the positions where it rises.  Those rises
     already rise strictly; the sweep drops a zero meet just after 0 and the
-    earlier co-steps of a run at one position.  Every value is at most
-    ld * d (base + (c - lo) * slope < hi * d for c < a), so `_dtype` of the
-    jumps and ld * d bounds them.
+    earlier co-steps of a run at one position.
+
+    The positions take `_dtype`'s guard on the top jumps, the levels and
+    values its guard on ld * d: every value is at most ld * d (base +
+    (c - lo) * slope < hi * d for c < a), and within the guard they are
+    exact on int64.  Past it they are Python ints in object arrays, and
+    where the co-steps outnumber the levels of phi and xi the float64
+    filter runs first: `_costep_floats` puts every value within E of its
+    exact value, and the cap is one rounding off, so a co-step below every
+    later one and the cap, the only kind that sets a suffix minimum, lies
+    within 2E of the floats' suffix minimum after it.  Only the co-steps
+    that do are evaluated exactly, by `_residua`'s formula; each other one
+    lies at or above a later co-step or the cap, so dropping it leaves
+    every suffix minimum, so the meet, as it is.
     """
     (js, ls), (rs, cs) = s.images
     n = len(rs)
-    dtype = _dtype(js[-1], *rs[-1:], s.ld * d)
-    r, levels = np.array(rs, dtype=dtype), np.array([0, *cs], dtype=dtype)
-    p, a, lo, base, slope = np.array([js, ls, *zip(*forms)], dtype=dtype)
+    jtype, ltype = _dtype(js[-1], *rs[-1:]), _dtype(s.ld * d)
+    r, p = np.array(rs, dtype=jtype), np.array(js, dtype=jtype)
+    levels = np.array([0, *cs], dtype=ltype)
+    a, *forms = np.array([ls, *zip(*forms)], dtype=ltype)
     first = r.searchsorted(p, side="right")
     counts = np.maximum(np.minimum(levels[1:].searchsorted(a) + 1, n) - first, 0)
     step = np.arange(len(js)).repeat(counts)
     k = np.arange(len(step)) + (first - counts.cumsum() + counts).repeat(counts)
-    c, lo = levels[k], lo[step]
-    vals = np.where(c < lo, c * d, base[step] + np.maximum(c - lo, 0) * slope[step])
     pos = r[k] - p[step]
     order = _order(pos)
-    pos, vals = pos[order], vals[order]
+    # past the guard the filter converts each level of phi and xi once, so
+    # it runs where the co-steps outnumber those levels
+    if ltype is not np.int64 and len(k) > len(ls) + n:
+        g = _costep_floats(s, d, levels, forms, step, k)[order]
+        tail = np.minimum.accumulate(np.concatenate((g, [cap / (s.ld * d)]))[::-1])[::-1]
+        order = order[g <= tail[1:] + 2 * _float_error(s, 3, 5, 8)]
+    # `_residua`'s formula on the co-steps kept, in order
+    c, i = levels[k[order]], step[order]
+    lo, base, slope = (column[i] for column in forms)
+    vals = np.where(c < lo, c * d, base + np.maximum(c - lo, 0) * slope)
     # the meet from each co-step on: the suffix minima, met with the cap.
     # after[0] holds just after 0, and after[k + 1] just after pos[k] when k
     # is the last co-step at pos[k]
     after = np.minimum.accumulate(np.concatenate((vals, [cap]))[::-1])[::-1]
-    return _swept(np.concatenate(([0], pos)), after, s.jd, s.ld * d)
+    return _swept(np.concatenate(([0], pos[order])), after, s.jd, s.ld * d)
+
+
+def _costep_floats(s: _Scaled, d: int, levels: np.ndarray, forms: list, step, k):
+    """The value a -> c in [0, 1] of each co-step (step, k), c = levels[k],
+    as float64, with the bound E of `_float_error(s, 3, 5, 8)`; h is
+    `_HALF_ULP`.  By `_form`'s (lo, base, slope) of a, the value is c/ld
+    below lo, and from lo on base/(ld d) + ((c - lo)/ld) (slope/d), where
+    c's piece, the one with lo <= c < hi, is a's.
+    - c/ld is one correctly rounded quotient, within h.
+    - Lukasiewicz piece: slope/d is 1, so the value is (hi - a + lo)/ld +
+      (c - lo)/ld, two quotients in [0, 1] and their sum, which stays <= 1:
+      within 3h.
+    - product piece: the product T < 1 of (c - lo)/ld and slope/d =
+      (hi - lo)/(a - lo), each held as a `_frexp` pair so that neither
+      overflows nor loses relative precision at any size of ld.  Each
+      mantissa is one rounding off, their product one more, and the power
+      of two is exact (an underflow adds at most 2^-1075).  With both
+      mantissas x, y scaled into [1, 2), the errors add to at most
+      2^-53 (x + y + 1) 2^e when x y < 2 and 2^-53 (x + y + 2) 2^e when
+      not; x + y <= 1 + x y, and T < 1 puts 2^e at most 1/2 and 1/4, so T
+      is within 4h, plus second-order terms.  From lo = 0, as under prod,
+      adding lo/ld = 0 is exact: within 5h, with a margin.  From lo > 0,
+      lo/ld and the sum add h each, and a sum rounded to above 1 one more
+      h: within 8h, with a margin."""
+    (lo, base, slope), ld, wide = forms, s.ld, s.ld * d
+    cs = levels.tolist()
+    lows = [0] * len(cs)  # lo of each c's piece, or 0
+    for piece in s.pieces:
+        first, stop = bisect_left(cs, piece[0]), bisect_left(cs, piece[1])
+        lows[first:stop] = [piece[0]] * (stop - first)
+    cf, ce = map(np.array, zip(*(_frexp(c - low, ld) for c, low in zip(cs, lows))))
+    inside = k >= levels.searchsorted(lo)[step]
+    # slope/d only where a co-step lies inside with c > lo
+    af, ae, used = np.ones(len(lo)), np.zeros(len(lo), dtype=np.int64), np.zeros(len(lo), dtype=bool)
+    used[step[inside & (cf[k] != 0)]] = True
+    for i in np.flatnonzero(used).tolist():
+        af[i], ae[i] = _frexp(slope[i], d)
+    terms = np.ldexp(cf[k] * af[step], ce[k] + ae[step]) + (base / wide).astype(np.float64)[step]
+    return np.where(inside, terms, _floats(cs, ld)[k])
+
+
+def _frexp(n: int, m: int) -> tuple[float, int]:
+    """n / m, for ints n >= 0 and m > 0, as (f, e) with f * 2**e its value:
+    f is one correctly rounded quotient, in (1/2, 2) unless n is 0."""
+    e = n.bit_length() - m.bit_length()
+    return (n / (m << e) if e >= 0 else (n << -e) / m), e
 
 
 def vertical_distance(t: TNorm, phi: Staircase, xi: Staircase, at: Time) -> Fraction:

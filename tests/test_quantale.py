@@ -169,15 +169,21 @@ def test_piece_formulas_at_their_edges(name, t, monkeypatch):
         a = np.array([scaled[i] for i, _ in pairs], dtype=arrays)
         b = np.array([scaled[k] for _, k in pairs], dtype=arrays)
         assert quantale._applied(s, a, b).tolist() == want
-    # both kernels, on both sides of the int64 guard
+    # both kernels, on both sides of the jumps' int64 guard, and with the
+    # levels forced past theirs onto the float64 filter: the jumps' dtype,
+    # then the levels'
     dtypes = []
     dtype = quantale._dtype
-    monkeypatch.setattr(quantale, "_dtype", lambda *b: dtypes.append(dtype(*b)) or dtypes[-1])
-    for top in (F(len(levels)), F(_INT64_LIMIT // 2)):
+    for top, levels_past in ((F(len(levels)), False), (F(_INT64_LIMIT // 2), False), (F(len(levels)), True)):
+        monkeypatch.setattr(
+            quantale, "_dtype",
+            lambda *b, past=levels_past: dtypes.append(object if past else dtype(*b)) or dtypes[-1],
+        )
         phi = Staircase(tuple(zip([*map(F, range(1, len(levels) - 1)), top], levels[1:])))
         psi = Staircase(tuple(zip([F(k, 3) for k in range(len(levels) - 1)], levels[1:])))
         want = convolve_plain(t, phi, psi)
-        fast = [np.int64 if top < _INT64_LIMIT // 2 else object]
+        jumps = np.int64 if top < _INT64_LIMIT // 2 and not levels_past else object
+        fast = [jumps, object if levels_past else np.int64]
         for cutoff, kernel in ((float("inf"), []), (0, fast)):
             dtypes.clear()
             monkeypatch.setattr(quantale, "_FAST_CUTOFF", cutoff)
@@ -185,16 +191,20 @@ def test_piece_formulas_at_their_edges(name, t, monkeypatch):
             assert dtypes == kernel
 
 
+@pytest.mark.counts_kernel_calls  # its argsort spy counts sorts
 def test_fast_path_overflow_falls_back(monkeypatch):
-    # past the int64 guard the numpy kernel runs on object arrays of ints
-    dtypes = []
-    real = np.argsort
+    # past the jumps' int64 guard the numpy kernel sorts object arrays of
+    # ints; past the levels' it takes the float64 filter.  The sorts'
+    # dtypes, and the guards' answers (the jumps', then the levels')
+    sorts, dtypes = [], []
+    real, dtype = np.argsort, quantale._dtype
 
     def spy(a, *args, **kwargs):
-        dtypes.append(a.dtype)
+        sorts.append(a.dtype)
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", spy)
+    monkeypatch.setattr(quantale, "_dtype", lambda *b: dtypes.append(dtype(*b)) or dtypes[-1])
     # level denominator so large the squared scaling would overflow int64
     big_den = 2**34
     jumps = [F(k) for k in range(1, 80)]
@@ -202,7 +212,7 @@ def test_fast_path_overflow_falls_back(monkeypatch):
     sc = Staircase(tuple(zip(jumps, levels)))
     out = convolve(PROD, sc, sc)
     assert out == convolve_plain(PROD, sc, sc)
-    assert dtypes == [object]
+    assert sorts == [np.int64] and dtypes == [np.int64, object]
     # The numpy kernel forms jump sums up to 2 * top jump and values up to
     # ld * M; it uses int64 only when twice the larger is below _INT64_LIMIT.
     # Under prod M = ld, and _INT64_LIMIT // 2 is not a square, so
@@ -219,24 +229,24 @@ def test_fast_path_overflow_falls_back(monkeypatch):
     def spread(den):  # levels in every piece and in the min region
         return [F(k, 64) + F(1, den) for k in range(63)]
 
-    for t, top_jump, levels, fits in [
-        (MIN, _INT64_LIMIT // 2 - 1, low(64), True),
-        (MIN, _INT64_LIMIT // 2, low(64), False),
-        (LUK, _INT64_LIMIT // 2 - 1, low(64), True),
-        (LUK, _INT64_LIMIT // 2, low(64), False),
-        (PROD, 64, low(root), True),
-        (PROD, 64, low(root + 1), False),
-        (ORDINAL, 64, spread(320 * c_ord), True),
-        (ORDINAL, 64, spread(320 * (c_ord + 1)), False),
-        (NILPOTENT, 64, spread(192 * c_nil), True),
-        (NILPOTENT, 64, spread(192 * (c_nil + 1)), False),
+    for t, top_jump, levels, jumps, values in [
+        (MIN, _INT64_LIMIT // 2 - 1, low(64), np.int64, np.int64),
+        (MIN, _INT64_LIMIT // 2, low(64), object, np.int64),
+        (LUK, _INT64_LIMIT // 2 - 1, low(64), np.int64, np.int64),
+        (LUK, _INT64_LIMIT // 2, low(64), object, np.int64),
+        (PROD, 64, low(root), np.int64, np.int64),
+        (PROD, 64, low(root + 1), np.int64, object),
+        (ORDINAL, 64, spread(320 * c_ord), np.int64, np.int64),
+        (ORDINAL, 64, spread(320 * (c_ord + 1)), np.int64, object),
+        (NILPOTENT, 64, spread(192 * c_nil), np.int64, np.int64),
+        (NILPOTENT, 64, spread(192 * (c_nil + 1)), np.int64, object),
     ]:
-        dtypes.clear()
+        sorts.clear(), dtypes.clear()
         steps = [*zip(map(F, range(1, 64)), levels), (F(top_jump), F(1))]
         sc = Staircase(tuple(steps))
         assert len(sc.steps) ** 2 >= _FAST_CUTOFF
         assert convolve(t, sc, sc) == convolve_plain(t, sc, sc)
-        assert dtypes == [np.int64 if fits else object]
+        assert sorts == [jumps] and dtypes == [jumps, values]
 
 
 def _stairs(rng, n: int) -> Staircase:
@@ -402,6 +412,7 @@ def _check_swaps(t, entries, rng, monkeypatch) -> None:
     assert len(_key_pairs(d, d)) < n**3
 
 
+@pytest.mark.counts_kernel_calls  # its _scale spy counts scales
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
 def test_convolve_below_all_differential(name, t, monkeypatch):
     rng = random.Random(38)
@@ -651,7 +662,7 @@ def test_implication_large_denominators(name, t):
 def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
     """implication with the given kernel cutoff against the Python sweep
     (no cutoff reached) and implication_plain; the kernel that ran, and the
-    array dtype it took (None for the Python sweep)."""
+    dtypes its jumps and its levels took (None for the Python sweep)."""
     ran, dtypes = [], []
     with monkeypatch.context() as patch:
         for name in ("_implication_int", "_implication_fast"):
@@ -664,8 +675,8 @@ def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
         patch.setattr(quantale, "_FAST_CUTOFF", float("inf"))
         assert got == implication(t, phi, xi) == implication_plain(t, phi, xi)
     assert len(ran) == 2 and ran[1] == "_implication_int"
-    assert len(dtypes) == (ran[0] == "_implication_fast")
-    return ran[0], (dtypes or [None])[0]
+    assert len(dtypes) == 2 * (ran[0] == "_implication_fast")
+    return ran[0], *(dtypes or [None, None])
 
 
 @pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
@@ -676,7 +687,7 @@ def test_implication_kernels_differential(name, t, monkeypatch):
         phi = _staircase_over(rng, _IMPLICATION_LEVELS, 8)
         xi = _staircase_over(rng, _IMPLICATION_LEVELS, 16)
         if phi.js:
-            kernel, _ = _implication_kernel(t, phi, xi, monkeypatch)
+            kernel, _, _ = _implication_kernel(t, phi, xi, monkeypatch)
             assert (kernel == "_implication_fast") == (len(phi.js) * len(xi.js) >= _FAST_CUTOFF)
             kernels.add(kernel)
     assert kernels == {"_implication_int", "_implication_fast"}
@@ -704,7 +715,7 @@ def test_implication_kernels_differential(name, t, monkeypatch):
         assert quantale._dtype(top) is dtype
         xi = Staircase((*((F(k), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[1:-1:2])), (F(top), F(1))))
         assert len(phi.js) * len(xi.js) >= _FAST_CUTOFF
-        assert _implication_kernel(t, phi, xi, monkeypatch) == ("_implication_fast", dtype)
+        assert _implication_kernel(t, phi, xi, monkeypatch) == ("_implication_fast", dtype, np.int64)
 
 
 @pytest.mark.parametrize("name,t", [("prod", PROD), ("ordinal", ORDINAL), ("nilpotent", NILPOTENT)])
@@ -720,9 +731,10 @@ def test_implication_kernels_past_the_guard(name, t, monkeypatch):
         phi = Staircase(tuple((F(k, 3), lo + (hi - lo) * F(p - 1, p)) for k, p in enumerate(primes[:m])))
         kernels.append(_implication_kernel(t, phi, xi, monkeypatch))
     above = [k for m, k in enumerate(kernels, 1) if m * len(xi.js) >= _FAST_CUTOFF]
-    assert set(kernels[: len(kernels) - len(above)]) == {("_implication_int", None)}
-    assert {kernel for kernel, _ in above} == {"_implication_fast"}
-    assert above[0][1] is np.int64 and above[-1][1] is object
+    assert set(kernels[: len(kernels) - len(above)]) == {("_implication_int", None, None)}
+    assert {kernel for kernel, _, _ in above} == {"_implication_fast"}
+    assert {jumps for _, jumps, _ in above} == {np.int64}
+    assert above[0][2] is np.int64 and above[-1][2] is object
 
 
 def test_worked_implication_values():
@@ -867,7 +879,7 @@ def test_monotone_convolution_infinity_is_applied():
 
 def _sweeps(monkeypatch) -> list:
     """Spy on `quantale._swept`, the sweep both numpy kernels end in: per
-    call, the dtype of its values, whether a zero value reaches it, and
+    call, the dtype of its positions, whether a zero value reaches it, and
     whether candidates above the running maximum share a position."""
     seen = []
     swept = quantale._swept
@@ -878,13 +890,14 @@ def _sweeps(monkeypatch) -> list:
             if v > top:
                 top = v
                 kept.append(p)
-        seen.append((vals.dtype, 0 in vals.tolist(), len(set(kept)) < len(kept)))
+        seen.append((pos.dtype, 0 in vals.tolist(), len(set(kept)) < len(kept)))
         return swept(pos, vals, jd, ld)
 
     monkeypatch.setattr(quantale, "_swept", spy)
     return seen
 
 
+@pytest.mark.counts_kernel_calls  # its _swept spy counts sweeps
 @pytest.mark.parametrize("offset_den,dtype", [(2, np.int64), (_INT64_LIMIT, object)])
 def test_numpy_sweep_differential(offset_den, dtype, monkeypatch):
     # Jumps k + 1/offset_den on a unit grid: sums and differences of jumps
@@ -913,3 +926,157 @@ def test_numpy_sweep_differential(offset_den, dtype, monkeypatch):
         assert len(seen) == before + 1 and seen[-1][0] == dtype  # the numpy kernel ran
     assert convolve(LUK, low, low) == BOTTOM
     assert any(zero for _, zero, _ in seen) and any(tie for _, _, tie in seen)
+
+
+# ---------------------------------------------------------------------------
+# the float64 filter past the levels' int64 guard
+
+# Levels at the pieces' ends and 1/(3 * 2^64) below them: any staircase
+# holding one of the latter has levels past the int64 guard, under every
+# t-norm, and candidates that nearly tie at the ends.
+_WIDE_LEVELS = sorted({*_IMPLICATION_LEVELS, *(lv - F(1, 3 * 2**64) for lv in _IMPLICATION_LEVELS)})
+
+
+def _kernel_dtypes(kernel, t, phi, other, monkeypatch) -> tuple:
+    """kernel (convolve or implication) on its numpy kernel against its
+    plain kernel; the dtypes the jumps' and the levels' guards gave, and
+    whether the float64 filter ran."""
+    plain = convolve_plain if kernel is convolve else implication_plain
+    dtypes, floats = [], []
+    dtype = quantale._dtype
+
+    def spy(*bounds):
+        dtypes.append(dtype(*bounds))
+        return dtypes[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quantale, "_dtype", spy)
+        # a run that --shadow-kernels forces swaps the spy out, and does not count
+        for name in ("_floats_block", "_costep_floats"):
+            f = getattr(quantale, name)
+            patch.setattr(quantale, name, lambda *a, f=f: floats.append(quantale._dtype is spy) or f(*a))
+        patch.setattr(quantale, "_FAST_CUTOFF", 0)
+        assert kernel(t, phi, other) == plain(t, phi, other)
+    return *dtypes, any(floats)
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_filtered_kernels_differential(name, t, monkeypatch):
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(30):
+        phi = _staircase_over(rng, _WIDE_LEVELS, 8)
+        other = _staircase_over(rng, _WIDE_LEVELS, 12)
+        if not phi.js or not other.js:
+            continue
+        # the same levels with the other factor's last jump past the jumps' guard
+        far = Staircase((*other.steps[:-1], (F(_INT64_LIMIT // 2), other.last_level)))
+        for kernel, second in product((convolve, implication), (other, far)):
+            seen.add((kernel, *_kernel_dtypes(kernel, t, phi, second, monkeypatch)))
+    assert {(kernel, jumps, object, True) for kernel in (convolve, implication) for jumps in (np.int64, object)} <= seen
+
+
+def _in_product_piece(t, x: F) -> F:
+    """x in [0, 1] mapped affinely onto t's product piece."""
+    lo, hi = next((pc.lo, pc.hi) for pc in t.pieces if pc.kind == "prod")
+    return lo + (hi - lo) * x
+
+
+def _conv_near_tie(t, x1: F, x2: F, y1: F, y2: F) -> tuple:
+    """phi = ((0, x1), (2, x2)) and psi = ((0, y2), (1, y1)), levels in t's
+    product piece where it has one: the candidates at 1 and at 2 are
+    x1 * y1 and x2 * y2, and the one at 2 stays when it is the larger."""
+    if any(pc.kind == "prod" for pc in t.pieces):
+        x1, x2, y1, y2 = (_in_product_piece(t, v) for v in (x1, x2, y1, y2))
+    return Staircase(((F(0), x1), (F(2), x2))), Staircase(((F(0), y2), (F(1), y1)))
+
+
+# Near ties under prod, found by search over a1 < a2, b1 > b2 with
+# a2 * b2 = a1 * b1 + 1 over D: the candidate at 2 is one unit of D^2 above
+# the one at 1, and their floats err in opposite directions by more than
+# E, `_float_error`'s bound, together.  A filter that kept only candidates
+# within E of the running maximum, not 2E, drops the one at 2.  Past 2^100
+# the filter runs on its own; at D^2 near 2^60 the values fit int64, and
+# only a forced run (the shadow mode's) takes the filter.
+_CONV_TIES = [
+    (2**60 + 33, 1141040381729802101, 1143049299441063892, 1014244551642133091, 1012462009240557776),
+    (2**30 + 3, 1007848377, 1060519496, 813013055, 772634441),
+]
+# and for the implication, a1 < a2 and c1 < c2 with c2 * a1 = c1 * a2 + 1:
+# a1 -> c1 = c1/a1 lies 1/(a1 a2) below a2 -> c2 = c2/a2, later, and their
+# floats err by more than E together
+_IMPLICATION_TIES = [
+    (2**60 + 33, 544463440908947, 522426490397597, 21155099204795909, 20298854617536742),
+    (2**60 + 33, 486718127149325, 440640202474091, 49060179169645064, 44415619794853501),
+]
+
+
+def _implication_near_tie(t, x1: F, x2: F, z1: F, z2: F) -> tuple:
+    """phi = ((0, x0), (1/2, x1), (1, x2)) and xi = ((2, z1), (3, z2), (5, 1)),
+    levels in t's product piece where it has one, and x0 halfway between x1
+    and the larger of z1 and z2 below it: x1 -> z1 sits at 5/2 and x2 -> z2
+    at 4, each other co-step after 5/2 lies above both, and the one at 5/2
+    sets the meet just after 2 when it is the smaller.  The co-steps
+    outnumber the six levels, so past the guard the filter runs."""
+    x0 = (x1 + max(z for z in (z1, z2) if z < x1)) / 2
+    if any(pc.kind == "prod" for pc in t.pieces):
+        x0, x1, x2, z1, z2 = (_in_product_piece(t, v) for v in (x0, x1, x2, z1, z2))
+    phi = Staircase(((F(0), x0), (F(1, 2), x1), (F(1), x2)))
+    return phi, Staircase(((F(2), z1), (F(3), z2), (F(5), F(1))))
+
+
+def _near_ties(name: str) -> tuple[list, list]:
+    """Levels (x1, x2, y1, y2) for `_conv_near_tie` and (x1, x2, z1, z2)
+    for `_implication_near_tie` whose values tie, or differ by one unit,
+    past 2^100.  Under a product piece: the ties found by search, and equal
+    values through different factors.  Under min and luk, whose values add
+    and subtract levels: levels one unit of 2^101 + 1 apart."""
+    if name in ("min", "luk"):
+        unit = F(1, 2**101 + 1)
+        x, y = F(3, 5) + unit, F(4, 5) - 7 * unit
+        if name == "min":  # min(x, y) = x below y, and x -> z = z below x
+            return ([(x, x + unit, x + 3 * unit, x + 2 * unit), (x, x + unit, x + 3 * unit, x)],
+                    [(y, y + 4 * unit, x, x + unit)])
+        # x + y - 1, and x -> z = 1 - x + z below x
+        return ([(x, x + 2 * unit, y, y - unit), (x, x + unit, y, y - unit)],
+                [(y, y + 2 * unit, x, x + 3 * unit), (y, y + 2 * unit, x, x + 2 * unit)])
+    assert all(a2 * b2 == a1 * b1 + 1 for _, a1, a2, b1, b2 in _CONV_TIES)
+    assert all(c2 * a1 == c1 * a2 + 1 for _, a1, c1, a2, c2 in _IMPLICATION_TIES)
+    convs = [tuple(F(v, den) for v in tie) for den, *tie in _CONV_TIES]
+    imps = [tuple(F(v, den) for v in (a1, a2, c1, c2)) for den, a1, c1, a2, c2 in _IMPLICATION_TIES]
+    rng = random.Random(42)
+    for _ in range(4):  # (u v)(w z) = (u w)(v z), and (u w)/(u z) = (v w)/(v z)
+        u, v, w, z = sorted(rng.randrange(2**59, 2**60) for _ in range(4))
+        convs.append(tuple(F(n, 2**120) for n in (u * v, u * w, w * z, v * z)))
+        imps.append(tuple(F(n, 2**120) for n in (u * z, v * z, u * w, v * w)))
+    return convs, imps
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_filtered_kernels_near_ties(name, t, monkeypatch):
+    convs, imps = _near_ties(name)
+    cases = [(convolve, *_conv_near_tie(t, *tie)) for tie in convs]
+    cases += [(implication, *_implication_near_tie(t, *tie)) for tie in imps]
+    for kernel, phi, other in cases:
+        s = quantale._scale(t, phi, other)
+        # the implication's values run over ld * d, d at least x1 x2
+        fits = kernel is convolve and 2 * s.ld * s.m < _INT64_LIMIT
+        assert _kernel_dtypes(kernel, t, phi, other, monkeypatch) == (np.int64, *((np.int64, False) if fits else (object, True)))
+
+
+@pytest.mark.parametrize("name,t", [("luk", LUK), ("nilpotent", NILPOTENT)])
+def test_filtered_kernels_zero_values(name, t, monkeypatch):
+    # levels past the guard whose Lukasiewicz values are 0: every candidate
+    # of a low pair, some of a mixed one; and the implication's floor 0
+    eps = F(1, 3 * 2**64)
+    top = F(1, 2) if name == "luk" else F(1, 6)  # Lukasiewicz piece from 0 to 1 or to 1/3
+    low = Staircase(tuple((F(k), top * F(k, 8) - eps) for k in range(1, 9)))
+    high = Staircase(tuple((F(k, 2), F(1, 2) + F(k, 20) - eps) for k in range(1, 11)))
+    assert _kernel_dtypes(convolve, t, low, low, monkeypatch) == (np.int64, object, True)
+    assert convolve(t, low, low) == BOTTOM
+    assert _kernel_dtypes(convolve, t, low, high, monkeypatch) == (np.int64, object, True)
+    floor = F(1) if name == "luk" else F(1, 3)  # floor -> 0 = 0, before low's first jump
+    phi = Staircase(((F(0), floor - 7 * eps), (F(1, 2), floor)))
+    assert _kernel_dtypes(implication, t, phi, low, monkeypatch) == (np.int64, object, True)
+    # no co-steps to filter: the floors through the cap alone
+    assert _kernel_dtypes(implication, t, phi, BOTTOM, monkeypatch) == (np.int64, object, False)
