@@ -19,7 +19,7 @@ on to the staircase builder as four columns, `scalar` and `rational` make
 `Fraction`s.
 
 Right after a `steps` or `linear` name, the only places the grammar reads
-ratio pairs, a well-formed body `[(r,r),...]` is one lexeme: one regex pass
+ratio pairs, a well-formed body `[(r,r),...]` is one lexeme: one regex split
 gives its numbers as four int columns (jump numerators, jump denominators,
 level numerators, level denominators), which go to `_Reader.pairs` whole,
 so a literal costs no token per number.  Every other text is walked token
@@ -140,14 +140,14 @@ def parse_scalar(text: str) -> Time:
     return r.end(r.scalar())
 
 
-# A well-formed `[(r,r),...]` body of ratio pairs, empty or not, with
-# whitespace only between its tokens: digits, and denominators that are not
-# all zeros.  Right after a `steps` or `linear` name it is one lexeme.
-_RATIO = r"[0-9]+(?:/0*[1-9][0-9]*)?"
-_PAIR = rf"\(\s*{_RATIO}\s*,\s*{_RATIO}\s*\)"
-_BODY = re.compile(rf"\s*(\[\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*\s*)?\])")
-# The four numbers of each pair of a body, an absent denominator empty.
-_COLUMNS = re.compile(r"\(\s*([0-9]+)/?([0-9]*)\s*,\s*([0-9]+)/?([0-9]*)")
+# A body's span from its `[` to the first `]`, no `[` between, and one
+# `(r,r)` pair of it with the `,` or `]` after: four numbers (digits, and
+# denominators that are not all zeros, an absent one None), then that
+# separator.  Right after a `steps` or `linear` name, a body whose pairs,
+# whitespace only between their tokens, tile its span is one lexeme.
+_SPAN = re.compile(r"\s*\[([^\[\]]*\])")
+_DEN = r"(?:/(0*[1-9][0-9]*))?"
+_PAIR = re.compile(rf"\s*\(\s*([0-9]+){_DEN}\s*,\s*([0-9]+){_DEN}\s*\)\s*([,\]])")
 # Names and punctuation; digits, optionally over a slash and more digits; or
 # any other character, which is an error.  The empty denominator of `1/`
 # matches so that its error names the denominator.
@@ -160,12 +160,12 @@ def _lex(text: str) -> list[tuple[object, int]]:
     A value is a number's (numerator, denominator) int pair, a name, a
     punctuation character, or the list of the four columns of a body
     lexeme: a well-formed `[(r,r),...]` right after a `steps` or `linear`
-    name, whose column is that of its `[`.  One `findall` reads the body's
-    numbers; numerators go through `int` in one `map` and each distinct
-    denominator spelling once.  Every other text is walked token by token,
-    and that walk produces every message and column.  A body that holds a
-    number with more digits than int() converts is walked too, and the walk
-    names that number.
+    name, whose column is that of its `[`.  One `_PAIR.split` reads the
+    body's numbers; numerators go through `int` in one `map` and each
+    distinct denominator spelling once.  Every other text is walked token
+    by token, and that walk produces every message and column.  A body that
+    holds a number with more digits than int() converts is walked too, and
+    the walk names that number.
     """
     tokens: list[tuple[object, int]] = []
     at = 0
@@ -173,14 +173,19 @@ def _lex(text: str) -> list[tuple[object, int]]:
         at = m.end()
         if m.lastindex == 1:
             tokens.append((m[1], m.start(1)))
-            if m[1] in ("steps", "linear") and (body := _BODY.match(text, at)):
-                jn, jd, ln, ld = [*zip(*_COLUMNS.findall(text, *body.span(1)))] or [()] * 4
+            if m[1] in ("steps", "linear") and (body := _SPAN.match(text, at)):
+                # the pieces around the pairs at [::6], each pair's five
+                # groups between; all pieces empty, only the last ends in `]`
+                parts = _PAIR.split(body[1]) if body[1][:-1].strip() else [""]
+                if any(parts[::6]):  # left to the walk, which names the error
+                    continue
+                jn, jd, ln, ld = parts[1::6], parts[2::6], parts[3::6], parts[4::6]
                 try:
                     over = {spelled: int(spelled or 1) for spelled in {*jd, *ld}}.__getitem__
                     columns = [list(map(int, jn)), list(map(over, jd)), list(map(int, ln)), list(map(over, ld))]
                 except ValueError:  # left to the walk, which names the number
                     continue
-                tokens.append((columns, body.start(1)))
+                tokens.append((columns, body.start(1) - 1))
                 at = body.end()
             continue
         num, den, bad = m.group(2, 3, 4)

@@ -12,18 +12,20 @@ A table has one working representation: its order, reversed order and
 product as rows keyed by label, built once from the `leq` and `mult`
 fields.  Joins, meets, top and bottom are labels computed from those rows,
 None where one is missing, and every check reads them and names elements
-by label.  Hom-set members, and so the violations the law check reports,
-come in element order.  `join`, `bottom`, `finite` and `residuate` raise
-ValueError ("validate first") on a table that is not a lattice, and so do
-the law and downset checks before they look anything up; `residuate` also
-raises it where no r has a * r <= b.
+by label.  Each divisibility is decided once per table, and a hom-set is
+the meet of the two endpoints' sets of multiples.  Hom-set members, and so
+the violations the law check reports, come in element order.  `join`,
+`bottom`, `finite` and `residuate` raise ValueError ("validate first") on
+a table that is not a lattice, and so do the law and downset checks before
+they look anything up; `residuate` also raises it where no r has
+a * r <= b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from pathlib import Path
 
 from .axis import format_scalar
@@ -93,6 +95,15 @@ class FiniteQuantale(ValueQuantale):
     def _implied(self) -> dict[tuple[str, str], str]:
         return {}
 
+    def divides(self, p: str, d: str) -> bool:
+        return d in self._multiples[p]
+
+    @cached_property
+    def _multiples(self) -> dict[str, frozenset[str]]:
+        """The values divisible by each element, each pair decided once."""
+        els = self.elements
+        return {p: frozenset(d for d in els if ValueQuantale.divides(self, p, d)) for p in els}
+
     def below(self, a: str, b: str) -> bool:
         return self._leq[a][b]
 
@@ -132,14 +143,16 @@ class FiniteQuantale(ValueQuantale):
 
 def _least(leq, ks) -> str | None:
     """The one member of ks below every member under leq, or None."""
-    least = [u for u in ks if all(leq[u][v] for v in ks)]
+    least = [u for u in ks if all(map(leq[u].__getitem__, ks))]
     return least[0] if len(least) == 1 else None
 
 
 def _join_table(leq) -> dict[str, dict[str, str | None]]:
-    """Least upper bound under leq of each pair, None where it is missing."""
-    return {a: {b: _least(leq, [k for k in leq if leq[a][k] and leq[b][k]]) for b in leq}
-            for a in leq}
+    """Least upper bound under leq of each pair, None where it is missing:
+    the least of their common upper bounds, found once per distinct set."""
+    ups = {a: frozenset(k for k in leq if leq[a][k]) for a in leq}
+    least = cache(lambda ks: _least(leq, ks))
+    return {a: {b: least(ups[a] & ups[b]) for b in leq} for a in leq}
 
 
 def _lattice(x: str | None) -> str:
@@ -235,8 +248,7 @@ class DiagonalHomset:
 
 def diag_homset(q: FiniteQuantale, p: str, r: str) -> DiagonalHomset:
     """All d divisible by both endpoints: (p -> d) * p = d = (r -> d) * r."""
-    members = frozenset(d for d in q.elements if q.divides(p, d) and q.divides(r, d))
-    return DiagonalHomset(p, r, members)
+    return DiagonalHomset(p, r, q._multiples[p] & q._multiples[r])
 
 
 def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:

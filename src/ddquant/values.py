@@ -155,18 +155,22 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
     sends bottom to bottom, checked once per arrow; composition preserves
     binary joins of diagonals.  Joins are computed in the ambient quantale;
     pairs of diagonals whose join is not itself a diagonal are flagged, not
-    failed.  Each composite is computed once.
+    failed.  Each composite, arrow and product is computed once.
     """
     violations: list[str] = []
     join_gaps: list[str] = []
     els = tuple(dict.fromkeys(p for p, _ in homs))
     # Memoised, not precomputed: where the laws fail, a composite can leave
-    # hom(mid, mid) and still be composed further.
-    composites = cache(q.composites)
+    # hom(mid, mid) and still be composed further.  The composites are q's
+    # formulas on a view of q that evaluates each arrow and product once.
+    view = ValueQuantale()
+    view.implies, view.compose = cache(q.implies), cache(q.compose)
+    composites = cache(view.composites)
+    hom_sets = {pair: frozenset(hom) for pair, hom in homs.items()}
 
     # exact on a full hom-set; the divisibility test covers sampled ones
     def member(p, r, d) -> bool:
-        return d in homs[p, r] or (q.divides(p, d) and q.divides(r, d))
+        return d in hom_sets[p, r] or (q.divides(p, d) and q.divides(r, d))
 
     for p in els:
         if not member(p, p, p):
@@ -175,6 +179,7 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
     for (p, r), hom in homs.items():
         for d in hom:
             for s in els:
+                hom_ps = hom_sets[p, s]
                 for ee in homs[r, s]:
                     left, right = composites(r, ee, d)
                     if left != right:
@@ -182,7 +187,7 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
                             f"composition formulas disagree for d={d}:{p}->{r}, "
                             f"e={ee}:{r}->{s}: {left} vs {right}"
                         )
-                    if not member(p, s, left):
+                    if left not in hom_ps and not member(p, s, left):
                         violations.append(
                             f"composite {left} of d={d}:{p}->{r}, e={ee}:{r}->{s} "
                             f"escapes hom({p},{s})"
@@ -194,15 +199,16 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
             if composites(r, r, d)[0] != d:
                 violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
     # associativity over composable triples: the composites depend on
-    # (r, s, d, e, g) alone, so each is checked once, and p and t only name
-    # a failure in its messages
+    # (r, s, d, e, g) alone, so each is checked once, e . d and g . e are
+    # taken outside the innermost loop, and p and t only name a failure
     into = {r: {d for p in els for d in homs[p, r]} for r in els}
     out_of = {s: {g for t_ in els for g in homs[s, t_]} for s in els}
     broken = {
         (r, s, d, ee, g)
-        for r in els for s in els for d in into[r] for ee in homs[r, s] for g in out_of[s]
-        if composites(s, g, composites(r, ee, d)[0])[0]
-        != composites(r, composites(s, g, ee)[0], d)[0]
+        for r in els for s in els for ee in homs[r, s]
+        for after in [[(d, composites(r, ee, d)[0]) for d in into[r]]]
+        for g in out_of[s] for ge in [composites(s, g, ee)[0]] for d, ed in after
+        if composites(s, g, ed)[0] != composites(r, ge, d)[0]
     }
     # the full loop, for its message order, only where a check failed
     for (p, r), hom in homs.items() if broken else ():
@@ -217,12 +223,21 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
                                     f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
                                 )
     # bottom preservation, once per arrow, then bottom and joins inside
-    # hom-sets
+    # hom-sets; whether composing keeps a join depends on (r, d1, d2)
+    # alone, and p only names a failure
     bot = q.bottom
     for (r, s), hom in homs.items():
         for ee in hom:
             if composites(r, ee, bot)[0] != bot:
                 violations.append(f"composition with bottom not bottom for e={ee}:{r}->{s}")
+
+    @cache
+    def unkept(r, d1, d2) -> list:
+        jl = q.join(d1, d2)
+        bad = {ee for ee in out_of[r] if composites(r, ee, jl)[0]
+               != q.join(composites(r, ee, d1)[0], composites(r, ee, d2)[0])}
+        return [(s, ee) for s in els for ee in homs[r, s] if ee in bad] if bad else []
+
     for (p, r), hom in homs.items():
         if not member(p, r, bot):
             violations.append(f"bottom missing from hom({p},{r})")
@@ -234,16 +249,11 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
                         f"join {jl} of diagonals {d1},{d2} in hom({p},{r}) is not a diagonal"
                     )
                     continue
-                for s in els:
-                    for ee in homs[r, s]:
-                        cj = composites(r, ee, jl)[0]
-                        c1 = composites(r, ee, d1)[0]
-                        c2 = composites(r, ee, d2)[0]
-                        if cj != q.join(c1, c2):
-                            violations.append(
-                                f"composition does not preserve join of {d1},{d2} "
-                                f"in hom({p},{r}) under e={ee}:{r}->{s}"
-                            )
+                for s, ee in unkept(r, d1, d2):
+                    violations.append(
+                        f"composition does not preserve join of {d1},{d2} "
+                        f"in hom({p},{r}) under e={ee}:{r}->{s}"
+                    )
     return QuantaloidReport(not violations, tuple(violations), tuple(join_gaps))
 
 
@@ -264,8 +274,6 @@ def downset_equality(q: ValueQuantale, values, homs: dict) -> DownsetReport:
     checked over `values` (b below a implies compose(a, implies(a, b)) = b).
     """
     divisible = all(q.divides(a, b) for a in values for b in values if q.below(b, a))
-    mismatches = tuple(
-        (p, r) for (p, r), hom in homs.items()
-        if set(hom) != {d for d in values if q.below(d, p) and q.below(d, r)}
-    )
+    down = cache(lambda p: frozenset(d for d in values if q.below(d, p)))
+    mismatches = tuple((p, r) for (p, r), hom in homs.items() if set(hom) != down(p) & down(r))
     return DownsetReport(divisible, mismatches)

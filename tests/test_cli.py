@@ -476,6 +476,20 @@ def test_quantale_check_drastic_five_chain(capsys):
     assert len(payload["mismatched_pairs"]) == 12
 
 
+def test_quantale_check_boolean_square(capsys):
+    # the first table that is not a chain: 0 < a, b < 1 with meet as
+    # product, its elements listed out of order; a frame, so divisible
+    code, out, err = run_cli(
+        capsys, "quantale-check", str(DATA / "square_quantale.json")
+    )
+    assert code == 0 and err == ""
+    assert out == golden("quantale_check_square.txt")
+    payload = json.loads(out)
+    assert payload["valid"] is True and payload["quantaloid_ok"] is True
+    assert payload["divisible"] is True and payload["downsets_equal"] is True
+    assert payload["hom_join_gaps"] == []
+
+
 def test_quantale_check_broken_table_exits_one(capsys):
     code, out, _ = run_cli(
         capsys, "quantale-check", str(DATA / "broken_quantale.json")

@@ -19,6 +19,7 @@ from ddquant import (
 )
 from ddquant.finiteq import chain_with_min, load_quantale, quantale_from_dict, quantale_to_dict
 from ddquant.values import ValueQuantale
+from util import homs_plain, join_table_plain, quantaloid_laws_plain
 
 
 def test_malformed_tables_rejected():
@@ -159,14 +160,21 @@ def test_unit_below_top_is_reported():
 def test_quantaloid_laws_residuate_each_pair_once(build, monkeypatch):
     import ddquant.finiteq as finiteq
 
-    calls = Counter()
+    calls, divided, implied, multiplied = Counter(), Counter(), Counter(), Counter()
     original = finiteq.residuate
 
     def spy(q, a, b):
         calls[a, b] += 1
         return original(q, a, b)
 
+    def counting(counter, method):
+        def counted(self, a, b):
+            counter[a, b] += 1
+            return method(self, a, b)
+        return counted
+
     monkeypatch.setattr(finiteq, "residuate", spy)
+    monkeypatch.setattr(ValueQuantale, "divides", counting(divided, ValueQuantale.divides))
     composed, homsets = Counter(), Counter()
     composites, homset = ValueQuantale.composites, finiteq.diag_homset
 
@@ -181,11 +189,21 @@ def test_quantaloid_laws_residuate_each_pair_once(build, monkeypatch):
     monkeypatch.setattr(ValueQuantale, "composites", composites_spy)
     monkeypatch.setattr(finiteq, "diag_homset", homset_spy)
     q = build()
+    n = len(q.elements)
+    q.homs
+    # every divisibility (p, d) is decided, each once per table
+    assert len(divided) == n * n and max(divided.values()) == 1
+    # the law check evaluates each distinct arrow and product once
+    monkeypatch.setattr(FiniteQuantale, "implies", counting(implied, FiniteQuantale.implies))
+    monkeypatch.setattr(FiniteQuantale, "compose", counting(multiplied, FiniteQuantale.compose))
     assert verify_quantaloid_laws(q).ok
+    assert implied and max(implied.values()) == 1
+    assert multiplied and max(multiplied.values()) == 1
     check_downset_equality(q)
+    assert max(divided.values()) == 1
     assert calls and max(calls.values()) == 1
     assert composed and max(composed.values()) == 1
-    assert len(homsets) == len(q.elements) ** 2 and max(homsets.values()) == 1
+    assert len(homsets) == n ** 2 and max(homsets.values()) == 1
 
 
 # The chain 0 < a < 1 with unit 1 and a non-commutative product: it fails
@@ -399,3 +417,78 @@ def test_lattices_that_are_not_quantales_reach_the_law_reports(name):
     q, field, message = _NOT_QUANTALES[name]
     assert not validate_quantale(q).ok
     assert message in getattr(verify_quantaloid_laws(q), field)
+
+
+# ---------------------------------------------------------------------------
+# differential: the law checker against the plain loops of tests/util.py
+
+
+def _random_chain(rng: random.Random) -> FiniteQuantale:
+    """A 2-4 element chain with an arbitrary product table, often neither
+    commutative nor associative; mostly with bottom absorbing on the right,
+    so that every residuation exists."""
+    n = rng.randint(2, 4)
+    labels = tuple(f"e{i}" for i in range(n))
+    mult = [[rng.choice(labels) for _ in labels] for _ in labels]
+    if rng.random() < 0.8:
+        for row in mult:
+            row[0] = labels[0]
+    return FiniteQuantale(labels, tuple(tuple(i <= j for j in range(n)) for i in range(n)),
+                          tuple(map(tuple, mult)), labels[-1])
+
+
+def _differential_tables():
+    rng = random.Random(32)
+    yield from (_random_chain(rng) for _ in range(300))
+    yield from (q for q, _, _ in _NOT_QUANTALES.values())
+    yield from _VALID
+    yield _FAILING
+
+
+def _copy(q: FiniteQuantale) -> FiniteQuantale:
+    return FiniteQuantale(q.elements, q.leq, q.mult, q.unit)
+
+
+def test_law_reports_match_the_plain_loops():
+    raised = reported = 0
+    for q in _differential_tables():
+        try:
+            homs = homs_plain(_copy(q))
+            want = quantaloid_laws_plain(_copy(q), homs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                verify_quantaloid_laws(q)
+            raised += 1
+            continue
+        assert q.homs == homs
+        assert verify_quantaloid_laws(q) == want, q
+        reported += not want.ok
+    # the random tables reach both outcomes, and many of them fail laws
+    assert raised and reported > 100
+
+
+def _random_relation(rng: random.Random) -> dict:
+    """A relation on 1-5 shuffled labels as rows of bools, of random
+    density: mostly reflexive, often neither antisymmetric nor a lattice."""
+    n = rng.randint(1, 5)
+    density = rng.random()
+    rows = [[i == j and rng.random() < 0.9 or rng.random() < density for j in range(n)]
+            for i in range(n)]
+    labels = [f"v{i}" for i in rng.sample(range(n), n)]
+    return {a: dict(zip(labels, row)) for a, row in zip(labels, rows)}
+
+
+def test_join_table_matches_its_brute_force_definition():
+    from ddquant.finiteq import _join_table, _least
+
+    rng = random.Random(33)
+    missing = found = 0
+    for _ in range(600):
+        leq = _random_relation(rng)
+        want = join_table_plain(leq)
+        assert _join_table(leq) == want
+        least = [u for u in leq if all(leq[u].values())]
+        assert _least(leq, list(leq)) == (least[0] if len(least) == 1 else None)
+        missing += sum(v is None for row in want.values() for v in row.values())
+        found += sum(v is not None for row in want.values() for v in row.values())
+    assert missing > 100 and found > 100

@@ -10,7 +10,7 @@ from ddquant import BOTTOM, INF, MIN, ONE, TOP, ZERO, find_nondiagonal_below, on
 from ddquant.axis import plus_implies
 from ddquant.finiteq import drastic_chain
 from ddquant.values import NUMERIC, Staircases, downset_equality, quantaloid_laws
-from util import NILPOTENT, TNORMS, rand_staircase
+from util import NILPOTENT, TNORMS, quantaloid_laws_plain, rand_staircase
 
 F = Fraction
 
@@ -50,6 +50,7 @@ def test_numeric_quantale_is_a_divisible_quantaloid():
     homs = _homs(NUMERIC, values, values)
     laws = quantaloid_laws(NUMERIC, homs)
     assert laws.ok and not laws.join_gaps
+    assert laws == quantaloid_laws_plain(NUMERIC, homs)
     down = downset_equality(NUMERIC, values, homs)
     assert down.divisible and down.equal_everywhere
 
@@ -73,6 +74,7 @@ def test_one_step_objects_have_their_down_sets_as_diagonals(name, t):
     homs = _homs(q, objects, pool)
     laws = quantaloid_laws(q, homs)
     assert laws.ok, laws.violations[:3]
+    assert laws == quantaloid_laws_plain(q, homs)
     assert downset_equality(q, pool, homs).equal_everywhere
 
 
@@ -88,7 +90,8 @@ def test_multi_step_object_misses_its_witness(name, t):
         pool = (BOTTOM, witness, phi)
         homs = _homs(q, (phi,), pool)
         assert homs[phi, phi] == (BOTTOM, phi)
-        assert quantaloid_laws(q, homs).ok
+        laws = quantaloid_laws(q, homs)
+        assert laws.ok and laws == quantaloid_laws_plain(q, homs)
         down = downset_equality(q, pool, homs)
         assert not down.divisible
         assert down.mismatched_pairs == ((phi, phi),)

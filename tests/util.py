@@ -9,6 +9,10 @@ replaced them: they work on the `steps` views or on cells and never call
 the kernel they check.  The plain reader (`lex_plain`, `pairs_plain`) is
 the tokenizer and ratio-pair walk from before well-formed bodies became one
 lexeme; `plain_reader` swaps it in for a differential check of the readers.
+The plain law checker (`quantaloid_laws_plain`, `homs_plain`,
+`join_table_plain`) is the diagonal quantaloid's checker from before it
+memoised arrows and products and decided each divisibility once: loops over
+every quintuple, membership through the generic divisibility test.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import random
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from ddquant import (
     INF,
@@ -37,6 +42,7 @@ from ddquant import (
 from ddquant import axis
 from ddquant.axis import Time, format_scalar, is_infinite, time_add
 from ddquant.errors import DomainError, ParseError
+from ddquant.values import QuantaloidReport, ValueQuantale
 
 ORDINAL = parse_tnorm("ordinal[(2/10,6/10,prod),(7/10,1,luk)]")
 
@@ -437,3 +443,101 @@ def read_outcome(parse, text):
         return ("value", parse(text))
     except (ValueError, ArithmeticError) as exc:
         return ("error", type(exc), str(exc), getattr(exc, "position", None))
+
+
+# ---------------------------------------------------------------------------
+# the plain law checker: every quintuple looped over, nothing decided once
+
+
+def homs_plain(q) -> dict:
+    """Every diagonal hom-set of the finite table q, in element order, by
+    the generic divisibility test."""
+    def divides(p, d):
+        return ValueQuantale.divides(q, p, d)
+    return {(p, r): tuple(d for d in q.elements if divides(p, d) and divides(r, d))
+            for p in q.elements for r in q.elements}
+
+
+def join_table_plain(leq) -> dict:
+    """Least upper bound under leq, a dict of rows of bools, of each pair:
+    the one common upper bound below all the others, or None."""
+    def least(ks):
+        found = [u for u in ks if all(leq[u][v] for v in ks)]
+        return found[0] if len(found) == 1 else None
+    return {a: {b: least([k for k in leq if leq[a][k] and leq[b][k]]) for b in leq} for a in leq}
+
+
+def quantaloid_laws_plain(q, homs: dict) -> QuantaloidReport:
+    """`values.quantaloid_laws` as its loops stood before each arrow and
+    product was memoised: the same checks, messages and order."""
+    violations: list[str] = []
+    join_gaps: list[str] = []
+    els = tuple(dict.fromkeys(p for p, _ in homs))
+    composites = cache(q.composites)
+
+    def member(p, r, d) -> bool:
+        return d in homs[p, r] or (ValueQuantale.divides(q, p, d) and ValueQuantale.divides(q, r, d))
+
+    for p in els:
+        if not member(p, p, p):
+            violations.append(f"identity {p} is not a diagonal on itself")
+    for (p, r), hom in homs.items():
+        for d in hom:
+            for s in els:
+                for ee in homs[r, s]:
+                    left, right = composites(r, ee, d)
+                    if left != right:
+                        violations.append(
+                            f"composition formulas disagree for d={d}:{p}->{r}, "
+                            f"e={ee}:{r}->{s}: {left} vs {right}"
+                        )
+                    if not member(p, s, left):
+                        violations.append(
+                            f"composite {left} of d={d}:{p}->{r}, e={ee}:{r}->{s} "
+                            f"escapes hom({p},{s})"
+                        )
+    for (p, r), hom in homs.items():
+        for d in hom:
+            if composites(p, d, p)[0] != d:
+                violations.append(f"identity {p} not neutral below {d}:{p}->{r}")
+            if composites(r, r, d)[0] != d:
+                violations.append(f"identity {r} not neutral above {d}:{p}->{r}")
+    for (p, r), hom in homs.items():
+        for s in els:
+            for t_ in els:
+                for d in hom:
+                    for ee in homs[r, s]:
+                        for g in homs[s, t_]:
+                            if (composites(s, g, composites(r, ee, d)[0])[0]
+                                    != composites(r, composites(s, g, ee)[0], d)[0]):
+                                violations.append(
+                                    f"composition not associative at "
+                                    f"({d},{ee},{g}) over ({p},{r},{s},{t_})"
+                                )
+    bot = q.bottom
+    for (r, s), hom in homs.items():
+        for ee in hom:
+            if composites(r, ee, bot)[0] != bot:
+                violations.append(f"composition with bottom not bottom for e={ee}:{r}->{s}")
+    for (p, r), hom in homs.items():
+        if not member(p, r, bot):
+            violations.append(f"bottom missing from hom({p},{r})")
+        for i1, d1 in enumerate(hom):
+            for d2 in hom[i1 + 1:]:
+                jl = q.join(d1, d2)
+                if not member(p, r, jl):
+                    join_gaps.append(
+                        f"join {jl} of diagonals {d1},{d2} in hom({p},{r}) is not a diagonal"
+                    )
+                    continue
+                for s in els:
+                    for ee in homs[r, s]:
+                        cj = composites(r, ee, jl)[0]
+                        c1 = composites(r, ee, d1)[0]
+                        c2 = composites(r, ee, d2)[0]
+                        if cj != q.join(c1, c2):
+                            violations.append(
+                                f"composition does not preserve join of {d1},{d2} "
+                                f"in hom({p},{r}) under e={ee}:{r}->{s}"
+                            )
+    return QuantaloidReport(not violations, tuple(violations), tuple(join_gaps))
