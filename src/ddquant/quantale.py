@@ -17,17 +17,18 @@ one-step case.  Every kernel here rescales the integer images of its
 inputs and the t-norm's pieces to common denominators once (`_scale`).
 The convolution kernels and `convolve_below_all` apply the t-norm through
 one formula per piece kind (`_piece_apply`), the implication kernels its
-residuum through `_form`.  `convolve` and `implication` follow one
-dispatch rule: a Python-int kernel below `_FAST_CUTOFF` pairs of steps,
-ending in the canonical sweep `staircase._from_candidates`, and from it
-on a numpy kernel, ending in the same sweep on its arrays (`_swept`).  A
-numpy kernel asks the int64 guard (`_dtype`) apart for its jumps and for
-its values.  Jumps past it take object arrays of Python ints.  Values
-within it are exact on int64; past it they are Python ints, and first
-every value is taken as a float64 within a proven bound E of the exact
-one (`_float_error`), so that only the candidates within 2E of deciding
-the result are evaluated exactly (the implication filters so where its
-co-steps outnumber its levels).  Every result goes through
+residuum through `_form`.  `implication`'s dispatch rule: at most one
+step on either side -> closed form; otherwise pairs pick the kernel, as
+they always do in `convolve`: a Python-int kernel below `_FAST_CUTOFF`
+pairs of steps, ending in the canonical sweep `staircase._from_candidates`,
+and from it on a numpy kernel, ending in the same sweep on its arrays
+(`_swept`).  A numpy kernel asks the int64 guard (`_dtype`) apart for its
+jumps and for its values.  Jumps past it take object arrays of Python
+ints.  Values within it are exact on int64; past it they are Python ints,
+and first every value is taken as a float64 within a proven bound E of
+the exact one (`_float_error`), so that only the candidates within 2E of
+deciding the result are evaluated exactly (the implication filters so
+where its co-steps outnumber its levels).  Every result goes through
 `Staircase.__post_init__`'s checks; the tests compare the kernels with
 `Fraction` reference kernels kept in `tests/util.py`.
 `convolve_below_all` decides phi (*) psi <= xi for the n^3 triples of two
@@ -459,9 +460,12 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     levels a of phi inside a product piece (lo, hi]: there a -> c is
     lo + (hi - lo)(c - lo)/(a - lo).  Under min and luk d is 1.
 
-    The dispatch rule is `convolve`'s: below `_FAST_CUTOFF` pairs of steps
-    of phi and xi the Python-int kernel `_implication_int` runs, and from
-    it on the numpy kernel `_implication_fast`, on `_dtype`'s guard.
+    The dispatch rule: at most one step on either side -> closed form;
+    otherwise pairs pick the kernel.  The closed forms, `_antecedent_form`
+    and `_consequent_form`, build the steps of the answer on Python ints.
+    Otherwise, as in `convolve`, below `_FAST_CUTOFF` pairs of steps of phi
+    and xi the Python-int kernel `_implication_int` runs, and from it on
+    the numpy kernel `_implication_fast`, on `_dtype`'s guard.
 
     The kernels cross near 25 co-steps: the Python-int kernel costs about
     16 us a call and 1.1 us a co-step, the numpy kernel about 39 us and
@@ -475,6 +479,17 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
         return TOP
     pairs = _pairs(phi, xi)
     s = _scale(t, phi, xi)
+    if len(phi.js) == 1:
+        return _antecedent_form(s)
+    if len(xi.js) <= 1:
+        return _consequent_form(s)
+    kernel = _implication_int if pairs < _FAST_CUTOFF else _implication_fast
+    return kernel(s, *_kernel_args(s))
+
+
+def _kernel_args(s: _Scaled) -> tuple[int, list, int]:
+    """(d, forms, cap) of the implication kernels: d, `_form`'s form of
+    each level of phi, and the cap over ld * d."""
     (js, ls), (rs, cs) = s.images
     pieces = [None] * len(ls)
     for lo, hi, kind, _ in s.pieces:  # the levels lo < a <= hi, a slice of ls
@@ -484,9 +499,58 @@ def implication(t: TNorm, phi: Staircase, xi: Staircase) -> Staircase:
     forms = [_form(piece, a, d) for a, piece in zip(ls, pieces)]
     last = cs[-1] if cs else 0
     cap = _residua(forms[-1], d, [last])[0] if last < ls[-1] else s.ld * d
-    if pairs < _FAST_CUTOFF:
-        return _implication_int(s, d, forms, cap)
-    return _implication_fast(s, d, forms, cap)
+    return d, forms, cap
+
+
+def _own_form(s: _Scaled, a: int) -> tuple[int, tuple[int, int, int]]:
+    """(d, form): the d of one level a of phi alone, a - lo in a product
+    piece (lo, hi] and 1 otherwise, and `_form`'s form of a over it."""
+    piece = next(((lo, hi, kind) for lo, hi, kind, _ in s.pieces if lo < a <= hi), None)
+    d = a - piece[0] if piece and piece[2] == PRODUCT_KIND else 1
+    return d, _form(piece, a, d)
+
+
+def _antecedent_form(s: _Scaled) -> Staircase:
+    """The implication of a one-step antecedent (p, a): xi read from p on.
+    Just after 0 it is a -> xi(p+), the floor a -> 0 where xi is 0 there,
+    and each later step (r, c) of xi raises it at r - p to a -> c, up to the
+    first with c >= a, where it becomes 1 (1 from 0 on when xi reaches a by
+    p).  Those values rise strictly, so the steps go to `_built` as they
+    are, a zero value just after 0 dropped."""
+    ((p,), (a,)), (rs, cs) = s.images
+    d, form = _own_form(s, a)
+    first, stop = bisect_right(rs, p), bisect_left(cs, a)  # steps at or below p; c < a
+    if stop < first:
+        return TOP
+    pos = [0, *(r - p for r in rs[first:stop])]
+    vals = _residua(form, d, [cs[first - 1] if first else 0, *cs[first:stop]])
+    if stop < len(cs):
+        pos.append(rs[stop] - p)
+        vals.append(s.ld * d)
+    if not vals[0]:
+        pos, vals = pos[1:], vals[1:]
+    return _built(s.jd, s.ld * d, pos, vals)
+
+
+def _consequent_form(s: _Scaled) -> Staircase:
+    """The implication of a consequent xi with at most one step (r, c).  A
+    step (p, a) of phi with p < r gives the one co-step (r - p, a -> 0);
+    the cap is a -> c for the last level a of phi (a -> 0 for an empty xi),
+    over d = `_own_form`'s d of that level.  a -> 0 is positive only in a
+    Lukasiewicz piece (0, hi], where it is hi - a, and antitone in a; so
+    the co-steps, taken from the last such step back, come in position
+    order with values that never fall, and the meet just after each
+    position, the least value of the co-steps above it and the cap, is one
+    pass of `_from_candidates`."""
+    (js, ls), (rs, cs) = s.images
+    d, form = _own_form(s, ls[-1])
+    c = cs[0] if cs else 0
+    cap = _residua(form, d, [c])[0] if c < ls[-1] else s.ld * d
+    top = next((hi for lo, hi, kind, _ in s.pieces[:1] if lo == 0 and kind != PRODUCT_KIND), 0)
+    m = bisect_left(js, rs[0]) if rs else 0  # the steps with p < r
+    pos = [0, *(rs[0] - p for p in reversed(js[:m]))]
+    vals = [min(cap, max(top - a, 0) * d) for a in reversed(ls[:m])]
+    return _from_candidates(zip(pos, [*vals, cap]), s.jd, s.ld * d)
 
 
 def _form(piece, a: int, d: int) -> tuple[int, int, int]:

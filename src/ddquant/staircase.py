@@ -106,14 +106,17 @@ class Staircase:
         """Reduce both images and check the staircase conditions on them."""
         jd, js = _reduced(self.jd, self.js)
         ld, ls = _reduced(self.ld, self.ls)
-        if js and min(js) < 0:
+        # a rising column has its min and max at its ends
+        js_rise, ls_rise = all(map(lt, js, js[1:])), all(map(lt, ls, ls[1:]))
+        if js and (js[0] if js_rise else min(js)) < 0:
             raise DomainError(f"negative jump {Fraction(min(js), jd)}")
-        if ls and not 0 < min(ls) <= max(ls) <= ld:
-            bad = min(ls) if min(ls) <= 0 else max(ls)
-            raise DomainError(f"level {Fraction(bad, ld)} outside (0, 1]")
-        if not all(map(lt, js, js[1:])):
+        if ls:
+            low, high = (ls[0], ls[-1]) if ls_rise else (min(ls), max(ls))
+            if not 0 < low <= high <= ld:
+                raise DomainError(f"level {Fraction(low if low <= 0 else high, ld)} outside (0, 1]")
+        if not js_rise:
             raise DomainError("jumps must be strictly increasing")
-        if not all(map(lt, ls, ls[1:])):
+        if not ls_rise:
             raise DomainError("levels must be strictly increasing")
         vars(self).update(jd=jd, ld=ld, js=js, ls=ls, _hash=hash((jd, ld, js, ls)))
 

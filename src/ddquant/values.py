@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .axis import INF, ONE, ZERO, format_scalar, is_infinite, plus_implies, time_add
+from .axis import INF, ZERO, format_scalar, is_infinite, plus_implies, time_add
 from .quantale import convolve, convolve_below_all, implication, residual
 from .staircase import BOTTOM, TOP, join_all
 from .tnorms import TNorm
@@ -131,7 +131,7 @@ class Staircases(ValueQuantale):
 
     def finite(self, a) -> bool:
         """Whether the distance is finite almost surely: level 1 at infinity."""
-        return a.last_level == ONE
+        return bool(a.ls) and a.ls[-1] == a.ld
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +167,12 @@ def quantaloid_laws(q: ValueQuantale, homs: dict) -> QuantaloidReport:
     view.implies, view.compose = cache(q.implies), cache(q.compose)
     composites = cache(view.composites)
     hom_sets = {pair: frozenset(hom) for pair, hom in homs.items()}
+    divides = cache(q.divides)
 
-    # exact on a full hom-set; the divisibility test covers sampled ones
+    # exact on a full hom-set; the divisibility test, once per pair, covers
+    # sampled ones
     def member(p, r, d) -> bool:
-        return d in hom_sets[p, r] or (q.divides(p, d) and q.divides(r, d))
+        return d in hom_sets[p, r] or (divides(p, d) and divides(r, d))
 
     for p in els:
         if not member(p, p, p):

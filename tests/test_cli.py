@@ -407,6 +407,25 @@ def test_certify_golden_spaced_literals(capsys):
     assert out == golden("certify_spaced_luk.txt")
 
 
+def test_certify_golden_luk_floor(capsys):
+    # A one-step target under luk: the implication of each bracket into it
+    # meets the floors a -> 0 = 1 - a of its many levels below the jump.
+    code, out, _ = run_cli(
+        capsys,
+        "certify",
+        "--tnorm",
+        "luk",
+        "--xi",
+        "steps[(5/4,35/64)]",
+        "--phi",
+        "linear[(0,0),(7/2,1)]",
+        "--resolution",
+        "1024",
+    )
+    assert code == 1
+    assert out == golden("certify_luk_floor.txt")
+
+
 def test_certify_inconclusive_exits_two(capsys):
     # a target at the upper bracket cannot be separated from the map
     upper = bracket(parse_linear("linear[(0,0),(1,1)]"), 8).upper

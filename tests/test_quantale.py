@@ -659,10 +659,21 @@ def test_implication_large_denominators(name, t):
     _check_implication(t, xi, phi)
 
 
+def _kernels_on(t, phi, xi):
+    """implication's pairs rule on any input, so that one with at most one
+    step on either side, which `implication` answers in closed form, runs
+    on a kernel too."""
+    s = quantale._scale(t, phi, xi)
+    fast = len(phi.js) * len(xi.js) >= quantale._FAST_CUTOFF
+    kernel = quantale._implication_fast if fast else quantale._implication_int
+    return kernel(s, *quantale._kernel_args(s))
+
+
 def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
-    """implication with the given kernel cutoff against the Python sweep
-    (no cutoff reached) and implication_plain; the kernel that ran, and the
-    dtypes its jumps and its levels took (None for the Python sweep)."""
+    """implication's kernels with the given cutoff against the Python sweep
+    (no cutoff reached), implication and implication_plain; the kernel that
+    ran, and the dtypes its jumps and its levels took (None for the Python
+    sweep)."""
     ran, dtypes = [], []
     with monkeypatch.context() as patch:
         for name in ("_implication_int", "_implication_fast"):
@@ -671,9 +682,10 @@ def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
         dtype = quantale._dtype
         patch.setattr(quantale, "_dtype", lambda *bounds: dtypes.append(dtype(*bounds)) or dtypes[-1])
         patch.setattr(quantale, "_FAST_CUTOFF", cutoff)
-        got = implication(t, phi, xi)
+        got = _kernels_on(t, phi, xi)
         patch.setattr(quantale, "_FAST_CUTOFF", float("inf"))
-        assert got == implication(t, phi, xi) == implication_plain(t, phi, xi)
+        assert got == _kernels_on(t, phi, xi) == implication_plain(t, phi, xi)
+    assert got == implication(t, phi, xi)
     assert len(ran) == 2 and ran[1] == "_implication_int"
     assert len(dtypes) == 2 * (ran[0] == "_implication_fast")
     return ran[0], *(dtypes or [None, None])
@@ -735,6 +747,53 @@ def test_implication_kernels_past_the_guard(name, t, monkeypatch):
     assert {kernel for kernel, _, _ in above} == {"_implication_fast"}
     assert {jumps for _, jumps, _ in above} == {np.int64}
     assert above[0][2] is np.int64 and above[-1][2] is object
+
+
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+def test_implication_closed_forms(name, t, monkeypatch):
+    # A one-step antecedent or a consequent with at most one step takes a
+    # closed form; both kernels, run directly on the same `_scale`, and the
+    # plain meet agree with it.
+    ran = []
+    for form in ("_antecedent_form", "_consequent_form"):
+        f = getattr(quantale, form)
+        monkeypatch.setattr(quantale, form, lambda s, f=f, n=form: ran.append(n) or f(s))
+    ends = Staircase(((F(0), F(2, 10)), (F(1), F(6, 10)), (F(2), F(7, 10)), (F(3), F(1))))
+    at_zero = Staircase(((F(0), F(1, 10)), (F(1), F(13, 20)), (F(3), F(9, 10))))
+    ladder = Staircase(tuple((F(k, 2), lv) for k, lv in enumerate(_IMPLICATION_LEVELS[1::2])))
+    # levels at the ends of ORDINAL's and NILPOTENT's pieces
+    piece_ends = [F(1, 3), F(1, 2), F(2, 10), F(6, 10), F(7, 10), F(3, 4), F(1)]
+    # a level over a denominator past 2^62: every value, the cap among
+    # them, passes the int64 guard
+    wide = Staircase(((F(0), F(1, 3)), (F(1), F(1, 2)), (F(2), F(2**62, 2**62 + 135))))
+    cases = [
+        (one_step(F(2), F(1, 2)), one_step(F(0), F(6, 10))),  # xi reaches a by p
+        (ends, one_step(F(1, 2), F(1))),  # ... by every p of phi
+        (one_step(F(0), F(1, 10)), at_zero),  # jumps at 0
+        (at_zero, one_step(F(0), F(1, 2))),
+        (at_zero, one_step(F(3), F(1, 2))),
+        (one_step(F(1), F(3, 4)), BOTTOM),  # an empty xi
+        (ends, BOTTOM),
+        (ladder, BOTTOM),
+        (TOP, ladder),  # TOP as the antecedent
+        (TOP, ends),
+        (TOP, BOTTOM),
+        (wide, one_step(F(5, 2), F(1, 2**31 - 1))),  # a cap past the guard
+        (wide, one_step(F(1, 2), F(1, 3))),
+        (one_step(F(1, 3), F(2**62, 2**62 + 135)), ladder),
+        (ladder, one_step(F(9), F(1, 12))),  # under luk a -> 0 falls at every step
+    ]
+    cases += [(one_step(F(1, 2), a), xi) for a in piece_ends for xi in (ends, ladder, at_zero)]
+    cases += [(phi, one_step(F(5, 2), c)) for c in piece_ends for phi in (ends, ladder, at_zero)]
+    for phi, xi in cases:
+        ran.clear()
+        got = implication(t, phi, xi)
+        assert ran == ["_antecedent_form" if len(phi.js) == 1 else "_consequent_form"]
+        assert got == implication_plain(t, phi, xi)
+        s = quantale._scale(t, phi, xi)
+        args = quantale._kernel_args(s)
+        assert got == quantale._implication_int(s, *args) == quantale._implication_fast(s, *args)
+    assert quantale._dtype(quantale._scale(t, wide, BOTTOM).ld) is object
 
 
 def test_worked_implication_values():
@@ -939,8 +998,9 @@ _WIDE_LEVELS = sorted({*_IMPLICATION_LEVELS, *(lv - F(1, 3 * 2**64) for lv in _I
 
 def _kernel_dtypes(kernel, t, phi, other, monkeypatch) -> tuple:
     """kernel (convolve or implication) on its numpy kernel against its
-    plain kernel; the dtypes the jumps' and the levels' guards gave, and
-    whether the float64 filter ran."""
+    plain kernel, an implication's closed-form inputs too (`_kernels_on`);
+    the dtypes the jumps' and the levels' guards gave, and whether the
+    float64 filter ran."""
     plain = convolve_plain if kernel is convolve else implication_plain
     dtypes, floats = [], []
     dtype = quantale._dtype
@@ -956,7 +1016,7 @@ def _kernel_dtypes(kernel, t, phi, other, monkeypatch) -> tuple:
             f = getattr(quantale, name)
             patch.setattr(quantale, name, lambda *a, f=f: floats.append(quantale._dtype is spy) or f(*a))
         patch.setattr(quantale, "_FAST_CUTOFF", 0)
-        assert kernel(t, phi, other) == plain(t, phi, other)
+        assert (_kernels_on if kernel is implication else kernel)(t, phi, other) == plain(t, phi, other)
     return *dtypes, any(floats)
 
 

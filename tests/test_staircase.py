@@ -59,6 +59,15 @@ _FIVE_ERRORS = [
     (((F(1, 2), F(3, 2)),), "level 3/2 outside"),
     (((F(3, 2), F(1, 2)), (F(1, 2), F(3, 4))), "jumps must be strictly increasing"),
     (((F(1, 2), F(1, 2)), (F(3, 2), F(1, 3))), "levels must be strictly increasing"),
+    # rising columns, whose least and largest entries sit at their ends
+    (((-1, F(1, 4)), (1, F(1, 2))), "negative jump -1"),
+    (((0, F(1, 2)), (1, F(3, 4)), (2, F(3, 2))), "level 3/2 outside"),
+    (((0, F(-1, 2)), (1, F(1, 2)), (2, 2)), "level -1/2 outside"),
+    # columns that fall, whose bad entries are reported before their order
+    (((1, F(1, 4)), (-2, F(1, 2)), (3, F(3, 4))), "negative jump -2"),
+    (((0, F(1, 2)), (1, 3), (2, F(3, 4))), "level 3 outside"),
+    (((0, F(1, 2)), (1, -1), (2, 2)), "level -1 outside"),
+    (((-1, 2), (1, 3)), "negative jump -1"),
 ]
 
 

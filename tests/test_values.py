@@ -2,11 +2,12 @@
 three instances: [0, inf], staircases and finite tables."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ddquant import BOTTOM, INF, MIN, ONE, TOP, ZERO, find_nondiagonal_below, one_step
+from ddquant import BOTTOM, INF, MIN, ONE, TOP, ZERO, Staircase, find_nondiagonal_below, one_step
 from ddquant.axis import plus_implies
 from ddquant.finiteq import drastic_chain
 from ddquant.values import NUMERIC, Staircases, downset_equality, quantaloid_laws
@@ -76,6 +77,26 @@ def test_one_step_objects_have_their_down_sets_as_diagonals(name, t):
     assert laws.ok, laws.violations[:3]
     assert laws == quantaloid_laws_plain(q, homs)
     assert downset_equality(q, pool, homs).equal_everywhere
+
+
+@pytest.mark.parametrize("name,t", _STAIRCASE_TNORMS)
+def test_quantaloid_laws_decide_each_divisibility_once(name, t, monkeypatch):
+    # composites outside the sampled hom-sets are members when divisible by
+    # both ends; each (p, d) is decided once, with the plain checker's report
+    rng = random.Random(18)
+    q = Staircases(t)
+    objects = (one_step(F(1, 2), F(2, 3)), Staircase(((F(0), F(1, 4)), (F(1), F(3, 4)))))
+    pool = tuple(dict.fromkeys(
+        [BOTTOM, *objects, *(rand_staircase(rng, max_steps=3).meet(p) for p in objects for _ in range(4))]
+    ))
+    homs = _homs(q, objects, pool)
+    divided = Counter()
+    divides = Staircases.divides
+    monkeypatch.setattr(Staircases, "divides", lambda self, p, d: divided.update([(p, d)]) or divides(self, p, d))
+    laws = quantaloid_laws(q, homs)
+    assert divided and max(divided.values()) == 1
+    monkeypatch.undo()
+    assert laws == quantaloid_laws_plain(q, homs)
 
 
 @pytest.mark.parametrize("name,t", _STAIRCASE_TNORMS)
