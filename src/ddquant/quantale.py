@@ -491,23 +491,28 @@ def _kernel_args(s: _Scaled) -> tuple[int, list, int]:
     """(d, forms, cap) of the implication kernels: d, `_form`'s form of
     each level of phi, and the cap over ld * d."""
     (js, ls), (rs, cs) = s.images
-    pieces = [None] * len(ls)
-    for lo, hi, kind, _ in s.pieces:  # the levels lo < a <= hi, a slice of ls
-        first, stop = bisect_right(ls, lo), bisect_right(ls, hi)
-        pieces[first:stop] = [(lo, hi, kind)] * (stop - first)
-    d = lcm(*(a - pc[0] for a, pc in zip(ls, pieces) if pc and pc[2] == PRODUCT_KIND))
+    pieces = _level_pieces(s, ls)
+    d = lcm(*(_own_d(piece, a) for a, piece in zip(ls, pieces)))
     forms = [_form(piece, a, d) for a, piece in zip(ls, pieces)]
     last = cs[-1] if cs else 0
     cap = _residua(forms[-1], d, [last])[0] if last < ls[-1] else s.ld * d
     return d, forms, cap
 
 
-def _own_form(s: _Scaled, a: int) -> tuple[int, tuple[int, int, int]]:
-    """(d, form): the d of one level a of phi alone, a - lo in a product
-    piece (lo, hi] and 1 otherwise, and `_form`'s form of a over it."""
-    piece = next(((lo, hi, kind) for lo, hi, kind, _ in s.pieces if lo < a <= hi), None)
-    d = a - piece[0] if piece and piece[2] == PRODUCT_KIND else 1
-    return d, _form(piece, a, d)
+def _level_pieces(s: _Scaled, ls: list[int]) -> list:
+    """The (lo, hi, kind) piece with lo < a <= hi of each of the rising
+    scaled levels ls, or None."""
+    pieces = [None] * len(ls)
+    for lo, hi, kind, _ in s.pieces:  # the levels lo < a <= hi, a slice of ls
+        first, stop = bisect_right(ls, lo), bisect_right(ls, hi)
+        pieces[first:stop] = [(lo, hi, kind)] * (stop - first)
+    return pieces
+
+
+def _own_d(piece, a: int) -> int:
+    """The d of one level a alone: a - lo in a product piece (lo, hi], 1
+    otherwise."""
+    return a - piece[0] if piece and piece[2] == PRODUCT_KIND else 1
 
 
 def _antecedent_form(s: _Scaled) -> Staircase:
@@ -518,7 +523,9 @@ def _antecedent_form(s: _Scaled) -> Staircase:
     p).  Those values rise strictly, so the steps go to `_built` as they
     are, a zero value just after 0 dropped."""
     ((p,), (a,)), (rs, cs) = s.images
-    d, form = _own_form(s, a)
+    (piece,) = _level_pieces(s, [a])
+    d = _own_d(piece, a)
+    form = _form(piece, a, d)
     first, stop = bisect_right(rs, p), bisect_left(cs, a)  # steps at or below p; c < a
     if stop < first:
         return TOP
@@ -536,16 +543,17 @@ def _consequent_form(s: _Scaled) -> Staircase:
     """The implication of a consequent xi with at most one step (r, c).  A
     step (p, a) of phi with p < r gives the one co-step (r - p, a -> 0);
     the cap is a -> c for the last level a of phi (a -> 0 for an empty xi),
-    over d = `_own_form`'s d of that level.  a -> 0 is positive only in a
-    Lukasiewicz piece (0, hi], where it is hi - a, and antitone in a; so
-    the co-steps, taken from the last such step back, come in position
-    order with values that never fall, and the meet just after each
-    position, the least value of the co-steps above it and the cap, is one
-    pass of `_from_candidates`."""
+    over d = `_own_d` of that level.  a -> 0 is positive only in a
+    Lukasiewicz piece (0, hi], where it is `_form`'s base (hi - a) * d for
+    any d, and antitone in a; so the co-steps, taken from the last such
+    step back, come in position order with values that never fall, and the
+    meet just after each position, the least value of the co-steps above
+    it and the cap, is one pass of `_from_candidates`."""
     (js, ls), (rs, cs) = s.images
-    d, form = _own_form(s, ls[-1])
+    (piece,) = _level_pieces(s, ls[-1:])
+    d = _own_d(piece, ls[-1])
     c = cs[0] if cs else 0
-    cap = _residua(form, d, [c])[0] if c < ls[-1] else s.ld * d
+    cap = _residua(_form(piece, ls[-1], d), d, [c])[0] if c < ls[-1] else s.ld * d
     top = next((hi for lo, hi, kind, _ in s.pieces[:1] if lo == 0 and kind != PRODUCT_KIND), 0)
     m = bisect_left(js, rs[0]) if rs else 0  # the steps with p < r
     pos = [0, *(rs[0] - p for p in reversed(js[:m]))]

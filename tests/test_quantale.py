@@ -659,10 +659,12 @@ def test_implication_large_denominators(name, t):
     _check_implication(t, xi, phi)
 
 
-def _kernels_on(t, phi, xi):
-    """implication's pairs rule on any input, so that one with at most one
-    step on either side, which `implication` answers in closed form, runs
-    on a kernel too."""
+def _on_kernels(t, phi, xi):
+    """implication where it picks a kernel, both sides with two or more
+    steps; where it answers in closed form, at most one step on either
+    side, its pairs rule run directly on the kernels instead."""
+    if min(len(phi.js), len(xi.js)) > 1:
+        return implication(t, phi, xi)
     s = quantale._scale(t, phi, xi)
     fast = len(phi.js) * len(xi.js) >= quantale._FAST_CUTOFF
     kernel = quantale._implication_fast if fast else quantale._implication_int
@@ -670,10 +672,10 @@ def _kernels_on(t, phi, xi):
 
 
 def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
-    """implication's kernels with the given cutoff against the Python sweep
-    (no cutoff reached), implication and implication_plain; the kernel that
-    ran, and the dtypes its jumps and its levels took (None for the Python
-    sweep)."""
+    """implication with the given kernel cutoff against the Python sweep
+    (no cutoff reached) and implication_plain, on `_on_kernels`; the kernel
+    that ran, and the dtypes its jumps and its levels took (None for the
+    Python sweep)."""
     ran, dtypes = [], []
     with monkeypatch.context() as patch:
         for name in ("_implication_int", "_implication_fast"):
@@ -682,9 +684,9 @@ def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
         dtype = quantale._dtype
         patch.setattr(quantale, "_dtype", lambda *bounds: dtypes.append(dtype(*bounds)) or dtypes[-1])
         patch.setattr(quantale, "_FAST_CUTOFF", cutoff)
-        got = _kernels_on(t, phi, xi)
+        got = _on_kernels(t, phi, xi)
         patch.setattr(quantale, "_FAST_CUTOFF", float("inf"))
-        assert got == _kernels_on(t, phi, xi) == implication_plain(t, phi, xi)
+        assert got == _on_kernels(t, phi, xi) == implication_plain(t, phi, xi)
     assert got == implication(t, phi, xi)
     assert len(ran) == 2 and ran[1] == "_implication_int"
     assert len(dtypes) == 2 * (ran[0] == "_implication_fast")
@@ -998,9 +1000,8 @@ _WIDE_LEVELS = sorted({*_IMPLICATION_LEVELS, *(lv - F(1, 3 * 2**64) for lv in _I
 
 def _kernel_dtypes(kernel, t, phi, other, monkeypatch) -> tuple:
     """kernel (convolve or implication) on its numpy kernel against its
-    plain kernel, an implication's closed-form inputs too (`_kernels_on`);
-    the dtypes the jumps' and the levels' guards gave, and whether the
-    float64 filter ran."""
+    plain kernel, an implication on `_on_kernels`; the dtypes the jumps'
+    and the levels' guards gave, and whether the float64 filter ran."""
     plain = convolve_plain if kernel is convolve else implication_plain
     dtypes, floats = [], []
     dtype = quantale._dtype
@@ -1016,7 +1017,7 @@ def _kernel_dtypes(kernel, t, phi, other, monkeypatch) -> tuple:
             f = getattr(quantale, name)
             patch.setattr(quantale, name, lambda *a, f=f: floats.append(quantale._dtype is spy) or f(*a))
         patch.setattr(quantale, "_FAST_CUTOFF", 0)
-        assert (_kernels_on if kernel is implication else kernel)(t, phi, other) == plain(t, phi, other)
+        assert (_on_kernels if kernel is implication else kernel)(t, phi, other) == plain(t, phi, other)
     return *dtypes, any(floats)
 
 
