@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from pathlib import Path
 
 from .axis import format_scalar
@@ -222,13 +222,17 @@ def validate_quantale(q: FiniteQuantale) -> QuantaleReport:
 
 
 def residuate(q: FiniteQuantale, a: str, b: str) -> str:
-    """Largest r with a * r <= b, by exhaustive join.  A table where no r
-    qualifies, or whose candidates have no join, raises ValueError."""
-    times, leq = q._mult[a], q._leq
+    """Largest r with a * r <= b, by exhaustive join over the rows of the
+    join table.  A table where no r qualifies, or whose candidates have no
+    join, raises ValueError."""
+    times, leq, joins = q._mult[a], q._leq, q.joins
     candidates = [r for r in q.elements if leq[times[r]][b]]
     if not candidates:
         raise ValueError(f"no r has {a} * r <= {b}; validate first")
-    return reduce(q.join, candidates)
+    join = candidates[0]
+    for r in candidates[1:]:
+        join = _lattice(joins[join][r])
+    return join
 
 
 def _require_lattice(q: FiniteQuantale) -> None:

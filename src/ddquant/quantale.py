@@ -27,8 +27,7 @@ jumps and for its values.  Jumps past it take object arrays of Python
 ints.  Values within it are exact on int64; past it they are Python ints,
 and first every value is taken as a float64 within a proven bound E of
 the exact one (`_float_error`), so that only the candidates within 2E of
-deciding the result are evaluated exactly (the implication filters so
-where its co-steps outnumber its levels).  Every result goes through
+deciding the result are evaluated exactly.  Every result goes through
 `Staircase.__post_init__`'s checks; the tests compare the kernels with
 `Fraction` reference kernels kept in `tests/util.py`.
 `convolve_below_all` decides phi (*) psi <= xi for the n^3 triples of two
@@ -295,8 +294,7 @@ def _convolve_fast(s: _Scaled) -> Staircase:
     l1, l2 = np.array(ls1, dtype=ltype), np.array(ls2, dtype=ltype)
     if ltype is np.int64:
         block = _block(
-            s, lambda r1: l1[r1] * s.m, lambda r2: l2[r2] * s.m,
-            lambda pc, r1, r2: _piece_apply(pc, l1[r1, None], l2[None, r2], s.m), np.int64,
+            s, l1 * s.m, l2 * s.m, lambda pc, r1, r2: _piece_apply(pc, l1[r1, None], l2[None, r2], s.m)
         )
         return _swept(sums[order], block.ravel()[order], s.jd, s.ld * s.m)
     f = _floats_block(s).ravel()[order]
@@ -305,33 +303,17 @@ def _convolve_fast(s: _Scaled) -> Staircase:
     return _swept(sums[near], vals, s.jd, s.ld * s.m)
 
 
-def _block(s: _Scaled, col, row, apply, dtype: type) -> np.ndarray:
+def _block(s: _Scaled, col: np.ndarray, row: np.ndarray, apply) -> np.ndarray:
     """The t-norm on every pair of the factors' levels, as an n1 x n2 block:
-    `apply(piece, r1, r2)` on the slices r1 and r2 of the factors' levels
-    in each piece (levels rise strictly, pieces are sorted), and min only
-    on the pairs that no piece holds, from `col(r1)` and `row(r2)`, the
-    levels on slices.  Beside a piece's block the other factor's levels
-    lie below its lo or above its hi, so min there is the row's or the
-    column's level; the rows in no piece take min throughout."""
+    min of col and row, the factors' levels in the t-norm's units,
+    overwritten by `apply(piece, r1, r2)` on the slices r1 and r2 of the
+    factors' levels in each piece (levels rise strictly, pieces are sorted)."""
     (_, ls1), (_, ls2) = s.images
-    every = slice(None)
-    if not s.pieces:
-        return np.minimum.outer(col(every), row(every))
-    vals = np.empty((len(ls1), len(ls2)), dtype=dtype)
-    gap = 0  # the first row after the pieces so far
+    vals = np.minimum.outer(col, row)
     for piece in s.pieces:
         r1 = slice(bisect_left(ls1, piece[0]), bisect_right(ls1, piece[1]))
         r2 = slice(bisect_left(ls2, piece[0]), bisect_right(ls2, piece[1]))
-        if gap < r1.start:
-            vals[gap : r1.start] = np.minimum.outer(col(slice(gap, r1.start)), row(every))
-        gap = max(gap, r1.stop)
         vals[r1, r2] = apply(piece, r1, r2)
-        if r2.start:
-            vals[r1, : r2.start] = row(slice(r2.start))
-        if r2.stop < len(ls2):
-            vals[r1, r2.stop :] = col(r1)[:, None]
-    if gap < len(ls1):
-        vals[gap:] = np.minimum.outer(col(slice(gap, None)), row(every))
     return vals
 
 
@@ -379,8 +361,7 @@ def _floats_block(s: _Scaled) -> np.ndarray:
         x, y = _floats(ls1[r1], ld, hi), _floats(ls2[r2], ld)
         return np.maximum(x[:, None] + y[None, :], lo / ld)
 
-    col, row = (lambda r1: _floats(ls1[r1], ld)), (lambda r2: _floats(ls2[r2], ld))
-    return _block(s, col, row, apply, np.float64)
+    return _block(s, _floats(ls1, ld), _floats(ls2, ld), apply)
 
 
 def _floats(levels: list[int], over: int, lo: int = 0) -> np.ndarray:
@@ -611,30 +592,27 @@ def _implication_fast(s: _Scaled, d: int, forms, cap: int) -> Staircase:
     values its guard on ld * d: every value is at most ld * d (base +
     (c - lo) * slope < hi * d for c < a), and within the guard they are
     exact on int64.  Past it they are Python ints in object arrays, and
-    where the co-steps outnumber the levels of phi and xi the float64
-    filter runs first: `_costep_floats` puts every value within E of its
-    exact value, and the cap is one rounding off, so a co-step below every
-    later one and the cap, the only kind that sets a suffix minimum, lies
-    within 2E of the floats' suffix minimum after it.  Only the co-steps
-    that do are evaluated exactly, by `_residua`'s formula; each other one
-    lies at or above a later co-step or the cap, so dropping it leaves
-    every suffix minimum, so the meet, as it is.
+    the float64 filter runs first, as in `_convolve_fast`: `_costep_floats`
+    puts every value within E of its exact value, and the cap is one
+    rounding off, so a co-step below every later one and the cap, the only
+    kind that sets a suffix minimum, lies within 2E of the floats' suffix
+    minimum after it.  Only the co-steps that do are evaluated exactly, by
+    `_residua`'s formula; each other one lies at or above a later co-step
+    or the cap, so dropping it leaves every suffix minimum, so the meet, as
+    it is.
     """
     (js, ls), (rs, cs) = s.images
-    n = len(rs)
     jtype, ltype = _dtype(js[-1], *rs[-1:]), _dtype(s.ld * d)
     r, p = np.array(rs, dtype=jtype), np.array(js, dtype=jtype)
     levels = np.array([0, *cs], dtype=ltype)
     a, *forms = np.array([ls, *zip(*forms)], dtype=ltype)
     first = r.searchsorted(p, side="right")
-    counts = np.maximum(np.minimum(levels[1:].searchsorted(a) + 1, n) - first, 0)
+    counts = np.maximum(np.minimum(levels[1:].searchsorted(a) + 1, len(rs)) - first, 0)
     step = np.arange(len(js)).repeat(counts)
     k = np.arange(len(step)) + (first - counts.cumsum() + counts).repeat(counts)
     pos = r[k] - p[step]
     order = _order(pos)
-    # past the guard the filter converts each level of phi and xi once, so
-    # it runs where the co-steps outnumber those levels
-    if ltype is not np.int64 and len(k) > len(ls) + n:
+    if ltype is not np.int64:
         g = _costep_floats(s, d, levels, forms, step, k)[order]
         tail = np.minimum.accumulate(np.concatenate((g, [cap / (s.ld * d)]))[::-1])[::-1]
         order = order[g <= tail[1:] + 2 * _float_error(s, 3, 5, 8)]
@@ -678,13 +656,12 @@ def _costep_floats(s: _Scaled, d: int, levels: np.ndarray, forms: list, step, k)
         first, stop = bisect_left(cs, piece[0]), bisect_left(cs, piece[1])
         lows[first:stop] = [piece[0]] * (stop - first)
     cf, ce = map(np.array, zip(*(_frexp(c - low, ld) for c, low in zip(cs, lows))))
+    af, ae = map(np.array, zip(*(_frexp(v, d) for v in slope)))
     inside = k >= levels.searchsorted(lo)[step]
-    # slope/d only where a co-step lies inside with c > lo
-    af, ae, used = np.ones(len(lo)), np.zeros(len(lo), dtype=np.int64), np.zeros(len(lo), dtype=bool)
-    used[step[inside & (cf[k] != 0)]] = True
-    for i in np.flatnonzero(used).tolist():
-        af[i], ae[i] = _frexp(slope[i], d)
-    terms = np.ldexp(cf[k] * af[step], ce[k] + ae[step]) + (base / wide).astype(np.float64)[step]
+    # outside a's piece the terms go unused, and their powers of two, which
+    # may pass float64's range, are 1
+    power = (ce[k] + ae[step]) * inside
+    terms = np.ldexp(cf[k] * af[step], power) + (base / wide).astype(np.float64)[step]
     return np.where(inside, terms, _floats(cs, ld)[k])
 
 

@@ -9,9 +9,8 @@ first mismatch:
 - `_convolve_fast` and `_implication_fast`: a call whose values took int64
   runs again with `_dtype` answering object to every guard, so its jumps
   take object arrays and its values Python ints, through the float64
-  filter where the kernel filters; a call past the values' guard runs
-  again through `_convolve_int` or `_implication_int` on the same
-  `_Scaled`.
+  filter; a call past the values' guard runs again through
+  `_convolve_int` or `_implication_int` on the same `_Scaled`.
 - `_below_keys`: each call runs again with its jumps and values forced
   onto object arrays.
 

@@ -90,6 +90,26 @@ def test_eval_golden_conv_ordinal_touching(capsys, monkeypatch):
     assert len(kernels) == 1
 
 
+def test_eval_golden_conv_gapped(capsys, monkeypatch):
+    # 49 candidate pairs on the numpy kernel, under an ordinal sum with min
+    # below, between and above its pieces: levels lie in all five regions.
+    kernels = []
+    fast = quantale._convolve_fast
+    monkeypatch.setattr(quantale, "_convolve_fast", lambda s: kernels.append(s) or fast(s))
+    code, out, err = run_cli(
+        capsys,
+        "eval",
+        "--tnorm",
+        "ordinal[(1/5,2/5,luk),(3/5,4/5,prod)]",
+        "conv(steps[(0,1/10),(1/2,3/10),(1,1/2),(3/2,7/10),(2,17/20),(5/2,9/10),(3,1)],"
+        "steps[(1/4,3/20),(3/4,1/4),(5/4,9/20),(7/4,13/20),(9/4,3/4),(11/4,19/20),(4,1)])",
+    )
+    assert code == 0
+    assert out == golden("eval_conv_gapped.txt")
+    assert err == ""
+    assert len(kernels) == 1
+
+
 def test_eval_golden_all_ops_ordinal(capsys):
     # Every operation and literal kind once, under an ordinal sum.
     code, out, err = run_cli(

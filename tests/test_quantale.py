@@ -36,6 +36,7 @@ from ddquant import quantale
 from ddquant.quantale import _FAST_CUTOFF, _INT64_LIMIT
 from ddquant.values import Staircases, ValueQuantale
 from util import (
+    GAPPED,
     NILPOTENT,
     ORDINAL,
     TNORMS,
@@ -131,7 +132,7 @@ def test_step_pairs_past_the_budget_raise_before_scaling(monkeypatch):
             op(MIN, square, square)
 
 
-@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT), ("gapped", GAPPED)])
 def test_convolve_differential_around_cutoff(name, t):
     rng = random.Random(27)
     above_cutoff = set()
@@ -413,7 +414,7 @@ def _check_swaps(t, entries, rng, monkeypatch) -> None:
 
 
 @pytest.mark.counts_kernel_calls  # its _scale spy counts scales
-@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT), ("gapped", GAPPED)])
 def test_convolve_below_all_differential(name, t, monkeypatch):
     rng = random.Random(38)
     # a pool whose staircases recur, some as equal copies: one scale serves all
@@ -592,7 +593,7 @@ def _staircase_over(rng, levels, max_steps):
 
 
 # Tenths hold every endpoint of ORDINAL's pieces (2/10, 6/10, 7/10, 1) and
-# NILPOTENT's 1/3, 1/2 and 3/4 are among the twelfths.
+# GAPPED's, and NILPOTENT's 1/3, 1/2 and 3/4 are among the twelfths.
 _IMPLICATION_LEVELS = sorted({F(k, 10) for k in range(1, 11)} | {F(k, 12) for k in range(1, 13)})
 
 
@@ -693,7 +694,7 @@ def _implication_kernel(t, phi, xi, monkeypatch, cutoff=_FAST_CUTOFF) -> tuple:
     return ran[0], *(dtypes or [None, None])
 
 
-@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT), ("gapped", GAPPED)])
 def test_implication_kernels_differential(name, t, monkeypatch):
     rng = random.Random(39)
     kernels = set()
@@ -1021,7 +1022,7 @@ def _kernel_dtypes(kernel, t, phi, other, monkeypatch) -> tuple:
     return *dtypes, any(floats)
 
 
-@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT)])
+@pytest.mark.parametrize("name,t", TNORMS + [("nilpotent", NILPOTENT), ("gapped", GAPPED)])
 def test_filtered_kernels_differential(name, t, monkeypatch):
     rng = random.Random(41)
     seen = set()
@@ -1077,8 +1078,8 @@ def _implication_near_tie(t, x1: F, x2: F, z1: F, z2: F) -> tuple:
     levels in t's product piece where it has one, and x0 halfway between x1
     and the larger of z1 and z2 below it: x1 -> z1 sits at 5/2 and x2 -> z2
     at 4, each other co-step after 5/2 lies above both, and the one at 5/2
-    sets the meet just after 2 when it is the smaller.  The co-steps
-    outnumber the six levels, so past the guard the filter runs."""
+    sets the meet just after 2 when it is the smaller.  Past the guard the
+    filter runs."""
     x0 = (x1 + max(z for z in (z1, z2) if z < x1)) / 2
     if any(pc.kind == "prod" for pc in t.pieces):
         x0, x1, x2, z1, z2 = (_in_product_piece(t, v) for v in (x0, x1, x2, z1, z2))
@@ -1139,5 +1140,19 @@ def test_filtered_kernels_zero_values(name, t, monkeypatch):
     floor = F(1) if name == "luk" else F(1, 3)  # floor -> 0 = 0, before low's first jump
     phi = Staircase(((F(0), floor - 7 * eps), (F(1, 2), floor)))
     assert _kernel_dtypes(implication, t, phi, low, monkeypatch) == (np.int64, object, True)
-    # no co-steps to filter: the floors through the cap alone
-    assert _kernel_dtypes(implication, t, phi, BOTTOM, monkeypatch) == (np.int64, object, False)
+    # no co-steps: the floors through the cap alone
+    assert _kernel_dtypes(implication, t, phi, BOTTOM, monkeypatch) == (np.int64, object, True)
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_filtered_implication_slopes_past_float_range(inside, monkeypatch):
+    # phi's levels lie 2^-1100 and less above ORDINAL's product piece's lo,
+    # so slope/d = (hi - lo)/(a - lo) passes float64's range; xi's levels
+    # lie below lo, and one inside (lo, a) where `inside`.  The co-steps
+    # below lo do not use the slope, and the filter must raise no overflow
+    # warning for them, which the suite turns into an error.
+    lo, eps = F(1, 5), F(1, 2**1100)
+    phi = Staircase(tuple((F(k, 2), lo + k * eps) for k in range(1, 5)))
+    levels = [F(k, 100) for k in range(1, 11)] + [lo + eps / 2 if inside else F(11, 100)]
+    xi = Staircase((*((F(k, 3), lv) for k, lv in enumerate(levels)), (F(20), F(1))))
+    assert _kernel_dtypes(implication, ORDINAL, phi, xi, monkeypatch) == (np.int64, object, True)

@@ -56,6 +56,10 @@ TNORMS: list[tuple[str, TNorm]] = [
 # A nilpotent piece at 0: luk values there can drop to the piece's floor 0.
 NILPOTENT = parse_tnorm("ordinal[(0,1/3,luk),(1/2,3/4,prod),(3/4,1,luk)]")
 
+# min below, between and above two pieces: the only region of min above a
+# t-norm's last piece among these t-norms.
+GAPPED = parse_tnorm("ordinal[(1/5,2/5,luk),(3/5,4/5,prod)]")
+
 _DENS = (1, 2, 3, 4, 6, 8, 12)
 
 
