@@ -72,6 +72,13 @@ _VALIDATORS = {
 }
 
 
+def _print_json(obj) -> None:
+    """Print obj as `json.dumps(obj, indent=2, sort_keys=True)` would, chunk
+    by chunk as it is encoded, never holding it as one string."""
+    sys.stdout.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj))
+    sys.stdout.write("\n")
+
+
 def cmd_validate(ns: argparse.Namespace) -> int:
     m = load_instance(ns.path)
     kind = ns.kind or m.track.lower() + "parmet"
@@ -79,7 +86,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     if prob != bool(m.track):
         raise ValueError(f"{kind} validation needs a {'staircase' if prob else 'numeric'} instance")
     report = _VALIDATORS[kind](m)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    _print_json(report.to_dict())
     return 0 if report.ok else 1
 
 
@@ -103,8 +110,7 @@ def cmd_quantale_check(ns: argparse.Namespace) -> int:
     q = load_quantale(ns.path)
     base = validate_quantale(q)
     if not base.ok:
-        print(json.dumps({"valid": False, "problems": list(base.problems)},
-                         indent=2, sort_keys=True))
+        _print_json({"valid": False, "problems": list(base.problems)})
         return 1
     laws = verify_quantaloid_laws(q)
     down = check_downset_equality(q)
@@ -117,7 +123,7 @@ def cmd_quantale_check(ns: argparse.Namespace) -> int:
         "downsets_equal": down.equal_everywhere,
         "mismatched_pairs": [list(p) for p in down.mismatched_pairs],
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_json(payload)
     return 0 if laws.ok else 1
 
 

@@ -8,24 +8,26 @@ checker are those of the staircase and numeric tracks; here the checker
 gets every hom-set, and table lookup makes it an oracle independent of the
 staircase machinery.
 
-A table has one working representation: its order, reversed order and
-product as rows keyed by label, built once from the `leq` and `mult`
-fields.  Joins, meets, top and bottom are labels computed from those rows,
-None where one is missing, and every check reads them and names elements
-by label.  Each divisibility is decided once per table, and a hom-set is
-the meet of the two endpoints' sets of multiples.  Hom-set members, and so
-the violations the law check reports, come in element order.  `join`,
-`bottom`, `finite` and `residuate` raise ValueError ("validate first") on
-a table that is not a lattice, and so do the law and downset checks before
-they look anything up; `residuate` also raises it where no r has
-a * r <= b.
+A table has one working representation by element index, built once
+from `leq` and `mult`: the product as rows of indices, the order as one
+up-set and one down-set bitmask per element.  A join or meet is the least
+element of the AND of two masks (None where there is none), found once
+per distinct mask.  Every check runs on these; labels appear only at the
+edges: the protocol's parts, `joins`, `meets`, `homs` and every message.
+Each divisibility is decided once per table; a hom-set is the AND of its
+endpoints' masks of multiples, members in element order, as are the
+violations the law check reports.  `join`, `bottom`, `finite` and
+`residuate` raise ValueError ("validate first") on a table that is not a
+lattice, and so do the law and downset checks before they look anything
+up; `residuate` also raises it where no r has a * r <= b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 from .axis import format_scalar
@@ -39,11 +41,11 @@ class FiniteQuantale(ValueQuantale):
     """Carrier with an order table, a multiplication table, and a unit.
 
     `leq[i][j]` says element i is below element j; `mult[i][j]` is the label
-    of the product.  Structural well-formedness (shapes, labels) is enforced
-    at construction, which also keys the rows by label; the mathematical
-    axioms are checked by `validate_quantale`, which reports rather than
-    raises.  Beyond these two fields and `index`, the position of each
-    label, every member works on labels; `implies` residuates each pair once.
+    of the product.  Construction enforces the shapes and labels and builds
+    the index rows and masks; `validate_quantale` checks the axioms and
+    reports rather than raises.  `index` is each label's position; every
+    public member takes and returns labels; `implies` residuates each pair
+    once.
     """
 
     elements: tuple[str, ...]
@@ -53,37 +55,38 @@ class FiniteQuantale(ValueQuantale):
     text = staticmethod(str)
 
     def __post_init__(self):
-        elements = tuple(str(e) for e in self.elements)
-        if len(set(elements)) != len(elements):
+        elements = tuple(map(str, self.elements))
+        index = {e: i for i, e in enumerate(elements)}
+        if len(index) != len(elements):
             raise ValueError("duplicate element labels")
         if not elements:
             raise ValueError("empty carrier")
         n = len(elements)
-        leq = tuple(tuple(bool(v) for v in row) for row in self.leq)
-        mult = tuple(tuple(str(v) for v in row) for row in self.mult)
+        leq = tuple(tuple(map(bool, row)) for row in self.leq)
+        mult = tuple(tuple(map(str, row)) for row in self.mult)
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValueError("leq table must be n x n")
         if len(mult) != n or any(len(row) != n for row in mult):
             raise ValueError("mult table must be n x n")
-        labels = set(elements)
-        if any(v not in labels for row in mult for v in row):
-            raise ValueError("mult table contains unknown labels")
-        if self.unit not in labels:
+        try:
+            times = tuple(tuple(map(index.__getitem__, row)) for row in mult)
+        except KeyError:
+            raise ValueError("mult table contains unknown labels") from None
+        if self.unit not in index:
             raise ValueError(f"unit {self.unit!r} is not an element")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "leq", leq)
-        object.__setattr__(self, "mult", mult)
-        # the working representation: rows keyed by label, _leq[a][b] is a <= b
-        for name, table in (("_leq", leq), ("_geq", zip(*leq)), ("_mult", mult)):
-            rows = {a: dict(zip(elements, row)) for a, row in zip(elements, table)}
-            object.__setattr__(self, name, rows)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.elements)}
+        # the working representation: _ups[i] has bit j where i <= j,
+        # _downs[i] bit j where j <= i, _times[i][j] indexes i * j, and
+        # _joined, _met and _ends index the joins, the meets and the least
+        # and greatest element, None where one is missing
+        bits = [1 << j for j in range(n)]
+        ups, downs = (tuple(sum(compress(bits, row)) for row in rows) for rows in (leq, zip(*leq)))
+        vars(self).update(elements=elements, leq=leq, mult=mult, index=index, _times=times,
+                          _ups=ups, _downs=downs, _joined=_join_table(ups),
+                          _met=_join_table(downs), _implied={},
+                          _ends=(_least(ups, (1 << n) - 1), _least(downs, (1 << n) - 1)))
 
     def compose(self, a: str, b: str) -> str:
-        return self._mult[a][b]
+        return self.mult[self.index[a]][self.index[b]]
 
     def implies(self, a: str, b: str) -> str:
         memo = self._implied
@@ -91,28 +94,26 @@ class FiniteQuantale(ValueQuantale):
             memo[a, b] = residuate(self, a, b)
         return memo[a, b]
 
-    @cached_property
-    def _implied(self) -> dict[tuple[str, str], str]:
-        return {}
-
     def divides(self, p: str, d: str) -> bool:
-        return d in self._multiples[p]
+        return self._multiples[self.index[p]] >> self.index[d] & 1 == 1
 
     @cached_property
-    def _multiples(self) -> dict[str, frozenset[str]]:
-        """The values divisible by each element, each pair decided once."""
+    def _multiples(self) -> tuple[int, ...]:
+        """The mask of the values divisible by each element, each pair
+        decided once."""
         els = self.elements
-        return {p: frozenset(d for d in els if ValueQuantale.divides(self, p, d)) for p in els}
+        return tuple(sum(1 << k for k, d in enumerate(els) if ValueQuantale.divides(self, p, d))
+                     for p in els)
 
     def below(self, a: str, b: str) -> bool:
-        return self._leq[a][b]
+        return self._ups[self.index[a]] >> self.index[b] & 1 == 1
 
     def join(self, a: str, b: str) -> str:
         return _lattice(self.joins[a][b])
 
     @cached_property
     def bottom(self) -> str:
-        return _lattice(self._ends[0])
+        return self.elements[_lattice(self._ends[0])]
 
     def finite(self, a: str) -> bool:
         """Whether a is not the bottom element."""
@@ -121,41 +122,43 @@ class FiniteQuantale(ValueQuantale):
     @cached_property
     def joins(self) -> dict[str, dict[str, str | None]]:
         """Join of each pair, None where it is missing."""
-        return _join_table(self._leq)
+        return _labelled(self.elements, self._joined)
 
     @cached_property
     def meets(self) -> dict[str, dict[str, str | None]]:
         """Meet of each pair: the join in the reversed order."""
-        return _join_table(self._geq)
-
-    @cached_property
-    def _ends(self) -> tuple[str | None, str | None]:
-        """The least and the greatest element, None where one is missing."""
-        return _least(self._leq, self.elements), _least(self._geq, self.elements)
+        return _labelled(self.elements, self._met)
 
     @cached_property
     def homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
         """Every diagonal hom-set, computed once, members in element order."""
-        els, order = self.elements, self.index.__getitem__
-        return {(p, r): tuple(sorted(diag_homset(self, p, r).members, key=order))
-                for p in els for r in els}
+        els, multiples = self.elements, self._multiples
+        ands = {(p, r): m & m2 for p, m in zip(els, multiples) for r, m2 in zip(els, multiples)}
+        members = {m: tuple(e for k, e in enumerate(els) if m >> k & 1) for m in set(ands.values())}
+        return {pair: members[m] for pair, m in ands.items()}
 
 
-def _least(leq, ks) -> str | None:
-    """The one member of ks below every member under leq, or None."""
-    least = [u for u in ks if all(map(leq[u].__getitem__, ks))]
+def _least(ups, mask: int) -> int | None:
+    """The one member of mask below every member, under the order whose
+    up-set masks are ups, or None."""
+    least = [u for u, up in enumerate(ups) if mask >> u & 1 and up & mask == mask]
     return least[0] if len(least) == 1 else None
 
 
-def _join_table(leq) -> dict[str, dict[str, str | None]]:
-    """Least upper bound under leq of each pair, None where it is missing:
-    the least of their common upper bounds, found once per distinct set."""
-    ups = {a: frozenset(k for k in leq if leq[a][k]) for a in leq}
-    least = cache(lambda ks: _least(leq, ks))
-    return {a: {b: least(ups[a] & ups[b]) for b in leq} for a in leq}
+def _join_table(ups) -> tuple[tuple[int | None, ...], ...]:
+    """Least upper bound of each pair under the order whose up-set masks are
+    ups, None where it is missing: found once per distinct mask of bounds."""
+    least = {m: _least(ups, m) for m in {u & v for u in ups for v in ups}}
+    return tuple(tuple(least[u & v] for v in ups) for u in ups)
 
 
-def _lattice(x: str | None) -> str:
+def _labelled(els, table) -> dict[str, dict[str, str | None]]:
+    """An index table as rows keyed by label, None kept."""
+    return {a: {b: None if x is None else els[x] for b, x in zip(els, row)}
+            for a, row in zip(els, table)}
+
+
+def _lattice(x):
     """x, or the validate-first ValueError where a lattice lacks it."""
     if x is None:
         raise ValueError("carrier is not a lattice; validate first")
@@ -171,75 +174,77 @@ class QuantaleReport:
 def validate_quantale(q: FiniteQuantale) -> QuantaleReport:
     """Check that the tables describe a commutative integral quantale."""
     problems: list[str] = []
-    els, leq, mult, joins = q.elements, q._leq, q._mult, q.joins
-    for a in els:
-        if not leq[a][a]:
-            problems.append(f"order not reflexive at {a}")
-    for a in els:
-        for b in els:
-            if a != b and leq[a][b] and leq[b][a]:
-                problems.append(f"order not antisymmetric at ({a},{b})")
-            for c in els:
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    problems.append(f"order not transitive at ({a},{b},{c})")
+    els, ups, times, joined, met = q.elements, q._ups, q._times, q._joined, q._met
+    r = range(len(els))
+    problems += [f"order not reflexive at {els[a]}" for a in r if not ups[a] >> a & 1]
+    for a in r:
+        for b in r:
+            if ups[a] >> b & 1:
+                if a != b and ups[b] >> a & 1:
+                    problems.append(f"order not antisymmetric at ({els[a]},{els[b]})")
+                beyond = ups[b] & ~ups[a]  # the c with b <= c but not a <= c
+                if beyond:
+                    problems += [f"order not transitive at ({els[a]},{els[b]},{els[c]})"
+                                 for c in r if beyond >> c & 1]
     bot, top = q._ends
     if top is None:
         problems.append("no greatest element")
     if bot is None:
         problems.append("no least element")
-    for a in els:
-        for b in els:
-            if joins[a][b] is None:
-                problems.append(f"join of ({a},{b}) missing")
-            if q.meets[a][b] is None:
-                problems.append(f"meet of ({a},{b}) missing")
+    for a in r:
+        for b in r:
+            if joined[a][b] is None:
+                problems.append(f"join of ({els[a]},{els[b]}) missing")
+            if met[a][b] is None:
+                problems.append(f"meet of ({els[a]},{els[b]}) missing")
     if problems:
         # Without a lattice the remaining axioms are not well-posed.
         return QuantaleReport(False, tuple(problems))
-    for a in els:
-        for b in els:
-            if mult[a][b] != mult[b][a]:
-                problems.append(f"multiplication not commutative at ({a},{b})")
-            for c in els:
-                if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-                    problems.append(f"multiplication not associative at ({a},{b},{c})")
-    for a in els:
-        if mult[a][q.unit] != a:
-            problems.append(f"unit law fails at {a}")
-    if q.unit != top:
+    # rows of products compared whole; each c named only where they differ
+    for a in r:
+        row = times[a]
+        for b in r:
+            if row[b] != times[b][a]:
+                problems.append(f"multiplication not commutative at ({els[a]},{els[b]})")
+            after, before = times[row[b]], tuple(map(row.__getitem__, times[b]))
+            if after != before:
+                problems += [f"multiplication not associative at ({els[a]},{els[b]},{els[c]})"
+                             for c in r if after[c] != before[c]]
+    unit = q.index[q.unit]
+    problems += [f"unit law fails at {els[a]}" for a in r if times[a][unit] != a]
+    if unit != top:
         problems.append("unit is not the top element (quantale not integral)")
-    for a in els:
-        times = mult[a]
-        if times[bot] != bot:
-            problems.append(f"bottom not absorbed at {a}")
-        for b in els:
-            for c in els:
-                if times[joins[b][c]] != joins[times[b]][times[c]]:
-                    problems.append(
-                        f"multiplication does not distribute over join at ({a},{b},{c})"
-                    )
+    for a in r:
+        row = times[a]
+        if row[bot] != bot:
+            problems.append(f"bottom not absorbed at {els[a]}")
+        for b in r:
+            left = tuple(map(row.__getitem__, joined[b]))  # a * (b v c) for every c
+            right = tuple(map(joined[row[b]].__getitem__, row))  # (a * b) v (a * c)
+            if left != right:
+                problems += [f"multiplication does not distribute over join at "
+                             f"({els[a]},{els[b]},{els[c]})" for c in r if left[c] != right[c]]
     return QuantaleReport(not problems, tuple(problems))
 
 
 def residuate(q: FiniteQuantale, a: str, b: str) -> str:
-    """Largest r with a * r <= b, by exhaustive join over the rows of the
-    join table.  A table where no r qualifies, or whose candidates have no
-    join, raises ValueError."""
-    times, leq, joins = q._mult[a], q._leq, q.joins
-    candidates = [r for r in q.elements if leq[times[r]][b]]
-    if not candidates:
+    """Largest r with a * r <= b: a's row of products scanned against b's
+    down set, its candidates joined in order on the index join table.  No
+    candidate, or candidates without a join, raise ValueError."""
+    index, joined = q.index, q._joined
+    down, join = q._downs[index[b]], None
+    for r, x in enumerate(q._times[index[a]]):
+        if down >> x & 1:
+            join = r if join is None else _lattice(joined[join][r])
+    if join is None:
         raise ValueError(f"no r has {a} * r <= {b}; validate first")
-    join = candidates[0]
-    for r in candidates[1:]:
-        join = _lattice(joins[join][r])
-    return join
+    return q.elements[join]
 
 
 def _require_lattice(q: FiniteQuantale) -> None:
     """Raise residuate's ValueError unless the table has a bottom and every
     join and meet."""
-    rows = (*q.joins.values(), *q.meets.values())
-    if q._ends[0] is None or any(None in row.values() for row in rows):
+    if q._ends[0] is None or any(None in row for row in (*q._joined, *q._met)):
         raise ValueError("carrier is not a lattice; validate first")
 
 
@@ -252,7 +257,7 @@ class DiagonalHomset:
 
 def diag_homset(q: FiniteQuantale, p: str, r: str) -> DiagonalHomset:
     """All d divisible by both endpoints: (p -> d) * p = d = (r -> d) * r."""
-    return DiagonalHomset(p, r, q._multiples[p] & q._multiples[r])
+    return DiagonalHomset(p, r, frozenset(q.homs[p, r]))
 
 
 def verify_quantaloid_laws(q: FiniteQuantale) -> QuantaloidReport:
@@ -326,12 +331,7 @@ def quantale_from_dict(data: dict) -> FiniteQuantale:
         raise ValueError("quantale field 'mult' must be a list of rows of strings")
     if not isinstance(unit, str):
         raise ValueError("quantale field 'unit' must be a string")
-    return FiniteQuantale(
-        tuple(elements),
-        tuple(tuple(bool(v) for v in row) for row in leq),
-        tuple(tuple(row) for row in mult),
-        unit,
-    )
+    return FiniteQuantale(elements, leq, mult, unit)
 
 
 # Largest carrier `load_quantale` accepts: the law checks are exhaustive.

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddquant import bracket, cli, metrics, parse_linear, quantale
+from ddquant import bracket, cli, finiteq, metrics, parse_linear, quantale
 from ddquant.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -529,6 +529,18 @@ def test_quantale_check_boolean_square(capsys):
     assert payload["hom_join_gaps"] == []
 
 
+def test_quantale_check_cube_at_the_element_cap(capsys):
+    # the Boolean lattice 2 x 2 x 2 with meet as product: a frame of
+    # _MAX_ELEMENTS elements, listed out of order, so divisible
+    code, out, err = run_cli(
+        capsys, "quantale-check", str(DATA / "cube8_quantale.json")
+    )
+    assert code == 0 and err == ""
+    assert out == golden("quantale_check_cube8.txt")
+    table = json.loads((DATA / "cube8_quantale.json").read_text(encoding="utf-8"))
+    assert len(table["elements"]) == finiteq._MAX_ELEMENTS
+
+
 def test_quantale_check_broken_table_exits_one(capsys):
     code, out, _ = run_cli(
         capsys, "quantale-check", str(DATA / "broken_quantale.json")
@@ -817,6 +829,27 @@ def test_closed_output_pipe_exits_two(argv, unbuffered):
     finally:
         os.close(write)
     assert proc.returncode == 2
+
+
+# The JSON reports are written as they are encoded, chunk by chunk; a
+# reader that is gone still ends the run in exit 2 with one error line.
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ["validate", str(DATA / "sixteen_point_probparmet_instance.json")],
+    ["quantale-check", str(DATA / "cube8_quantale.json")],
+])
+def test_report_to_closed_pipe_exits_two_with_one_error_line(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddquant", *argv], stdout=write, stderr=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 # Valid JSON of the wrong shape, JSON nested past the decoder's recursion

@@ -1,9 +1,11 @@
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -19,7 +21,7 @@ from ddquant import (
 )
 from ddquant.finiteq import chain_with_min, load_quantale, quantale_from_dict, quantale_to_dict
 from ddquant.values import ValueQuantale
-from util import homs_plain, join_table_plain, quantaloid_laws_plain
+from util import homs_plain, join_table_plain, quantaloid_laws_plain, validate_quantale_plain
 
 
 def test_malformed_tables_rejected():
@@ -176,18 +178,28 @@ def test_quantaloid_laws_residuate_each_pair_once(build, monkeypatch):
     monkeypatch.setattr(finiteq, "residuate", spy)
     monkeypatch.setattr(ValueQuantale, "divides", counting(divided, ValueQuantale.divides))
     composed, homsets = Counter(), Counter()
-    composites, homset = ValueQuantale.composites, finiteq.diag_homset
+    composites, multiples = ValueQuantale.composites, FiniteQuantale._multiples.func
 
     def composites_spy(self, mid, e, d):
         composed[mid, e, d] += 1
         return composites(self, mid, e, d)
 
-    def homset_spy(q, p, r):
-        homsets[p, r] += 1
-        return homset(q, p, r)
+    class Tagged(int):
+        """An element's mask of multiples; a hom-set is the AND of two."""
+        def __and__(self, other):
+            homsets[self.p, other.p] += 1
+            return int(self) & int(other)
 
+    def multiples_spy(q):
+        masks = tuple(map(Tagged, multiples(q)))
+        for p, mask in zip(q.elements, masks):
+            mask.p = p
+        return masks
+
+    spied = cached_property(multiples_spy)
+    spied.__set_name__(FiniteQuantale, "_multiples")
     monkeypatch.setattr(ValueQuantale, "composites", composites_spy)
-    monkeypatch.setattr(finiteq, "diag_homset", homset_spy)
+    monkeypatch.setattr(FiniteQuantale, "_multiples", spied)
     q = build()
     n = len(q.elements)
     q.homs
@@ -468,9 +480,10 @@ def test_law_reports_match_the_plain_loops():
 
 
 def _random_relation(rng: random.Random) -> dict:
-    """A relation on 1-5 shuffled labels as rows of bools, of random
-    density: mostly reflexive, often neither antisymmetric nor a lattice."""
-    n = rng.randint(1, 5)
+    """A relation on 1-8 shuffled labels as rows of bools, of random
+    density: mostly reflexive, often neither antisymmetric nor a lattice.
+    Eight labels fill every bit of the largest mask a loaded table has."""
+    n = rng.randint(1, 8)
     density = rng.random()
     rows = [[i == j and rng.random() < 0.9 or rng.random() < density for j in range(n)]
             for i in range(n)]
@@ -479,16 +492,79 @@ def _random_relation(rng: random.Random) -> dict:
 
 
 def test_join_table_matches_its_brute_force_definition():
-    from ddquant.finiteq import _join_table, _least
-
+    # joins, meets and both ends, read from the masks, against the label
+    # loops of tests/util.py in the order and in the reversed order
     rng = random.Random(33)
-    missing = found = 0
+    missing = found = eight = 0
     for _ in range(600):
         leq = _random_relation(rng)
+        els = tuple(leq)
+        q = FiniteQuantale(els, tuple(tuple(row.values()) for row in leq.values()),
+                           ((els[0],) * len(els),) * len(els), els[0])
+        geq = {a: {b: leq[b][a] for b in els} for a in els}
         want = join_table_plain(leq)
-        assert _join_table(leq) == want
-        least = [u for u in leq if all(leq[u].values())]
-        assert _least(leq, list(leq)) == (least[0] if len(least) == 1 else None)
+        assert q.joins == want and q.meets == join_table_plain(geq)
+        ends = [[u for u in els if all(rel[u].values())] for rel in (leq, geq)]
+        assert q._ends == tuple(els.index(e[0]) if len(e) == 1 else None for e in ends)
         missing += sum(v is None for row in want.values() for v in row.values())
         found += sum(v is not None for row in want.values() for v in row.values())
-    assert missing > 100 and found > 100
+        eight += len(els) == 8
+    assert missing > 100 and found > 100 and eight > 50
+
+
+def _random_table(rng: random.Random) -> FiniteQuantale:
+    """1-8 elements in shuffled order, ordered as a chain, as a product of
+    two chains or by a random relation.  The product is the meet where
+    there is one and a random element elsewhere, with none, a tenth or all
+    of its entries redrawn; the unit is the top, or now and then any
+    element."""
+    shape = rng.randrange(3)
+    if shape == 2:
+        leq = _random_relation(rng)
+    else:
+        a = rng.randint(1, 8) if shape == 0 else rng.randint(1, 4)
+        b = 1 if shape == 0 else rng.randint(1, 8 // a)
+        points = {f"p{i}{j}": (i, j) for i in range(a) for j in range(b)}
+        leq = {x: {y: all(map(operator.le, u, v)) for y, v in points.items()}
+               for x, u in points.items()}
+    els = rng.sample(list(leq), len(leq))
+    meets = join_table_plain({x: {y: leq[y][x] for y in els} for x in els})
+    redraw = rng.choice((0, 0.1, 1))
+    mult = tuple(tuple(rng.choice(els) if meets[x][y] is None or rng.random() < redraw
+                       else meets[x][y] for y in els) for x in els)
+    tops = [u for u in els if all(leq[v][u] for v in els)]
+    unit = tops[0] if tops and rng.random() < 0.9 else rng.choice(els)
+    return FiniteQuantale(tuple(els), tuple(tuple(leq[x][y] for y in els) for x in els), mult, unit)
+
+
+# the start of each message validate_quantale can report
+_PROBLEMS = ("order not reflexive", "order not antisymmetric", "order not transitive",
+             "no greatest", "no least", "join of", "meet of", "multiplication not commutative",
+             "multiplication not associative", "unit law", "unit is not the top",
+             "bottom not absorbed", "multiplication does not distribute")
+
+
+def test_validate_quantale_matches_the_plain_loops():
+    rng = random.Random(35)
+    tables = [*_differential_tables(), *(_random_table(rng) for _ in range(600))]
+    seen, valid, sizes = Counter(), 0, set()
+    for q in tables:
+        want = validate_quantale_plain(q)
+        assert validate_quantale(q) == want, q
+        seen.update(k for k in _PROBLEMS for p in want.problems if p.startswith(k))
+        valid += want.ok
+        sizes.add(len(q.elements))
+    # every check fails somewhere, some tables pass, and every size occurs
+    assert set(seen) == set(_PROBLEMS) and valid > 20 and sizes == set(range(1, 9))
+
+
+def test_residuate_on_non_lattice_tables_asks_for_validation():
+    # the antichain x, y: x * r = x for every r, and x lies below x alone
+    q = FiniteQuantale(("x", "y"), ((1, 0), (0, 1)), (("x", "x"), ("x", "y")), "y")
+    with pytest.raises(ValueError) as exc:
+        residuate(q, "x", "y")
+    assert str(exc.value) == "no r has x * r <= y; validate first"
+    # both x and y qualify for x -> x, and they have no join
+    with pytest.raises(ValueError) as exc:
+        residuate(q, "x", "x")
+    assert str(exc.value) == "carrier is not a lattice; validate first"

@@ -13,6 +13,8 @@ The plain law checker (`quantaloid_laws_plain`, `homs_plain`,
 `join_table_plain`) is the diagonal quantaloid's checker from before it
 memoised arrows and products and decided each divisibility once: loops over
 every quintuple, membership through the generic divisibility test.
+`validate_quantale_plain` is the table validator from before finite tables
+worked on element indices and bitmasks: label loops over every triple.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from ddquant import (
 from ddquant import axis
 from ddquant.axis import Time, format_scalar, is_infinite, time_add
 from ddquant.errors import DomainError, ParseError
+from ddquant.finiteq import QuantaleReport
 from ddquant.values import QuantaloidReport, ValueQuantale
 
 ORDINAL = parse_tnorm("ordinal[(2/10,6/10,prod),(7/10,1,luk)]")
@@ -545,3 +548,63 @@ def quantaloid_laws_plain(q, homs: dict) -> QuantaloidReport:
                                 f"in hom({p},{r}) under e={ee}:{r}->{s}"
                             )
     return QuantaloidReport(not violations, tuple(violations), tuple(join_gaps))
+
+
+def validate_quantale_plain(q) -> QuantaleReport:
+    """`finiteq.validate_quantale` as its loops stood on rows keyed by
+    label, before the index rows and masks: the same checks, messages and
+    order, with joins, meets and both ends taken from `join_table_plain`
+    over the public `leq` and `mult` fields."""
+    problems: list[str] = []
+    els = q.elements
+    leq = {a: dict(zip(els, row)) for a, row in zip(els, q.leq)}
+    geq = {a: {b: leq[b][a] for b in els} for a in els}
+    mult = {a: dict(zip(els, row)) for a, row in zip(els, q.mult)}
+    joins, meets = join_table_plain(leq), join_table_plain(geq)
+    ends = [[u for u in els if all(rel[u].values())] for rel in (leq, geq)]
+    bot, top = (e[0] if len(e) == 1 else None for e in ends)
+    for a in els:
+        if not leq[a][a]:
+            problems.append(f"order not reflexive at {a}")
+    for a in els:
+        for b in els:
+            if a != b and leq[a][b] and leq[b][a]:
+                problems.append(f"order not antisymmetric at ({a},{b})")
+            for c in els:
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    problems.append(f"order not transitive at ({a},{b},{c})")
+    if top is None:
+        problems.append("no greatest element")
+    if bot is None:
+        problems.append("no least element")
+    for a in els:
+        for b in els:
+            if joins[a][b] is None:
+                problems.append(f"join of ({a},{b}) missing")
+            if meets[a][b] is None:
+                problems.append(f"meet of ({a},{b}) missing")
+    if problems:
+        return QuantaleReport(False, tuple(problems))
+    for a in els:
+        for b in els:
+            if mult[a][b] != mult[b][a]:
+                problems.append(f"multiplication not commutative at ({a},{b})")
+            for c in els:
+                if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+                    problems.append(f"multiplication not associative at ({a},{b},{c})")
+    for a in els:
+        if mult[a][q.unit] != a:
+            problems.append(f"unit law fails at {a}")
+    if q.unit != top:
+        problems.append("unit is not the top element (quantale not integral)")
+    for a in els:
+        times = mult[a]
+        if times[bot] != bot:
+            problems.append(f"bottom not absorbed at {a}")
+        for b in els:
+            for c in els:
+                if times[joins[b][c]] != joins[times[b]][times[c]]:
+                    problems.append(
+                        f"multiplication does not distribute over join at ({a},{b},{c})"
+                    )
+    return QuantaleReport(not problems, tuple(problems))
